@@ -6,7 +6,6 @@ patterns stop steering the clusters.
 """
 
 from .baselines import (
-    BaselineSpec,
     balance_only_weights,
     dec_km,
     drop_km,
@@ -18,15 +17,7 @@ from .baselines import (
 )
 from .core import HyperParams, SampleWeights, one_hot_rows, validate_data
 from .data import BiasSpec, LabeledDataset, binarize, generate_biased, load_csv, save_dataset
-from .decorrelation import (
-    DegenerateGroupError,
-    balance_gradient,
-    balance_loss,
-    balance_residual,
-    remaining_features,
-    weighted_control_moment,
-    weighted_treated_moment,
-)
+from .decorrelation import balance_gradient, balance_loss
 from .metrics import ari, correlation_amount, nmi
 from .solver import (
     EmptyClusterError,
@@ -44,9 +35,7 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineSpec",
     "BiasSpec",
-    "DegenerateGroupError",
     "EmptyClusterError",
     "FitResult",
     "HyperParams",
@@ -56,7 +45,6 @@ __all__ = [
     "balance_gradient",
     "balance_loss",
     "balance_only_weights",
-    "balance_residual",
     "binarize",
     "correlation_amount",
     "dec_km",
@@ -73,14 +61,11 @@ __all__ = [
     "one_hot_rows",
     "pca_km",
     "pca_project",
-    "remaining_features",
     "save_dataset",
     "select_uncorrelated_features",
     "update_assignments",
     "update_centroids",
     "update_weights",
     "validate_data",
-    "weighted_control_moment",
     "weighted_kmeans",
-    "weighted_treated_moment",
 ]

@@ -7,22 +7,21 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-from .core import HyperParams, SampleWeights, as_data_matrix, one_hot_rows
-from .decorrelation import balance_gradient, balance_loss
+from .core import HyperParams, SampleWeights, _weight_vector, as_data_matrix, one_hot_rows
 from .solver import (
     _backtrack,
     _centroids_with_recovery,
+    _omega_objective_at,
     _random_labels,
     _row_sq_norms,
+    _weight_gradient,
     update_assignments,
 )
 
 __all__ = [
-    "BaselineSpec",
     "DecKMResult",
     "DropKMResult",
     "KMeansResult",
@@ -36,23 +35,6 @@ __all__ = [
     "select_uncorrelated_features",
     "weighted_kmeans",
 ]
-
-
-@dataclass(frozen=True)
-class BaselineSpec:
-    """Configuration record for a baseline run."""
-
-    kind: Literal["kmeans", "deckm", "pcakm", "dropkm"]
-    drop_threshold: float = 0.7
-    pca_dims: int | None = None  # defaults to n_clusters - 1 at run time
-
-    def __post_init__(self):
-        if self.kind not in ("kmeans", "deckm", "pcakm", "dropkm"):
-            raise ValueError(f"unknown baseline kind {self.kind!r}")
-        if not 0.0 < self.drop_threshold <= 1.0:
-            raise ValueError("drop_threshold must lie in (0, 1]")
-        if self.pca_dims is not None and self.pca_dims < 1:
-            raise ValueError("pca_dims must be >= 1")
 
 
 @dataclass
@@ -123,10 +105,8 @@ def weighted_kmeans(
 ):
     """Lloyd iterations on the weighted loss with a fixed weight vector."""
     X = as_data_matrix(X)
-    if isinstance(w, SampleWeights):
-        w = w.w
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (X.shape[0],) or np.any(w < 0):
+    w = _weight_vector(w, X.shape[0])
+    if np.any(w < 0):
         raise ValueError("w must be a non-negative vector with one entry per sample")
     return _lloyd(
         X, w, n_clusters, seed, init_labels, max_iter, track_assignments, weighted_loss=True
@@ -144,31 +124,17 @@ def balance_only_weights(X, params: HyperParams):
     X = as_data_matrix(X)
     n = X.shape[0]
     omega = SampleWeights.uniform(n).omega.copy()
-
-    def fun(om):
-        w = om * om
-        value = params.lambda2 * float(w @ w)
-        value += params.lambda3 * (float(w.sum()) - 1.0) ** 2
-        if params.lambda1 != 0.0:
-            value += params.lambda1 * balance_loss(X, w).value
-        return value
-
-    def grad_fun(om):
-        g = 4.0 * params.lambda2 * om**3
-        g += 4.0 * params.lambda3 * (float(om @ om) - 1.0) * om
-        if params.lambda1 != 0.0:
-            g += params.lambda1 * balance_gradient(X, om)
-        return g
-
+    resid_sq = np.zeros(n)  # no k-means term: the joint objective with zero residuals
+    value_at = _omega_objective_at(X, resid_sq, params)
     max_steps = params.max_outer_iters * params.max_w_iters
-    value = fun(omega)
+    value = value_at(omega)
     history = [value]
     for _ in range(max_steps):
-        g = grad_fun(omega)
+        g = _weight_gradient(X, omega, resid_sq, params)
         if not np.any(g):
             break
         omega, new_value, accepted = _backtrack(
-            fun, omega, g, value, params.grad_step, params.backtrack_shrink
+            value_at, omega, g, value, params.grad_step, params.backtrack_shrink
         )
         if not accepted:
             break

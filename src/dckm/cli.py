@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,59 +198,47 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
     if extra_params:
         params.update(extra_params)
 
-    label_runs: list[np.ndarray] = []
-    objectives: list[float] = []
     weights = None
     skipped = None
     kept = None
-    best_iterations = 0
-    best_converged = False
-
     if method == "dckm":
-        best, summaries = fit_restarts(X, hp)
-        label_runs = [s.labels for s in summaries]
-        objectives = [s.objective for s in summaries]
+        best, runs = fit_restarts(X, hp)
+        objectives = [r.objective for r in runs]
         weights = best.weights.w
         skipped = best.skipped_features_last
-        best_iterations = best.iterations
-        best_converged = best.converged
-    elif method == "deckm":
-        sw, history = balance_only_weights(X, hp)
-        weights = sw.w
-        params["stage1_steps"] = len(history) - 1
-        best_loss = None
-        for i in range(hp.restarts):
-            res = weighted_kmeans(X, sw.w, hp.n_clusters, seed=hp.seed + i, max_iter=hp.max_outer_iters)
-            label_runs.append(res.labels)
-            objectives.append(res.loss)
-            if best_loss is None or res.loss < best_loss:
-                best_loss = res.loss
-                best_iterations = res.iterations
-                best_converged = res.converged
     else:
-        if method == "kmeans":
-            Z = X
-        elif method == "pcakm":
-            dims = pca_dims if pca_dims is not None else hp.n_clusters - 1
-            if dims < 1:
-                raise ValueError("pcakm needs k >= 2 or an explicit --pca-dims")
-            params["pca_dims"] = dims
-            Z, _ = pca_project(X, dims)
-        elif method == "dropkm":
-            params["drop_threshold"] = drop_threshold
-            kept = select_uncorrelated_features(X, drop_threshold)
-            Z = X[:, kept]
+        if method == "deckm":
+            sw, history = balance_only_weights(X, hp)
+            weights = sw.w
+            params["stage1_steps"] = len(history) - 1
+
+            def cluster(seed):
+                return weighted_kmeans(
+                    X, weights, hp.n_clusters, seed=seed, max_iter=hp.max_outer_iters
+                )
+
         else:
-            raise ValueError(f"unknown method {method!r}")
-        best_loss = None
-        for i in range(hp.restarts):
-            res = kmeans(Z, hp.n_clusters, seed=hp.seed + i, max_iter=hp.max_outer_iters)
-            label_runs.append(res.labels)
-            objectives.append(res.loss)
-            if best_loss is None or res.loss < best_loss:
-                best_loss = res.loss
-                best_iterations = res.iterations
-                best_converged = res.converged
+            if method == "kmeans":
+                Z = X
+            elif method == "pcakm":
+                dims = pca_dims if pca_dims is not None else hp.n_clusters - 1
+                if dims < 1:
+                    raise ValueError("pcakm needs k >= 2 or an explicit --pca-dims")
+                params["pca_dims"] = dims
+                Z, _ = pca_project(X, dims)
+            elif method == "dropkm":
+                params["drop_threshold"] = drop_threshold
+                kept = select_uncorrelated_features(X, drop_threshold)
+                Z = X[:, kept]
+            else:
+                raise ValueError(f"unknown method {method!r}")
+
+            def cluster(seed):
+                return kmeans(Z, hp.n_clusters, seed=seed, max_iter=hp.max_outer_iters)
+
+        runs = [cluster(hp.seed + i) for i in range(hp.restarts)]
+        objectives = [r.loss for r in runs]
+        best = min(runs, key=lambda r: r.loss)  # first wins ties
 
     record = RunRecord(
         method=method,
@@ -259,8 +247,8 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
         restarts=hp.restarts,
         per_restart_objective=objectives,
         best_objective=min(objectives),
-        best_iterations=best_iterations,
-        best_converged=best_converged,
+        best_iterations=best.iterations,
+        best_converged=best.converged,
         correlation_unweighted=correlation_amount(X),
         skipped_features=skipped,
         kept_features=kept,
@@ -269,8 +257,8 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
     if weights is not None:
         record.correlation_weighted = correlation_amount(X, weights)
     if true_labels is not None:
-        record.per_restart_nmi = [nmi(true_labels, lb) for lb in label_runs]
-        record.per_restart_ari = [ari(true_labels, lb) for lb in label_runs]
+        record.per_restart_nmi = [nmi(true_labels, r.labels) for r in runs]
+        record.per_restart_ari = [ari(true_labels, r.labels) for r in runs]
         record.mean_nmi = float(np.mean(record.per_restart_nmi))
         record.std_nmi = float(np.std(record.per_restart_nmi))
         record.mean_ari = float(np.mean(record.per_restart_ari))
@@ -368,8 +356,12 @@ def _cmd_fit(args) -> int:
             print(f"dckm fit: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_DATA
     if args.weights_out is not None:
-        with open(args.weights_out, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(repr(float(v)) + "\n" for v in record.weights)
+        try:
+            with open(args.weights_out, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(repr(float(v)) + "\n" for v in record.weights)
+        except OSError as exc:
+            print(f"dckm fit: cannot write {args.weights_out}: {exc}", file=sys.stderr)
+            return EXIT_DATA
     return EXIT_OK
 
 
@@ -382,8 +374,26 @@ def _cmd_bench(args) -> int:
         if m not in METHODS:
             print(f"dckm bench: unknown method {m!r}", file=sys.stderr)
             return EXIT_USAGE
-    grid = DEFAULT_GRID if args.grid is None else tuple(float(v) for v in args.grid.split(","))
     seed = args.seed if args.seed is not None else _default_seed()
+
+    def cell(l1, l2):
+        return HyperParams(
+            n_clusters=args.k,
+            lambda1=l1,
+            lambda2=l2,
+            lambda3=args.l3,
+            max_outer_iters=args.max_outer,
+            seed=seed,
+            restarts=args.restarts,
+        )
+
+    try:
+        grid = DEFAULT_GRID if args.grid is None else tuple(float(v) for v in args.grid.split(","))
+        lambda_cells = [cell(l1, l2) for l1 in grid for l2 in grid]
+        plain_cells = [cell(1.0, 1.0)]
+    except ValueError as exc:
+        print(f"dckm bench: invalid flags: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     label_col = _parse_label_column(args.labels)
 
     lines = [BENCH_HEADER]
@@ -405,22 +415,10 @@ def _cmd_bench(args) -> int:
             return EXIT_DATA
         for method in methods:
             uses_lambdas = method in ("dckm", "deckm")
-            grid_points = (
-                [(l1, l2) for l1 in grid for l2 in grid] if uses_lambdas else [(1.0, 1.0)]
-            )
             best_record = None
-            for l1, l2 in grid_points:
-                cell_l1 = _fmt(l1) if uses_lambdas else "-"
-                cell_l2 = _fmt(l2) if uses_lambdas else "-"
-                hp = HyperParams(
-                    n_clusters=args.k,
-                    lambda1=l1,
-                    lambda2=l2,
-                    lambda3=args.l3,
-                    max_outer_iters=args.max_outer,
-                    seed=seed,
-                    restarts=args.restarts,
-                )
+            for hp in lambda_cells if uses_lambdas else plain_cells:
+                cell_l1 = _fmt(hp.lambda1) if uses_lambdas else "-"
+                cell_l2 = _fmt(hp.lambda2) if uses_lambdas else "-"
                 try:
                     record = run_method(
                         dataset.X, dataset.labels, method, hp, drop_threshold=args.threshold
@@ -500,7 +498,11 @@ def _cmd_corr(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_DATA
-        weighted = correlation_amount(dataset.X, w)
+        try:
+            weighted = correlation_amount(dataset.X, w)
+        except ValueError as exc:
+            print(f"dckm corr: invalid weights: {exc}", file=sys.stderr)
+            return EXIT_DATA
         print(f"correlation_weighted={_fmt(weighted)}")
         ratio = weighted / unweighted if unweighted else float("nan")
         print(f"reduction_ratio={_fmt(ratio)}")

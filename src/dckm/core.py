@@ -29,6 +29,16 @@ def as_data_matrix(X) -> np.ndarray:
     return X
 
 
+def _weight_vector(w, n: int) -> np.ndarray:
+    """Unwrap :class:`SampleWeights` and coerce to a float64 vector of length n."""
+    if isinstance(w, SampleWeights):
+        w = w.w
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError(f"weights must have shape ({n},), got {w.shape}")
+    return w
+
+
 @dataclass
 class ValidationReport:
     """Outcome of :func:`validate_data`: fatal errors, warnings, column flags."""

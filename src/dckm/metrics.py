@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SampleWeights, as_data_matrix
+from .core import _weight_vector, as_data_matrix
 
 __all__ = ["ari", "contingency_table", "correlation_amount", "nmi"]
 
@@ -102,11 +102,7 @@ def correlation_amount(X, w=None, include_diagonal: bool = False) -> float:
     if w is None:
         w = np.full(n, 1.0 / n)
     else:
-        if isinstance(w, SampleWeights):
-            w = w.w
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (n,):
-            raise ValueError(f"weights must have shape ({n},), got {w.shape}")
+        w = _weight_vector(w, n)
         total = float(w.sum())
         if total <= 0 or np.any(w < 0):
             raise ValueError("weights must be non-negative with positive sum")

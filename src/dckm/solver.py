@@ -20,7 +20,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import HyperParams, SampleWeights, as_data_matrix, one_hot_rows, validate_data
+from .core import (
+    HyperParams,
+    SampleWeights,
+    _weight_vector,
+    as_data_matrix,
+    one_hot_rows,
+    validate_data,
+)
 from .decorrelation import GROUP_MASS_EPS, balance_gradient, balance_loss
 
 __all__ = [
@@ -49,24 +56,23 @@ class EmptyClusterError(RuntimeError):
         super().__init__(f"empty cluster(s) {self.clusters} could not be re-seeded")
 
 
-def _check_shapes(X, w, F, G):
+def _check_shapes(X, F, G):
     n, d = X.shape
     if F.ndim != 2 or F.shape[0] != d:
         raise ValueError(f"centroids must be (d, k) with d={d}, got {F.shape}")
     k = F.shape[1]
     if G.shape != (n, k):
         raise ValueError(f"assignments must be ({n}, {k}), got {G.shape}")
-    if w.shape != (n,):
-        raise ValueError(f"weights must have shape ({n},), got {w.shape}")
 
 
 def _row_sq_norms(A: np.ndarray) -> np.ndarray:
     return np.sum(A * A, axis=1)
 
 
-def _objective_terms(X, w, F, G, params: HyperParams):
-    resid = X - G @ F.T
-    value = float(w @ _row_sq_norms(resid))
+def _weight_objective(X, w, resid_sq, params: HyperParams):
+    """Joint objective at weights ``w`` given each row's squared residual
+    ``||X_i - (G F^T)_i||^2``; returns ``(value, skipped_features)``."""
+    value = float(w @ resid_sq)
     value += params.lambda2 * float(w @ w)
     value += params.lambda3 * (float(w.sum()) - 1.0) ** 2
     skipped = 0
@@ -77,16 +83,35 @@ def _objective_terms(X, w, F, G, params: HyperParams):
     return value, skipped
 
 
+def _weight_gradient(X, omega, resid_sq, params: HyperParams) -> np.ndarray:
+    """Gradient of :func:`_weight_objective` at ``w = omega**2`` in omega.
+
+    Per coordinate: 2*omega_i times the sample's squared reconstruction
+    residual, plus the balancing gradient scaled by lambda1, plus
+    4*lambda2*omega_i^3 and 4*lambda3*(sum(omega^2)-1)*omega_i from the two
+    penalty terms.
+    """
+    grad = 2.0 * omega * resid_sq
+    grad += 4.0 * params.lambda2 * omega**3
+    grad += 4.0 * params.lambda3 * (float(omega @ omega) - 1.0) * omega
+    if params.lambda1 != 0.0:
+        grad += params.lambda1 * balance_gradient(X, omega)
+    return grad
+
+
+def _omega_objective_at(X, resid_sq, params: HyperParams):
+    """:func:`_weight_objective` as a function of omega alone, for the line search."""
+    return lambda omega: _weight_objective(X, omega * omega, resid_sq, params)[0]
+
+
 def objective(X, w, F, G, params: HyperParams) -> float:
     """Full joint objective at the given blocks."""
     X = as_data_matrix(X)
-    if isinstance(w, SampleWeights):
-        w = w.w
-    w = np.asarray(w, dtype=np.float64)
     F = np.asarray(F, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
-    _check_shapes(X, w, F, G)
-    return _objective_terms(X, w, F, G, params)[0]
+    _check_shapes(X, F, G)
+    w = _weight_vector(w, X.shape[0])
+    return _weight_objective(X, w, _row_sq_norms(X - G @ F.T), params)[0]
 
 
 def _weighted_means(X, w, G):
@@ -119,9 +144,7 @@ def update_centroids(X, w, G) -> np.ndarray:
     loop owns the re-seeding policy.
     """
     X = as_data_matrix(X)
-    if isinstance(w, SampleWeights):
-        w = w.w
-    w = np.asarray(w, dtype=np.float64)
+    w = _weight_vector(w, X.shape[0])
     G = np.asarray(G, dtype=np.float64)
     F, empty = _weighted_means(X, w, G)
     if empty:
@@ -181,24 +204,12 @@ def omega_objective(X, F, G, omega, params: HyperParams) -> float:
 
 
 def omega_gradient(X, F, G, omega, params: HyperParams) -> np.ndarray:
-    """Analytic gradient of :func:`omega_objective` with respect to omega.
-
-    Per coordinate: 2*omega_i times the sample's squared reconstruction
-    residual, plus the balancing gradient scaled by lambda1, plus
-    4*lambda2*omega_i^3 and 4*lambda3*(sum(omega^2)-1)*omega_i from the two
-    penalty terms.
-    """
+    """Analytic gradient of :func:`omega_objective` with respect to omega."""
     X = as_data_matrix(X)
     F = np.asarray(F, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)
-    resid_sq = _row_sq_norms(X - G @ F.T)
-    grad = 2.0 * omega * resid_sq
-    grad += 4.0 * params.lambda2 * omega**3
-    grad += 4.0 * params.lambda3 * (float(omega @ omega) - 1.0) * omega
-    if params.lambda1 != 0.0:
-        grad += params.lambda1 * balance_gradient(X, omega)
-    return grad
+    return _weight_gradient(X, omega, _row_sq_norms(X - G @ F.T), params)
 
 
 def _backtrack(fun, x, grad, f0, step, shrink):
@@ -227,32 +238,15 @@ def update_weights(X, F, G, omega, params: HyperParams):
     G = np.asarray(G, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64).copy()
     resid_sq = _row_sq_norms(X - G @ F.T)
-
-    def fun(om):
-        w = om * om
-        value = float(w @ resid_sq)
-        value += params.lambda2 * float(w @ w)
-        value += params.lambda3 * (float(w.sum()) - 1.0) ** 2
-        if params.lambda1 != 0.0:
-            value += params.lambda1 * balance_loss(X, w).value
-        return value
-
-    def grad_fun(om):
-        g = 2.0 * om * resid_sq
-        g += 4.0 * params.lambda2 * om**3
-        g += 4.0 * params.lambda3 * (float(om @ om) - 1.0) * om
-        if params.lambda1 != 0.0:
-            g += params.lambda1 * balance_gradient(X, om)
-        return g
-
-    f0 = fun(omega)
+    value_at = _omega_objective_at(X, resid_sq, params)
+    f0 = value_at(omega)
     stalled = False
     for _ in range(params.max_w_iters):
-        g = grad_fun(omega)
+        g = _weight_gradient(X, omega, resid_sq, params)
         if not np.any(g):
             break
         omega, f0, accepted = _backtrack(
-            fun, omega, g, f0, params.grad_step, params.backtrack_shrink
+            value_at, omega, g, f0, params.grad_step, params.backtrack_shrink
         )
         if not accepted:
             stalled = True
@@ -331,7 +325,7 @@ def fit(
         G = update_assignments(X, F)
         if optimize_weights:
             weights, _ = update_weights(X, F, G, weights.omega, params)
-        value, skipped = _objective_terms(X, weights.w, F, G, params)
+        value, skipped = _weight_objective(X, weights.w, _row_sq_norms(X - G @ F.T), params)
         history.append(value)
         if assignment_history is not None:
             assignment_history.append(G.argmax(axis=1))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dckm.baselines import (
-    BaselineSpec,
     balance_only_weights,
     dec_km,
     drop_km,
@@ -235,20 +234,3 @@ class TestDropKM:
         assert result.kept_features
         assert result.clustering.assignments.shape == (60, 2)
 
-
-class TestBaselineSpec:
-    def test_valid(self):
-        spec = BaselineSpec(kind="dropkm", drop_threshold=0.5)
-        assert spec.pca_dims is None
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"kind": "nope"},
-            {"kind": "dropkm", "drop_threshold": 0.0},
-            {"kind": "pcakm", "pca_dims": 0},
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            BaselineSpec(**kwargs)

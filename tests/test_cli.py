@@ -91,6 +91,11 @@ class TestFit:
         code = main(fit_args(small_data, "kmeans", weights_out=tmp_path / "w.txt"))
         assert code == 1
 
+    def test_unwritable_weights_out_is_data_error(self, small_data, tmp_path, capsys):
+        code = main(fit_args(small_data, "deckm", weights_out=tmp_path / "missing" / "w.txt"))
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(fit_args(tmp_path / "nope.csv", "kmeans"))
         assert code == 2
@@ -135,6 +140,15 @@ class TestCorr:
         ratio = float(out.split("reduction_ratio=")[1].split()[0])
         assert ratio < 1.0
 
+    @pytest.mark.parametrize("value", ["-1.0", "0.0"])
+    def test_invalid_weights_are_data_error(self, small_data, tmp_path, value, capsys):
+        wpath = tmp_path / "w.txt"
+        wpath.write_text(f"{value}\n" * 80, encoding="utf-8")
+        code = main(["corr", "--data", str(small_data), "--labels", "label",
+                     "--weights", str(wpath)])
+        assert code == 2
+        assert "invalid weights" in capsys.readouterr().err
+
     def test_weight_length_mismatch(self, small_data, tmp_path):
         wpath = tmp_path / "short.txt"
         wpath.write_text("0.5\n0.5\n", encoding="utf-8")
@@ -170,6 +184,21 @@ class TestBench:
     def test_empty_methods_is_usage_error(self, small_data):
         assert main(["bench", "--data", str(small_data), "--methods", " ",
                      "--k", "3"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--grid", "1,abc"],
+            ["--grid=-1"],
+            ["--k", "0"],
+            ["--restarts", "0"],
+            ["--max-outer", "0"],
+        ],
+    )
+    def test_invalid_flags_are_usage_errors(self, small_data, flags, capsys):
+        args = ["bench", "--data", str(small_data), "--methods", "kmeans,dckm", "--k", "3"]
+        assert main(args + flags) == 1
+        assert "invalid flags" in capsys.readouterr().err
 
     def test_unlabeled_dataset_is_data_error(self, tmp_path):
         p = tmp_path / "plain.csv"

@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from dckm.core import SampleWeights
-from dckm.decorrelation import (
+from dckm.decorrelation import balance_gradient, balance_loss
+
+from util import (
     DegenerateGroupError,
-    balance_gradient,
-    balance_loss,
+    balance_loss_oracle,
     balance_residual,
+    central_difference,
+    random_binary,
     remaining_features,
     weighted_control_moment,
     weighted_treated_moment,
 )
-
-from util import balance_loss_oracle, central_difference, random_binary
 
 X3 = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 

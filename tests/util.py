@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from dckm.core import _weight_vector, as_data_matrix
 from dckm.decorrelation import GROUP_MASS_EPS
 
 
@@ -22,6 +25,71 @@ def central_difference(fun, x, step=1e-6):
         down[i] -= step
         grad[i] = (fun(up) - fun(down)) / (2.0 * step)
     return grad
+
+
+class DegenerateGroupError(ValueError):
+    """Raised when a target feature's treated or control group has no weight."""
+
+    def __init__(self, feature: int, group: str):
+        self.feature = feature
+        self.group = group
+        super().__init__(f"feature {feature}: {group} group has no weight mass")
+
+
+def remaining_features(X, j: int) -> np.ndarray:
+    """Copy of X with target column j zeroed out."""
+    X = as_data_matrix(X)
+    if not 0 <= j < X.shape[1]:
+        raise ValueError(f"feature index {j} out of range [0, {X.shape[1]})")
+    out = X.copy()
+    out[:, j] = 0.0
+    return out
+
+
+def weighted_treated_moment(X, j: int, w) -> np.ndarray:
+    """Weighted mean of the remaining features over rows with feature j on."""
+    X = as_data_matrix(X)
+    w = _weight_vector(w, X.shape[0])
+    M = remaining_features(X, j)
+    s = X[:, j]
+    mass = float(w @ s)
+    if mass <= GROUP_MASS_EPS:
+        raise DegenerateGroupError(j, "treated")
+    return M.T @ (w * s) / mass
+
+
+def weighted_control_moment(X, j: int, w) -> np.ndarray:
+    """Weighted mean of the remaining features over rows with feature j off."""
+    X = as_data_matrix(X)
+    w = _weight_vector(w, X.shape[0])
+    M = remaining_features(X, j)
+    c = 1.0 - X[:, j]
+    mass = float(w @ c)
+    if mass <= GROUP_MASS_EPS:
+        raise DegenerateGroupError(j, "control")
+    return M.T @ (w * c) / mass
+
+
+@dataclass
+class BalanceResidual:
+    """Treated-minus-control moment gap for one target feature.
+
+    ``residual[feature]`` is 0 by construction (the target column is zeroed
+    before the group means are taken).
+    """
+
+    feature: int
+    residual: np.ndarray
+
+    def squared_norm(self) -> float:
+        return float(self.residual @ self.residual)
+
+
+def balance_residual(X, j: int, w) -> BalanceResidual:
+    """Difference of the weighted treated and control moments for feature j."""
+    treated = weighted_treated_moment(X, j, w)
+    control = weighted_control_moment(X, j, w)
+    return BalanceResidual(feature=j, residual=treated - control)
 
 
 def balance_loss_oracle(X, w):
