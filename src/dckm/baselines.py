@@ -14,10 +14,9 @@ from .core import HyperParams, SampleWeights, _weight_vector, as_data_matrix, on
 from .solver import (
     _backtrack,
     _centroids_with_recovery,
-    _omega_objective_at,
+    _descent_ray,
     _random_labels,
     _row_sq_norms,
-    _weight_gradient,
     update_assignments,
 )
 
@@ -123,26 +122,25 @@ def balance_only_weights(X, params: HyperParams):
     """
     X = as_data_matrix(X)
     n = X.shape[0]
-    omega = SampleWeights.uniform(n).omega.copy()
+    omega = SampleWeights.uniform(n).omega
     resid_sq = np.zeros(n)  # no k-means term: the joint objective with zero residuals
-    value_at = _omega_objective_at(X, resid_sq, params)
-    max_steps = params.max_outer_iters * params.max_w_iters
-    value = value_at(omega)
-    history = [value]
-    for _ in range(max_steps):
-        g = _weight_gradient(X, omega, resid_sq, params)
+    history = []
+    for _ in range(params.max_outer_iters * params.max_w_iters):
+        g, ray = _descent_ray(X, omega, resid_sq, params)
+        value = ray(0.0)[0]
+        if not history:
+            history.append(value)
         if not np.any(g):
             break
-        omega, new_value, accepted = _backtrack(
-            value_at, omega, g, value, params.grad_step, params.backtrack_shrink
+        t, new_value, accepted = _backtrack(
+            lambda s: ray(s)[0], value, params.grad_step, params.backtrack_shrink
         )
         if not accepted:
             break
+        omega = omega - t * g
         history.append(new_value)
         if abs(new_value - value) <= params.outer_tol * max(1.0, abs(value)):
-            value = new_value
             break
-        value = new_value
     return SampleWeights(omega), history
 
 

@@ -159,14 +159,13 @@ class HyperParams:
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
         for name in ("lambda1", "lambda2", "lambda3"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.max_outer_iters < 1 or self.max_w_iters < 1:
             raise ValueError("iteration caps must be positive")
-        if self.outer_tol <= 0:
-            raise ValueError("outer_tol must be positive")
-        if self.grad_step <= 0:
-            raise ValueError("grad_step must be positive")
+        for name in ("outer_tol", "grad_step"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if not 0.0 < self.backtrack_shrink < 1.0:
             raise ValueError("backtrack_shrink must lie in (0, 1)")
         if self.seed < 0:

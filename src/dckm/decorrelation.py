@@ -38,32 +38,37 @@ class BalanceLoss(NamedTuple):
     skipped_features: int
 
 
-def _group_stats(X: np.ndarray, w: np.ndarray):
-    """Per-feature group masses and unnormalized group sums, batched.
+def _weighted_gram(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``X^T diag(w) X``; column j is ``X.T @ (w * X[:, j])``."""
+    return X.T @ (X * w[:, None])
 
-    Column j of ``treated_sums`` equals ``X.T @ (w * X[:, j])``; the control
-    sums are the complements against ``X.T @ w``. The residual matrix built
-    from these has one column per target feature with the diagonal forced to
-    zero, matching the per-feature definition with the target column removed.
+
+def _residuals(gram: np.ndarray, col_mass: np.ndarray, total: float):
+    """Every feature's balance residual, from the weighted Gram, each
+    feature's treated mass ``X.T @ w`` and the total mass ``sum(w)``.
+
+    Column j of the Gram holds the treated group's sums for target feature
+    j; the control sums are their complements against the treated masses.
+    Returns ``(R, control_sums, alpha, beta, valid)``: R has one column per
+    target feature with the diagonal forced to zero, matching the
+    per-feature definition with the target column removed; alpha and beta
+    are the group masses, set to 1 for skipped features (``valid`` False).
     """
-    col_mass = X.T @ w                      # treated mass per feature
-    total = float(w.sum())
-    treated_sums = X.T @ (X * w[:, None])   # (d, d): column j = X^T (w ⊙ X_{.j})
-    control_sums = col_mass[:, None] - treated_sums
-    alpha = col_mass
+    control_sums = col_mass[:, None] - gram
     beta = total - col_mass
-    valid = (alpha > GROUP_MASS_EPS) & (beta > GROUP_MASS_EPS)
-    return treated_sums, control_sums, alpha, beta, valid
-
-
-def _residual_matrix(X: np.ndarray, w: np.ndarray):
-    treated_sums, control_sums, alpha, beta, valid = _group_stats(X, w)
-    alpha_safe = np.where(valid, alpha, 1.0)
+    valid = (col_mass > GROUP_MASS_EPS) & (beta > GROUP_MASS_EPS)
+    alpha_safe = np.where(valid, col_mass, 1.0)
     beta_safe = np.where(valid, beta, 1.0)
-    R = treated_sums / alpha_safe[None, :] - control_sums / beta_safe[None, :]
+    R = gram / alpha_safe[None, :] - control_sums / beta_safe[None, :]
     np.fill_diagonal(R, 0.0)
     R[:, ~valid] = 0.0
-    return R, treated_sums, control_sums, alpha_safe, beta_safe, valid
+    return R, control_sums, alpha_safe, beta_safe, valid
+
+
+def _loss_from_gram(gram: np.ndarray, col_mass: np.ndarray, total: float) -> BalanceLoss:
+    """:func:`balance_loss` from the arguments of :func:`_residuals`."""
+    R, *_rest, valid = _residuals(gram, col_mass, total)
+    return BalanceLoss(float(np.sum(R * R)), int(np.sum(~valid)))
 
 
 def balance_loss(X, w) -> BalanceLoss:
@@ -74,11 +79,10 @@ def balance_loss(X, w) -> BalanceLoss:
     """
     X = as_data_matrix(X)
     w = _weight_vector(w, X.shape[0])
-    R, *_rest, valid = _residual_matrix(X, w)
-    return BalanceLoss(float(np.sum(R * R)), int(np.sum(~valid)))
+    return _loss_from_gram(_weighted_gram(X, w), X.T @ w, float(w.sum()))
 
 
-def balance_gradient(X, omega) -> np.ndarray:
+def balance_gradient(X, omega, gram=None) -> np.ndarray:
     """Gradient of ``balance_loss(X, omega**2)`` with respect to ``omega``.
 
     Derived by the quotient rule per target feature: with u = X @ residual,
@@ -88,15 +92,20 @@ def balance_gradient(X, omega) -> np.ndarray:
     inner products with the two normalized group moments. Summed over
     features and chained through w = omega**2. Skipped features contribute
     zero, consistently with :func:`balance_loss`.
+
+    ``gram``, when given, is the weighted Gram ``X^T diag(omega**2) X`` the
+    caller has already built; it is used as is.
     """
     X = as_data_matrix(X)
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape != (X.shape[0],):
         raise ValueError(f"omega must have shape ({X.shape[0]},), got {omega.shape}")
     w = omega * omega
-    R, treated_sums, control_sums, alpha_safe, beta_safe, valid = _residual_matrix(X, w)
+    if gram is None:
+        gram = _weighted_gram(X, w)
+    R, control_sums, alpha_safe, beta_safe, valid = _residuals(gram, X.T @ w, float(w.sum()))
     U = X @ R                               # (n, d): column j = X @ residual_j
-    ta = np.einsum("fj,fj->j", R, treated_sums) / alpha_safe
+    ta = np.einsum("fj,fj->j", R, gram) / alpha_safe
     tb = np.einsum("fj,fj->j", R, control_sums) / beta_safe
     P = (U - ta[None, :]) / alpha_safe[None, :]
     Q = (U - tb[None, :]) / beta_safe[None, :]

@@ -28,7 +28,13 @@ from .core import (
     one_hot_rows,
     validate_data,
 )
-from .decorrelation import GROUP_MASS_EPS, balance_gradient, balance_loss
+from .decorrelation import (
+    GROUP_MASS_EPS,
+    _loss_from_gram,
+    _weighted_gram,
+    balance_gradient,
+    balance_loss,
+)
 
 __all__ = [
     "EmptyClusterError",
@@ -83,25 +89,69 @@ def _weight_objective(X, w, resid_sq, params: HyperParams):
     return value, skipped
 
 
-def _weight_gradient(X, omega, resid_sq, params: HyperParams) -> np.ndarray:
+def _weight_gradient(X, omega, resid_sq, params: HyperParams, gram=None) -> np.ndarray:
     """Gradient of :func:`_weight_objective` at ``w = omega**2`` in omega.
 
     Per coordinate: 2*omega_i times the sample's squared reconstruction
     residual, plus the balancing gradient scaled by lambda1, plus
     4*lambda2*omega_i^3 and 4*lambda3*(sum(omega^2)-1)*omega_i from the two
-    penalty terms.
+    penalty terms. ``gram`` is passed on to :func:`balance_gradient`.
     """
     grad = 2.0 * omega * resid_sq
     grad += 4.0 * params.lambda2 * omega**3
     grad += 4.0 * params.lambda3 * (float(omega @ omega) - 1.0) * omega
     if params.lambda1 != 0.0:
-        grad += params.lambda1 * balance_gradient(X, omega)
+        grad += params.lambda1 * balance_gradient(X, omega, gram)
     return grad
 
 
-def _omega_objective_at(X, resid_sq, params: HyperParams):
-    """:func:`_weight_objective` as a function of omega alone, for the line search."""
-    return lambda omega: _weight_objective(X, omega * omega, resid_sq, params)[0]
+def _weight_ray(X, omega, g, resid_sq, params: HyperParams, gram):
+    """:func:`_weight_objective` along the ray ``w(t) = (omega - t*g)**2``.
+
+    The weighted Gram along the ray is ``gram - 2t B + t^2 C``, where ``gram``
+    is the Gram of omega**2 (None when lambda1 is 0) and B, C those of
+    omega*g and g**2, built here from X*omega and X*g. The k-means term,
+    sum(w) and each feature's treated mass are quadratics in t and ||w||^2 a
+    quartic, with coefficients from dot products. Returns
+    ``value(t) -> (objective, skipped_features)``; a call costs O(d^2)
+    instead of the O(n d^2) of a fresh Gram, and ``value(0)`` is
+    ``_weight_objective(X, omega**2, ...)`` bit for bit.
+    """
+    w, wg, gg = omega * omega, omega * g, g * g
+    km = (float(w @ resid_sq), float(wg @ resid_sq), float(gg @ resid_sq))
+    mass = (float(w.sum()), float(wg.sum()), float(gg.sum()))
+    quart = (float(w @ w), float(w @ wg), float(w @ gg), float(wg @ gg), float(gg @ gg))
+    lambda1, lambda2, lambda3 = params.lambda1, params.lambda2, params.lambda3
+    if lambda1 != 0.0:
+        col_mass = (X.T @ w, X.T @ wg, X.T @ gg)
+        Xg = X * g[:, None]
+        B, C = (X * omega[:, None]).T @ Xg, Xg.T @ Xg
+
+    def value(t):
+        a, b = 2.0 * t, t * t
+        total = mass[0] - a * mass[1] + b * mass[2]
+        v = km[0] - a * km[1] + b * km[2]
+        v += lambda2 * (
+            quart[0] - 2.0 * a * quart[1] + 6.0 * b * quart[2]
+            - 2.0 * a * b * quart[3] + b * b * quart[4]
+        )
+        v += lambda3 * (total - 1.0) ** 2
+        if lambda1 == 0.0:
+            return v, 0
+        bal = _loss_from_gram(
+            gram - a * B + b * C, col_mass[0] - a * col_mass[1] + b * col_mass[2], total
+        )
+        return v + lambda1 * bal.value, bal.skipped_features
+
+    return value
+
+
+def _descent_ray(X, omega, resid_sq, params: HyperParams):
+    """Gradient ``g`` at omega and :func:`_weight_ray` along ``omega - t*g``,
+    sharing the weighted Gram of omega**2; returns ``(g, value)``."""
+    gram = _weighted_gram(X, omega * omega) if params.lambda1 != 0.0 else None
+    g = _weight_gradient(X, omega, resid_sq, params, gram)
+    return g, _weight_ray(X, omega, g, resid_sq, params, gram)
 
 
 def objective(X, w, F, G, params: HyperParams) -> float:
@@ -212,46 +262,63 @@ def omega_gradient(X, F, G, omega, params: HyperParams) -> np.ndarray:
     return _weight_gradient(X, omega, _row_sq_norms(X - G @ F.T), params)
 
 
-def _backtrack(fun, x, grad, f0, step, shrink):
+def _backtrack(fun, f0, step, shrink):
     """Shrink the step until the objective stops increasing.
 
-    Returns (new_x, new_f, accepted); accepted is False when no step down to
-    LINE_SEARCH_MIN_STEP achieves f(new_x) <= f0.
+    ``fun(t)`` is the objective at step size t along the descent ray; each
+    call is one trial. Returns (t, f(t), accepted); accepted is False, with
+    t = 0 and f0, when no step down to LINE_SEARCH_MIN_STEP achieves
+    f(t) <= f0.
     """
     while step >= LINE_SEARCH_MIN_STEP:
-        candidate = x - step * grad
-        f_candidate = fun(candidate)
-        if f_candidate <= f0:
-            return candidate, f_candidate, True
+        f_step = fun(step)
+        if f_step <= f0:
+            return step, f_step, True
         step *= shrink
-    return x, f0, False
+    return 0.0, f0, False
 
 
-def update_weights(X, F, G, omega, params: HyperParams):
+class WeightUpdate(tuple):
+    """The pair ``(weights, stalled)`` from :func:`update_weights`, plus the
+    objective ``value`` and the balance term's ``skipped_features`` at the
+    returned weights."""
+
+    def __new__(cls, weights, stalled, value, skipped_features):
+        update = super().__new__(cls, (weights, stalled))
+        update.value = value
+        update.skipped_features = skipped_features
+        return update
+
+
+def update_weights(X, F, G, omega, params: HyperParams) -> WeightUpdate:
     """Run up to ``max_w_iters`` backtracking gradient steps on omega.
 
-    Returns ``(weights, stalled)``; ``stalled`` is True when the line search
-    found no non-increasing step, in which case the incoming omega is kept.
+    Each step builds the objective along its descent ray once
+    (:func:`_weight_ray`), so every backtracking trial costs O(d^2).
+    Returns ``(weights, stalled)`` as a :class:`WeightUpdate`; ``stalled`` is
+    True when the line search found no non-increasing step, in which case
+    the incoming omega is kept.
     """
     X = as_data_matrix(X)
     F = np.asarray(F, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64).copy()
     resid_sq = _row_sq_norms(X - G @ F.T)
-    value_at = _omega_objective_at(X, resid_sq, params)
-    f0 = value_at(omega)
     stalled = False
     for _ in range(params.max_w_iters):
-        g = _weight_gradient(X, omega, resid_sq, params)
+        g, ray = _descent_ray(X, omega, resid_sq, params)
+        t = 0.0
         if not np.any(g):
             break
-        omega, f0, accepted = _backtrack(
-            value_at, omega, g, f0, params.grad_step, params.backtrack_shrink
+        t, _, accepted = _backtrack(
+            lambda s: ray(s)[0], ray(0.0)[0], params.grad_step, params.backtrack_shrink
         )
         if not accepted:
             stalled = True
             break
-    return SampleWeights(omega), stalled
+        omega = omega - t * g
+    value, skipped = ray(t)
+    return WeightUpdate(SampleWeights(omega), stalled, value, skipped)
 
 
 @dataclass
@@ -324,8 +391,10 @@ def fit(
         F, G = _centroids_with_recovery(X, weights.w, G)
         G = update_assignments(X, F)
         if optimize_weights:
-            weights, _ = update_weights(X, F, G, weights.omega, params)
-        value, skipped = _weight_objective(X, weights.w, _row_sq_norms(X - G @ F.T), params)
+            update = update_weights(X, F, G, weights.omega, params)
+            weights, value, skipped = update[0], update.value, update.skipped_features
+        else:
+            value, skipped = _weight_objective(X, weights.w, _row_sq_norms(X - G @ F.T), params)
         history.append(value)
         if assignment_history is not None:
             assignment_history.append(G.argmax(axis=1))

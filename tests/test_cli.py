@@ -111,6 +111,13 @@ class TestFit:
                      "--method", "kmeans", "--k", "0"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag, value", [("l1", "nan"), ("l2", "inf"), ("step", "nan"), ("tol", "nan")]
+    )
+    def test_non_finite_flags_are_usage_errors(self, small_data, flag, value, capsys):
+        assert main(fit_args(small_data, "dckm", **{flag: value})) == 1
+        assert "invalid flags" in capsys.readouterr().err
+
     def test_unlabeled_data_still_fits(self, tmp_path, capsys):
         p = tmp_path / "plain.csv"
         p.write_text("1,0\n0,1\n1,1\n0,0\n", encoding="utf-8")
@@ -193,6 +200,7 @@ class TestBench:
             ["--k", "0"],
             ["--restarts", "0"],
             ["--max-outer", "0"],
+            ["--grid", "nan"],
         ],
     )
     def test_invalid_flags_are_usage_errors(self, small_data, flags, capsys):

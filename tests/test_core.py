@@ -116,6 +116,13 @@ class TestHyperParams:
             {"restarts": 0},
             {"n_clusters": 0},
             {"seed": -1},
+            {"lambda1": float("nan")},
+            {"lambda2": float("inf")},
+            {"lambda3": float("nan")},
+            {"outer_tol": float("nan")},
+            {"outer_tol": float("inf")},
+            {"grad_step": float("nan")},
+            {"grad_step": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):

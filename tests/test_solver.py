@@ -3,12 +3,17 @@ import inspect
 import numpy as np
 import pytest
 
+import dckm.solver
 from dckm.core import HyperParams, SampleWeights, one_hot_rows
 from dckm.data import BiasSpec, generate_biased
-from dckm.decorrelation import balance_loss
+from dckm.decorrelation import _weighted_gram, balance_loss
 from dckm.solver import (
     EmptyClusterError,
     _backtrack,
+    _row_sq_norms,
+    _weight_gradient,
+    _weight_objective,
+    _weight_ray,
     fit,
     fit_restarts,
     objective,
@@ -19,7 +24,7 @@ from dckm.solver import (
     update_weights,
 )
 
-from util import random_binary
+from util import direct_backtracking_oracle, random_binary
 
 
 def lam0(k, **kw):
@@ -183,15 +188,101 @@ class TestUpdateWeights:
         assert np.max(np.abs(grad - fd) / denom) <= 1e-5
 
     def test_backtrack_stall_flag(self):
-        x0 = np.array([1.0, 2.0])
+        trials = []
 
-        def always_worse(x):
-            return 0.0 if np.array_equal(x, x0) else 1.0
+        def always_worse(t):
+            trials.append(t)
+            return 1.0
 
-        x, f, accepted = _backtrack(always_worse, x0, np.array([1.0, 1.0]), 0.0, 0.1, 0.5)
+        t, f, accepted = _backtrack(always_worse, 0.0, 0.1, 0.5)
         assert not accepted
-        assert np.array_equal(x, x0)
+        assert t == 0.0 and min(trials) > 0.0
         assert f == 0.0
+
+
+RAY_STEPS = (0.0, 1e-8, 0.1, 1.0, 10.0)
+RAY_LAMBDAS = [(l1, l2, l3) for l1 in (0.0, 0.3, 1.0) for l2 in (0.0, 2.0) for l3 in (0.0, 1.0)]
+# The extremes of the acceptance protocol's grid, where trial steps overshoot far.
+STEP_LAMBDAS = [(l1, l2, 1.0) for l1 in (0.0, 1e-2, 1.0, 1e3) for l2 in (0.0, 1e-2, 1e3)]
+
+
+def ray_case(rng, n, d, k, constant_columns=True):
+    X = random_binary(rng, n, d)
+    if constant_columns:
+        X[:, 0] = 1.0  # no control group: always skipped
+        X[:, 1] = 0.0  # no treated group: always skipped
+    labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+    G = one_hot_rows(labels, k)
+    F = update_centroids(X, np.ones(n), G)
+    return X, F, G, rng.uniform(0.2, 1.2, n) / np.sqrt(n)
+
+
+class TestWeightRay:
+    @pytest.mark.parametrize("lambdas", RAY_LAMBDAS)
+    def test_matches_direct_objective(self, lambdas):
+        rng = np.random.default_rng(41)
+        hp = HyperParams(n_clusters=3, lambda1=lambdas[0], lambda2=lambdas[1],
+                         lambda3=lambdas[2])
+        for _ in range(4):
+            X, F, G, omega = ray_case(rng, 30, 7, 3)
+            resid_sq = _row_sq_norms(X - G @ F.T)
+            gram = _weighted_gram(X, omega * omega) if hp.lambda1 else None
+            g = _weight_gradient(X, omega, resid_sq, hp, gram)
+            ray = _weight_ray(X, omega, g, resid_sq, hp, gram)
+            assert ray(0.0) == _weight_objective(X, omega * omega, resid_sq, hp)
+            for t in RAY_STEPS:
+                value, skipped = ray(t)
+                expected, expected_skipped = _weight_objective(
+                    X, (omega - t * g) ** 2, resid_sq, hp
+                )
+                assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+                assert skipped == expected_skipped
+                if hp.lambda1:
+                    assert skipped >= 2
+
+    def test_matches_direct_objective_along_any_direction(self):
+        rng = np.random.default_rng(43)
+        hp = HyperParams(n_clusters=2, lambda1=2.0, lambda2=0.5, lambda3=1.0)
+        X, F, G, omega = ray_case(rng, 25, 6, 2, constant_columns=False)
+        resid_sq = _row_sq_norms(X - G @ F.T)
+        direction = rng.normal(size=25) / 25
+        ray = _weight_ray(X, omega, direction, resid_sq, hp, _weighted_gram(X, omega * omega))
+        for t in RAY_STEPS:
+            expected = _weight_objective(X, (omega - t * direction) ** 2, resid_sq, hp)
+            assert ray(t)[0] == pytest.approx(expected[0], rel=1e-12, abs=0.0)
+            assert ray(t)[1] == expected[1]
+
+    @pytest.mark.parametrize("lambdas", STEP_LAMBDAS)
+    def test_update_weights_matches_direct_backtracking(self, lambdas, monkeypatch):
+        accepted_steps = []
+        original = dckm.solver._backtrack
+
+        def recording(*args):
+            t, value, accepted = original(*args)
+            if accepted:
+                accepted_steps.append(t)
+            return t, value, accepted
+
+        monkeypatch.setattr(dckm.solver, "_backtrack", recording)
+        rng = np.random.default_rng(47)
+        hp = HyperParams(n_clusters=3, lambda1=lambdas[0], lambda2=lambdas[1],
+                         lambda3=lambdas[2], max_w_iters=8)
+        for constant_columns in (False, True):
+            for _ in range(3):
+                X, F, G, omega = ray_case(rng, 40, 8, 3, constant_columns)
+                accepted_steps.clear()
+                update = update_weights(X, F, G, omega, hp)
+                expected_omega, expected_steps, expected_stalled = direct_backtracking_oracle(
+                    X, F, G, omega, hp
+                )
+                assert accepted_steps == expected_steps
+                assert update[1] == expected_stalled
+                np.testing.assert_allclose(update[0].omega, expected_omega, rtol=1e-12, atol=0)
+                direct = _weight_objective(
+                    X, update[0].w, _row_sq_norms(X - G @ F.T), hp
+                )
+                assert update.value == pytest.approx(direct[0], rel=1e-12, abs=0.0)
+                assert update.skipped_features == direct[1]
 
 
 class TestFit:

@@ -8,6 +8,7 @@ import numpy as np
 
 from dckm.core import _weight_vector, as_data_matrix
 from dckm.decorrelation import GROUP_MASS_EPS
+from dckm.solver import LINE_SEARCH_MIN_STEP, omega_gradient, omega_objective
 
 
 def random_binary(rng, n, d, p=0.5):
@@ -111,6 +112,33 @@ def balance_loss_oracle(X, w):
         residual = M.T @ (w * s) / alpha - M.T @ (w * c) / beta
         total += float(residual @ residual)
     return total, skipped
+
+
+def direct_backtracking_oracle(X, F, G, omega, params):
+    """The weight block scored the definitional way: every backtracking trial
+    evaluates the full objective at the candidate omega.
+
+    Returns ``(omega, accepted_step_sizes, stalled)``.
+    """
+    omega = np.asarray(omega, dtype=np.float64)
+    value = omega_objective(X, F, G, omega, params)
+    steps = []
+    for _ in range(params.max_w_iters):
+        g = omega_gradient(X, F, G, omega, params)
+        if not np.any(g):
+            break
+        step = params.grad_step
+        while step >= LINE_SEARCH_MIN_STEP:
+            candidate = omega - step * g
+            candidate_value = omega_objective(X, F, G, candidate, params)
+            if candidate_value <= value:
+                break
+            step *= params.backtrack_shrink
+        else:
+            return omega, steps, True
+        omega, value = candidate, candidate_value
+        steps.append(step)
+    return omega, steps, False
 
 
 def ari_pair_oracle(labels_a, labels_b):
