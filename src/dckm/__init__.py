@@ -7,10 +7,7 @@ patterns stop steering the clusters.
 
 from .baselines import (
     balance_only_weights,
-    dec_km,
-    drop_km,
     kmeans,
-    pca_km,
     pca_project,
     select_uncorrelated_features,
     weighted_kmeans,
@@ -47,8 +44,6 @@ __all__ = [
     "balance_only_weights",
     "binarize",
     "correlation_amount",
-    "dec_km",
-    "drop_km",
     "fit",
     "fit_restarts",
     "generate_biased",
@@ -59,7 +54,6 @@ __all__ = [
     "omega_gradient",
     "omega_objective",
     "one_hot_rows",
-    "pca_km",
     "pca_project",
     "save_dataset",
     "select_uncorrelated_features",

@@ -1,6 +1,10 @@
-"""Reference clusterers: plain and weighted Lloyd iterations, plus the
-two-step pipelines (balance-then-cluster, PCA-then-cluster, and
-drop-correlated-features-then-cluster).
+"""Building blocks of the baseline methods: plain and weighted Lloyd
+iterations, balancing weights learned without the k-means term, a PCA
+projection and a correlated-feature filter.
+
+The baselines themselves (k-means, two-step DecKM, PCA-then-k-means and
+drop-correlated-features-then-k-means) are compositions of these blocks;
+``dckm.cli.run_method`` runs each of them.
 """
 
 from __future__ import annotations
@@ -21,15 +25,9 @@ from .solver import (
 )
 
 __all__ = [
-    "DecKMResult",
-    "DropKMResult",
     "KMeansResult",
-    "PcaKMResult",
     "balance_only_weights",
-    "dec_km",
-    "drop_km",
     "kmeans",
-    "pca_km",
     "pca_project",
     "select_uncorrelated_features",
     "weighted_kmeans",
@@ -47,14 +45,12 @@ class KMeansResult:
     assignment_history: list[np.ndarray] | None = None
 
 
-def _lloyd(X, w, n_clusters, seed, init_labels, max_iter, track_assignments, weighted_loss):
+def _lloyd(X, w, n_clusters, seed, max_iter, track_assignments, weighted_loss):
     X = as_data_matrix(X)
     n = X.shape[0]
     if n_clusters > n:
         raise ValueError(f"n_clusters={n_clusters} exceeds sample count {n}")
-    if init_labels is None:
-        init_labels = _random_labels(n, n_clusters, seed)
-    G = one_hot_rows(np.asarray(init_labels), n_clusters)
+    G = one_hot_rows(_random_labels(n, n_clusters, seed), n_clusters)
     history = [] if track_assignments else None
     previous = None
     converged = False
@@ -85,31 +81,26 @@ def _lloyd(X, w, n_clusters, seed, init_labels, max_iter, track_assignments, wei
     )
 
 
-def kmeans(X, n_clusters, seed=0, init_labels=None, max_iter=100, track_assignments=False):
+def kmeans(X, n_clusters, seed=0, max_iter=100, track_assignments=False):
     """Lloyd's algorithm in factorized form, to a fixed point of assignments.
 
-    Internally runs with a uniform weight vector (weights cancel in the
-    means), sharing the exact update and recovery code of the joint solver;
-    the reported loss is the plain within-cluster sum of squares.
+    Starts from a uniform-random labeling drawn with ``seed``. Internally
+    runs with a uniform weight vector (weights cancel in the means), sharing
+    the exact update and recovery code of the joint solver; the reported
+    loss is the plain within-cluster sum of squares.
     """
     X = as_data_matrix(X)
     w = SampleWeights.uniform(X.shape[0]).w
-    return _lloyd(
-        X, w, n_clusters, seed, init_labels, max_iter, track_assignments, weighted_loss=False
-    )
+    return _lloyd(X, w, n_clusters, seed, max_iter, track_assignments, weighted_loss=False)
 
 
-def weighted_kmeans(
-    X, w, n_clusters, seed=0, init_labels=None, max_iter=100, track_assignments=False
-):
+def weighted_kmeans(X, w, n_clusters, seed=0, max_iter=100, track_assignments=False):
     """Lloyd iterations on the weighted loss with a fixed weight vector."""
     X = as_data_matrix(X)
     w = _weight_vector(w, X.shape[0])
     if np.any(w < 0):
         raise ValueError("w must be a non-negative vector with one entry per sample")
-    return _lloyd(
-        X, w, n_clusters, seed, init_labels, max_iter, track_assignments, weighted_loss=True
-    )
+    return _lloyd(X, w, n_clusters, seed, max_iter, track_assignments, weighted_loss=True)
 
 
 def balance_only_weights(X, params: HyperParams):
@@ -144,28 +135,6 @@ def balance_only_weights(X, params: HyperParams):
     return SampleWeights(omega), history
 
 
-@dataclass
-class DecKMResult:
-    clustering: KMeansResult
-    weights: SampleWeights
-    stage1_history: list[float]
-
-
-def dec_km(X, params: HyperParams, max_iter=100, track_assignments=False) -> DecKMResult:
-    """Two-step pipeline: learn balancing weights first, then run weighted
-    k-means with them frozen."""
-    weights, history = balance_only_weights(X, params)
-    clustering = weighted_kmeans(
-        X,
-        weights.w,
-        params.n_clusters,
-        seed=params.seed,
-        max_iter=max_iter,
-        track_assignments=track_assignments,
-    )
-    return DecKMResult(clustering=clustering, weights=weights, stage1_history=history)
-
-
 def pca_project(X, n_components):
     """Center columns and project onto the top principal directions.
 
@@ -191,23 +160,6 @@ def pca_project(X, n_components):
     use = max(use, 1)
     basis = vt[:use].T
     return centered @ basis, basis
-
-
-@dataclass
-class PcaKMResult:
-    clustering: KMeansResult
-    basis: np.ndarray
-
-
-def pca_km(X, n_clusters, seed=0, n_components=None, max_iter=100) -> PcaKMResult:
-    """Project onto the top (n_clusters - 1) principal directions, then cluster."""
-    if n_components is None:
-        n_components = n_clusters - 1
-    if n_components < 1:
-        raise ValueError("pca_km needs n_clusters >= 2 or an explicit n_components")
-    projected, basis = pca_project(X, n_components)
-    clustering = kmeans(projected, n_clusters, seed=seed, max_iter=max_iter)
-    return PcaKMResult(clustering=clustering, basis=basis)
 
 
 def _column_correlations(X: np.ndarray) -> np.ndarray:
@@ -236,17 +188,3 @@ def select_uncorrelated_features(X, threshold=0.7) -> list[int]:
     if not kept:
         raise ValueError("all features dropped")
     return kept
-
-
-@dataclass
-class DropKMResult:
-    clustering: KMeansResult
-    kept_features: list[int]
-
-
-def drop_km(X, n_clusters, threshold=0.7, seed=0, max_iter=100) -> DropKMResult:
-    """Drop highly correlated features, then cluster the remaining columns."""
-    X = as_data_matrix(X)
-    kept = select_uncorrelated_features(X, threshold)
-    clustering = kmeans(X[:, kept], n_clusters, seed=seed, max_iter=max_iter)
-    return DropKMResult(clustering=clustering, kept_features=kept)

@@ -177,11 +177,30 @@ class RunRecord:
         return out
 
 
+def _method_params(method: str, hp: HyperParams, drop_threshold, pca_dims) -> dict:
+    """The settings ``method`` uses beyond ``hp``, checked before any data is
+    read: pcakm's component count (default k - 1) and dropkm's correlation
+    threshold. Raises ValueError on a value the method cannot run with."""
+    if method == "pcakm":
+        dims = pca_dims if pca_dims is not None else hp.n_clusters - 1
+        if dims < 1:
+            raise ValueError("pcakm needs k >= 2 or --pca-dims >= 1")
+        return {"pca_dims": dims}
+    if method == "dropkm":
+        if not 0.0 < drop_threshold <= 1.0:
+            raise ValueError("dropkm needs a --threshold in (0, 1]")
+        return {"drop_threshold": drop_threshold}
+    return {}
+
+
 def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0.7, pca_dims=None, extra_params=None) -> RunRecord:
     """Run one method with ``hp.restarts`` seeded restarts and aggregate.
 
-    The best restart (lowest method objective) supplies the reported
-    objective, iteration count and, where applicable, learned weights.
+    Each method is one pipeline of :mod:`dckm.baselines` blocks (or the
+    joint solver for dckm): its data-dependent preparation runs once, then
+    one clustering per restart seed ``hp.seed + i``. The best restart
+    (lowest method objective) supplies the reported objective, iteration
+    count and, where applicable, learned weights.
     """
     start = time.perf_counter()
     params = {
@@ -195,6 +214,7 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
         "grad_step": hp.grad_step,
         "backtrack_shrink": hp.backtrack_shrink,
     }
+    params.update(_method_params(method, hp, drop_threshold, pca_dims))
     if extra_params:
         params.update(extra_params)
 
@@ -221,13 +241,8 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
             if method == "kmeans":
                 Z = X
             elif method == "pcakm":
-                dims = pca_dims if pca_dims is not None else hp.n_clusters - 1
-                if dims < 1:
-                    raise ValueError("pcakm needs k >= 2 or an explicit --pca-dims")
-                params["pca_dims"] = dims
-                Z, _ = pca_project(X, dims)
+                Z, _ = pca_project(X, params["pca_dims"])
             elif method == "dropkm":
-                params["drop_threshold"] = drop_threshold
                 kept = select_uncorrelated_features(X, drop_threshold)
                 Z = X[:, kept]
             else:
@@ -322,6 +337,7 @@ def _cmd_fit(args) -> int:
             seed=seed,
             restarts=args.restarts,
         )
+        _method_params(args.method, hp, args.threshold, args.pca_dims)
     except ValueError as exc:
         print(f"dckm fit: invalid flags: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -391,6 +407,8 @@ def _cmd_bench(args) -> int:
         grid = DEFAULT_GRID if args.grid is None else tuple(float(v) for v in args.grid.split(","))
         lambda_cells = [cell(l1, l2) for l1 in grid for l2 in grid]
         plain_cells = [cell(1.0, 1.0)]
+        for method in methods:
+            _method_params(method, plain_cells[0], args.threshold, None)
     except ValueError as exc:
         print(f"dckm bench: invalid flags: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,7 +29,9 @@ __all__ = [
 ]
 
 # Below this weighted group mass a feature's balance term is undefined and
-# the feature is skipped (zero loss, zero gradient).
+# the feature is skipped (zero loss, zero gradient). The control mass is
+# sum(w) minus the treated mass, so its rounding error grows with sum(w):
+# it is held to GROUP_MASS_EPS * max(1, sum(w)) instead.
 GROUP_MASS_EPS = 1e-12
 
 
@@ -56,7 +58,7 @@ def _residuals(gram: np.ndarray, col_mass: np.ndarray, total: float):
     """
     control_sums = col_mass[:, None] - gram
     beta = total - col_mass
-    valid = (col_mass > GROUP_MASS_EPS) & (beta > GROUP_MASS_EPS)
+    valid = (col_mass > GROUP_MASS_EPS) & (beta > GROUP_MASS_EPS * max(1.0, total))
     alpha_safe = np.where(valid, col_mass, 1.0)
     beta_safe = np.where(valid, beta, 1.0)
     R = gram / alpha_safe[None, :] - control_sums / beta_safe[None, :]

@@ -17,6 +17,7 @@ form a monotone sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -278,16 +279,15 @@ def _backtrack(fun, f0, step, shrink):
     return 0.0, f0, False
 
 
-class WeightUpdate(tuple):
-    """The pair ``(weights, stalled)`` from :func:`update_weights`, plus the
-    objective ``value`` and the balance term's ``skipped_features`` at the
-    returned weights."""
+class WeightUpdate(NamedTuple):
+    """Outcome of :func:`update_weights`: the new weights, whether the line
+    search stalled, and the objective ``value`` and the balance term's
+    ``skipped_features`` at the returned weights."""
 
-    def __new__(cls, weights, stalled, value, skipped_features):
-        update = super().__new__(cls, (weights, stalled))
-        update.value = value
-        update.skipped_features = skipped_features
-        return update
+    weights: SampleWeights
+    stalled: bool
+    value: float
+    skipped_features: int
 
 
 def update_weights(X, F, G, omega, params: HyperParams) -> WeightUpdate:
@@ -295,9 +295,8 @@ def update_weights(X, F, G, omega, params: HyperParams) -> WeightUpdate:
 
     Each step builds the objective along its descent ray once
     (:func:`_weight_ray`), so every backtracking trial costs O(d^2).
-    Returns ``(weights, stalled)`` as a :class:`WeightUpdate`; ``stalled`` is
-    True when the line search found no non-increasing step, in which case
-    the incoming omega is kept.
+    Returns a :class:`WeightUpdate`; ``stalled`` is True when the line search
+    found no non-increasing step, in which case the incoming omega is kept.
     """
     X = as_data_matrix(X)
     F = np.asarray(F, dtype=np.float64)
@@ -332,7 +331,6 @@ class FitResult:
     converged: bool
     iterations: int
     skipped_features_last: int
-    assignment_history: list[np.ndarray] | None = None
 
     @property
     def labels(self) -> np.ndarray:
@@ -347,22 +345,14 @@ def _random_labels(n: int, n_clusters: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, n_clusters, size=n)
 
 
-def fit(
-    X,
-    params: HyperParams,
-    init_labels=None,
-    *,
-    optimize_weights: bool = True,
-    track_assignments: bool = False,
-) -> FitResult:
+def fit(X, params: HyperParams) -> FitResult:
     """Alternate centroid, assignment and weight updates until the objective
     settles.
 
-    Starts from ``init_labels`` (or a seeded uniform-random labeling) and
+    Starts from a uniform-random labeling seeded by ``params.seed`` and
     uniform weights summing to one. Stops when the relative objective change
-    drops below ``outer_tol`` or after ``max_outer_iters`` sweeps. With
-    ``optimize_weights=False`` the weights stay uniform and the iteration is
-    plain Lloyd's algorithm on the (scaled) k-means loss.
+    drops below ``outer_tol`` or after ``max_outer_iters`` sweeps. Plain
+    Lloyd iterations are :func:`dckm.baselines.kmeans`.
     """
     X = as_data_matrix(X)
     report = validate_data(X)
@@ -372,17 +362,10 @@ def fit(
     k = params.n_clusters
     if k > n:
         raise ValueError(f"n_clusters={k} exceeds sample count {n}")
-    if init_labels is None:
-        init_labels = _random_labels(n, k, params.seed)
-    else:
-        init_labels = np.asarray(init_labels)
-        if init_labels.shape != (n,):
-            raise ValueError(f"init_labels must have shape ({n},)")
-    G = one_hot_rows(init_labels, k)
+    G = one_hot_rows(_random_labels(n, k, params.seed), k)
     weights = SampleWeights.uniform(n)
 
     history: list[float] = []
-    assignment_history: list[np.ndarray] | None = [] if track_assignments else None
     previous = None
     converged = False
     skipped = 0
@@ -390,14 +373,9 @@ def fit(
     for _ in range(params.max_outer_iters):
         F, G = _centroids_with_recovery(X, weights.w, G)
         G = update_assignments(X, F)
-        if optimize_weights:
-            update = update_weights(X, F, G, weights.omega, params)
-            weights, value, skipped = update[0], update.value, update.skipped_features
-        else:
-            value, skipped = _weight_objective(X, weights.w, _row_sq_norms(X - G @ F.T), params)
+        update = update_weights(X, F, G, weights.omega, params)
+        weights, value, skipped = update.weights, update.value, update.skipped_features
         history.append(value)
-        if assignment_history is not None:
-            assignment_history.append(G.argmax(axis=1))
         if previous is not None and abs(value - previous) <= params.outer_tol * max(
             1.0, abs(previous)
         ):
@@ -412,7 +390,6 @@ def fit(
         converged=converged,
         iterations=len(history),
         skipped_features_last=skipped,
-        assignment_history=assignment_history,
     )
 
 
@@ -425,7 +402,7 @@ class RestartSummary:
     labels: np.ndarray
 
 
-def fit_restarts(X, params: HyperParams, **fit_kwargs):
+def fit_restarts(X, params: HyperParams):
     """Run ``params.restarts`` fits with seeds seed, seed+1, ... and keep the
     one with the lowest final objective (first wins ties).
 
@@ -436,7 +413,7 @@ def fit_restarts(X, params: HyperParams, **fit_kwargs):
     summaries: list[RestartSummary] = []
     for i in range(params.restarts):
         run_params = replace(params, seed=params.seed + i)
-        result = fit(X, run_params, **fit_kwargs)
+        result = fit(X, run_params)
         summaries.append(
             RestartSummary(
                 seed=run_params.seed,

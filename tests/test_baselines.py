@@ -6,14 +6,12 @@ import pytest
 
 from dckm.baselines import (
     balance_only_weights,
-    dec_km,
-    drop_km,
     kmeans,
-    pca_km,
     pca_project,
     select_uncorrelated_features,
     weighted_kmeans,
 )
+from dckm.cli import run_method
 from dckm.core import HyperParams, SampleWeights
 from dckm.data import BiasSpec, generate_biased
 from dckm.decorrelation import balance_loss
@@ -114,11 +112,11 @@ class TestDecKM:
         ds = generate_biased(BiasSpec(n=80, d=12, n_clusters=3, core_per_cluster=2,
                                       bias_features=6, seed=4))
         hp = HyperParams(n_clusters=3, lambda1=0.0, lambda2=1.0, lambda3=1.0, seed=6)
-        result = dec_km(ds.X, hp)
-        w = result.weights.w
-        assert w.max() == pytest.approx(w.min(), rel=1e-9)
         plain = kmeans(ds.X, 3, seed=6)
-        assert nmi(result.clustering.labels, plain.labels) == pytest.approx(1.0)
+        record = run_method(ds.X, plain.labels, "deckm", hp)
+        w = record.weights
+        assert w.max() == pytest.approx(w.min(), rel=1e-9)
+        assert record.per_restart_nmi == [pytest.approx(1.0)]
 
     def test_stage1_reduces_balance_loss_on_biased_data(self):
         ds = generate_biased(BiasSpec(n=120, d=16, n_clusters=3, core_per_cluster=2,
@@ -133,11 +131,11 @@ class TestDecKM:
     def test_deterministic(self):
         ds = generate_biased(BiasSpec(n=60, d=10, n_clusters=2, core_per_cluster=2,
                                       bias_features=4, seed=1))
-        hp = HyperParams(n_clusters=2, lambda1=1.0, lambda2=100.0, seed=3)
-        a = dec_km(ds.X, hp)
-        b = dec_km(ds.X, hp)
-        assert np.array_equal(a.weights.omega, b.weights.omega)
-        assert np.array_equal(a.clustering.labels, b.clustering.labels)
+        hp = HyperParams(n_clusters=2, lambda1=1.0, lambda2=100.0, seed=3, restarts=3)
+        a = run_method(ds.X, ds.labels, "deckm", hp)
+        b = run_method(ds.X, ds.labels, "deckm", hp)
+        assert np.array_equal(a.weights, b.weights)
+        assert a.lines() == b.lines()
 
 
 class TestPcaKM:
@@ -145,20 +143,22 @@ class TestPcaKM:
         # two distinct rows duplicated: centered data spans one dimension
         X = np.array([[1, 1, 0, 0], [0, 0, 1, 1]] * 6, dtype=float)
         raw = kmeans(X, 2, seed=5)
-        projected = pca_km(X, 2, seed=5)
-        assert nmi(raw.labels, projected.clustering.labels) == pytest.approx(1.0)
+        Z, _ = pca_project(X, 1)
+        projected = kmeans(Z, 2, seed=5)
+        assert nmi(raw.labels, projected.labels) == pytest.approx(1.0)
 
     def test_k2_gives_one_component(self):
         rng = np.random.default_rng(2)
         X = random_binary(rng, 30, 6)
-        result = pca_km(X, 2, seed=0)
-        assert result.basis.shape == (6, 1)
+        record = run_method(X, None, "pcakm", HyperParams(n_clusters=2))
+        assert record.params["pca_dims"] == 1
+        assert pca_project(X, 1)[1].shape == (6, 1)
 
     def test_basis_orthonormal(self):
         rng = np.random.default_rng(7)
         X = random_binary(rng, 40, 8)
-        result = pca_km(X, 4, seed=0)
-        gram = result.basis.T @ result.basis
+        _, basis = pca_project(X, 3)
+        gram = basis.T @ basis
         assert np.allclose(gram, np.eye(gram.shape[0]), atol=1e-10)
 
     def test_projection_residual_matches_singular_tail(self):
@@ -178,8 +178,10 @@ class TestPcaKM:
         assert basis.shape == (4, 1)
 
     def test_k1_rejected_without_explicit_components(self):
+        hp = HyperParams(n_clusters=1)
         with pytest.raises(ValueError):
-            pca_km(np.eye(3), 1)
+            run_method(np.eye(3), None, "pcakm", hp)
+        assert run_method(np.eye(3), None, "pcakm", hp, pca_dims=1).params["pca_dims"] == 1
 
 
 class TestDropKM:
@@ -222,15 +224,19 @@ class TestDropKM:
         assert 0 in kept
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            drop_km(np.eye(3), 2, threshold=0.0)
-        with pytest.raises(ValueError):
-            drop_km(np.eye(3), 2, threshold=1.5)
+        for threshold in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                select_uncorrelated_features(np.eye(3), threshold)
+            with pytest.raises(ValueError):
+                run_method(np.eye(3), None, "dropkm", HyperParams(n_clusters=2),
+                           drop_threshold=threshold)
 
     def test_runs_kmeans_on_kept_columns(self):
         ds = generate_biased(BiasSpec(n=60, d=10, n_clusters=2, core_per_cluster=2,
                                       bias_features=4, seed=9))
-        result = drop_km(ds.X, 2, threshold=0.7, seed=1)
-        assert result.kept_features
-        assert result.clustering.assignments.shape == (60, 2)
+        record = run_method(ds.X, ds.labels, "dropkm", HyperParams(n_clusters=2, seed=1),
+                            drop_threshold=0.7)
+        kept = select_uncorrelated_features(ds.X, 0.7)
+        assert kept and record.kept_features == kept
+        assert record.best_objective == kmeans(ds.X[:, kept], 2, seed=1).loss
 

@@ -118,6 +118,19 @@ class TestFit:
         assert main(fit_args(small_data, "dckm", **{flag: value})) == 1
         assert "invalid flags" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "method, flags",
+        [
+            ("dropkm", {"threshold": "0"}),
+            ("dropkm", {"threshold": "1.5"}),
+            ("pcakm", {"pca_dims": "0"}),
+            ("pcakm", {"k": "1"}),
+        ],
+    )
+    def test_invalid_method_flags_are_usage_errors(self, small_data, method, flags, capsys):
+        assert main(fit_args(small_data, method, **flags)) == 1
+        assert "invalid flags" in capsys.readouterr().err
+
     def test_unlabeled_data_still_fits(self, tmp_path, capsys):
         p = tmp_path / "plain.csv"
         p.write_text("1,0\n0,1\n1,1\n0,0\n", encoding="utf-8")
@@ -201,6 +214,8 @@ class TestBench:
             ["--restarts", "0"],
             ["--max-outer", "0"],
             ["--grid", "nan"],
+            ["--methods", "dropkm", "--threshold", "0"],
+            ["--methods", "kmeans,pcakm", "--k", "1"],
         ],
     )
     def test_invalid_flags_are_usage_errors(self, small_data, flags, capsys):

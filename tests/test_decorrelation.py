@@ -129,6 +129,20 @@ class TestBalanceLoss:
                 scaled = balance_loss(X, c * w).value
                 assert scaled == pytest.approx(base, rel=1e-12)
 
+    def test_all_ones_column_skipped_at_every_scale(self):
+        # The control mass of an all-ones column is sum(w) - X.T @ w: rounding
+        # noise that grows with the scale of w.
+        rng = np.random.default_rng(0)
+        X = random_binary(rng, 200, 6)
+        X[:, 0] = 1.0
+        w = rng.uniform(0.1, 2.0, 200)
+        base = balance_loss(X, w)
+        assert base.skipped_features == 1
+        for c in 10.0 ** np.arange(1, 13):
+            scaled = balance_loss(X, c * w)
+            assert scaled.skipped_features == 1
+            assert scaled.value == pytest.approx(base.value, rel=1e-12)
+
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(13)
         X = random_binary(rng, 18, 5)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -139,6 +140,42 @@ def direct_backtracking_oracle(X, F, G, omega, params):
         omega, value = candidate, candidate_value
         steps.append(step)
     return omega, steps, False
+
+
+def lloyd_oracle(X, n_clusters, seed, max_iter, prefer=()):
+    """Lloyd's algorithm written out in exact rational arithmetic: plain
+    cluster means, each row to its nearest mean, until the labels repeat.
+
+    Starts from the seeded uniform-random labeling that ``kmeans`` documents.
+    A row exactly as near to several means goes to the lowest index, or to
+    ``prefer[t][i]`` when iteration t has a preferred label among them:
+    floating-point iterations see rounded means and may break such a tie
+    either way. Returns ``(history, ties)``: every iteration's label vector
+    and the number of exact ties met.
+    """
+    rows = [[Fraction(float(v)) for v in row] for row in np.asarray(X, dtype=np.float64)]
+    n = len(rows)
+    labels = np.random.default_rng(seed).integers(0, n_clusters, size=n)
+    history = []
+    ties = 0
+    for t in range(max_iter):
+        means = []
+        for c in range(n_clusters):
+            members = [rows[i] for i in range(n) if labels[i] == c]
+            assert members, "cluster emptied: the oracle does not re-seed"
+            means.append([sum(col) / len(members) for col in zip(*members)])
+        new = np.empty(n, dtype=np.int64)
+        for i in range(n):
+            dists = [sum((x - m) ** 2 for x, m in zip(rows[i], mean)) for mean in means]
+            nearest = [c for c in range(n_clusters) if dists[c] == min(dists)]
+            ties += len(nearest) > 1
+            preferred = prefer[t][i] if t < len(prefer) else None
+            new[i] = preferred if preferred in nearest else nearest[0]
+        history.append(new)
+        if len(history) > 1 and np.array_equal(history[-1], history[-2]):
+            break
+        labels = new
+    return history, ties
 
 
 def ari_pair_oracle(labels_a, labels_b):
