@@ -21,9 +21,6 @@ from .solver import (
     FitResult,
     fit,
     fit_restarts,
-    objective,
-    omega_gradient,
-    omega_objective,
     update_assignments,
     update_centroids,
     update_weights,
@@ -50,9 +47,6 @@ __all__ = [
     "kmeans",
     "load_csv",
     "nmi",
-    "objective",
-    "omega_gradient",
-    "omega_objective",
     "one_hot_rows",
     "pca_project",
     "save_dataset",

@@ -50,27 +50,27 @@ def _residuals(gram: np.ndarray, col_mass: np.ndarray, total: float):
     feature's treated mass ``X.T @ w`` and the total mass ``sum(w)``.
 
     Column j of the Gram holds the treated group's sums for target feature
-    j; the control sums are their complements against the treated masses.
-    Returns ``(R, control_sums, alpha, beta, valid)``: R has one column per
-    target feature with the diagonal forced to zero, matching the
-    per-feature definition with the target column removed; alpha and beta
-    are the group masses, set to 1 for skipped features (``valid`` False).
+    j, and ``col_mass - gram[:, j]`` the control group's. Residual j is
+    ``gram[:, j] / alpha_j - (col_mass - gram[:, j]) / beta_j``, written as
+    ``gram[:, j] * (inv_a + inv_b)_j - col_mass * inv_b_j``, with the
+    diagonal forced to zero to match the per-feature definition with the
+    target column removed. Returns ``(R, inv_a, inv_b, valid)``: inv_a and
+    inv_b are the reciprocal treated and control masses alpha and beta, 0
+    for skipped features (``valid`` False), so their columns of R vanish.
     """
-    control_sums = col_mass[:, None] - gram
     beta = total - col_mass
     valid = (col_mass > GROUP_MASS_EPS) & (beta > GROUP_MASS_EPS * max(1.0, total))
-    alpha_safe = np.where(valid, col_mass, 1.0)
-    beta_safe = np.where(valid, beta, 1.0)
-    R = gram / alpha_safe[None, :] - control_sums / beta_safe[None, :]
+    inv_a = np.divide(1.0, col_mass, out=np.zeros_like(col_mass), where=valid)
+    inv_b = np.divide(1.0, beta, out=np.zeros_like(beta), where=valid)
+    R = gram * (inv_a + inv_b) - np.outer(col_mass, inv_b)
     np.fill_diagonal(R, 0.0)
-    R[:, ~valid] = 0.0
-    return R, control_sums, alpha_safe, beta_safe, valid
+    return R, inv_a, inv_b, valid
 
 
 def _loss_from_gram(gram: np.ndarray, col_mass: np.ndarray, total: float) -> BalanceLoss:
     """:func:`balance_loss` from the arguments of :func:`_residuals`."""
-    R, *_rest, valid = _residuals(gram, col_mass, total)
-    return BalanceLoss(float(np.sum(R * R)), int(np.sum(~valid)))
+    R, _, _, valid = _residuals(gram, col_mass, total)
+    return BalanceLoss(float(np.vdot(R, R)), valid.size - int(np.count_nonzero(valid)))
 
 
 def balance_loss(X, w) -> BalanceLoss:
@@ -87,13 +87,20 @@ def balance_loss(X, w) -> BalanceLoss:
 def balance_gradient(X, omega, gram=None) -> np.ndarray:
     """Gradient of ``balance_loss(X, omega**2)`` with respect to ``omega``.
 
-    Derived by the quotient rule per target feature: with u = X @ residual,
-    the weight-space gradient of one feature's term is
-    ``2 * (s*(u - ta)/alpha - c*(u - tb)/beta)`` where s/c are the treated and
-    control indicators, alpha/beta the group masses, and ta/tb the residual's
-    inner products with the two normalized group moments. Summed over
-    features and chained through w = omega**2. Skipped features contribute
-    zero, consistently with :func:`balance_loss`.
+    By the quotient rule per target feature j, with s/c the treated and
+    control indicators, alpha/beta the group masses and r_j the residual
+    (column j of R from :func:`_residuals`), row i's weight-space gradient
+    of feature j's term is ``2 * (s_ij*(u_ij - ta_j)/alpha_j - c_ij*(u_ij -
+    tb_j)/beta_j)`` with ``u = X @ R``, ``ta_j = r_j . gram[:, j] / alpha_j``
+    and ``tb_j = r_j . (col_mass - gram[:, j]) / beta_j``. Summed over j,
+    with c = 1 - s and s binary, this is
+
+        2 * [ x_i . (X @ (R diag(inv_a + inv_b)))_i
+              - x_i . (ta*inv_a + tb*inv_b + R @ inv_b) + tb . inv_b ]
+
+    which costs one n-by-d product plus matrix-vector products. Chained
+    through w = omega**2. Skipped features have inv_a = inv_b = 0 and so
+    contribute zero, consistently with :func:`balance_loss`.
 
     ``gram``, when given, is the weighted Gram ``X^T diag(omega**2) X`` the
     caller has already built; it is used as is.
@@ -105,13 +112,11 @@ def balance_gradient(X, omega, gram=None) -> np.ndarray:
     w = omega * omega
     if gram is None:
         gram = _weighted_gram(X, w)
-    R, control_sums, alpha_safe, beta_safe, valid = _residuals(gram, X.T @ w, float(w.sum()))
-    U = X @ R                               # (n, d): column j = X @ residual_j
-    ta = np.einsum("fj,fj->j", R, gram) / alpha_safe
-    tb = np.einsum("fj,fj->j", R, control_sums) / beta_safe
-    P = (U - ta[None, :]) / alpha_safe[None, :]
-    Q = (U - tb[None, :]) / beta_safe[None, :]
-    P[:, ~valid] = 0.0
-    Q[:, ~valid] = 0.0
-    grad_w = 2.0 * np.sum(X * P - (1.0 - X) * Q, axis=1)
+    col_mass = X.T @ w
+    R, inv_a, inv_b, _ = _residuals(gram, col_mass, float(w.sum()))
+    rg = np.einsum("fj,fj->j", R, gram)
+    ta = rg * inv_a
+    tb = (col_mass @ R - rg) * inv_b
+    quad = np.einsum("ij,ij->i", X, X @ (R * (inv_a + inv_b)))
+    grad_w = 2.0 * (quad - X @ (ta * inv_a + tb * inv_b + R @ inv_b) + float(tb @ inv_b))
     return 2.0 * omega * grad_w

@@ -43,9 +43,6 @@ __all__ = [
     "RestartSummary",
     "fit",
     "fit_restarts",
-    "objective",
-    "omega_gradient",
-    "omega_objective",
     "update_assignments",
     "update_centroids",
     "update_weights",
@@ -61,15 +58,6 @@ class EmptyClusterError(RuntimeError):
     def __init__(self, clusters):
         self.clusters = list(clusters)
         super().__init__(f"empty cluster(s) {self.clusters} could not be re-seeded")
-
-
-def _check_shapes(X, F, G):
-    n, d = X.shape
-    if F.ndim != 2 or F.shape[0] != d:
-        raise ValueError(f"centroids must be (d, k) with d={d}, got {F.shape}")
-    k = F.shape[1]
-    if G.shape != (n, k):
-        raise ValueError(f"assignments must be ({n}, {k}), got {G.shape}")
 
 
 def _row_sq_norms(A: np.ndarray) -> np.ndarray:
@@ -155,16 +143,6 @@ def _descent_ray(X, omega, resid_sq, params: HyperParams):
     return g, _weight_ray(X, omega, g, resid_sq, params, gram)
 
 
-def objective(X, w, F, G, params: HyperParams) -> float:
-    """Full joint objective at the given blocks."""
-    X = as_data_matrix(X)
-    F = np.asarray(F, dtype=np.float64)
-    G = np.asarray(G, dtype=np.float64)
-    _check_shapes(X, F, G)
-    w = _weight_vector(w, X.shape[0])
-    return _weight_objective(X, w, _row_sq_norms(X - G @ F.T), params)[0]
-
-
 def _weighted_means(X, w, G):
     """Per-cluster weighted means and the list of memberless clusters.
 
@@ -204,21 +182,18 @@ def update_centroids(X, w, G) -> np.ndarray:
 
 
 def update_assignments(X, F) -> np.ndarray:
-    """Assign every row to its nearest centroid (ties go to the lowest index).
+    """Assign every row to its nearest centroid.
 
-    Independent of the sample weights: a row's best cluster does not change
-    under positive rescaling of its own loss term.
+    The squared distances come from one matrix product, as
+    ``||f_c||^2 - 2 x_i . f_c + ||x_i||^2``; a row whose computed distances
+    tie goes to the lowest index. Independent of the sample weights: a row's
+    best cluster does not change under positive rescaling of its own loss
+    term.
     """
     X = as_data_matrix(X)
     F = np.asarray(F, dtype=np.float64)
-    n = X.shape[0]
-    k = F.shape[1]
-    dists = np.empty((n, k))
-    for c in range(k):
-        diff = X - F[:, c][None, :]
-        dists[:, c] = _row_sq_norms(diff)
-    labels = np.argmin(dists, axis=1)
-    return one_hot_rows(labels, k)
+    dists = np.sum(F * F, axis=0) - 2.0 * (X @ F) + _row_sq_norms(X)[:, None]
+    return one_hot_rows(np.argmin(dists, axis=1), F.shape[1])
 
 
 def _centroids_with_recovery(X, w, G):
@@ -246,21 +221,6 @@ def _centroids_with_recovery(X, w, G):
         for cluster, i in zip(empty, order):
             F[:, cluster] = X[i]
         G = update_assignments(X, F)
-
-
-def omega_objective(X, F, G, omega, params: HyperParams) -> float:
-    """Joint objective as a function of the square-root weights alone."""
-    omega = np.asarray(omega, dtype=np.float64)
-    return objective(X, omega * omega, F, G, params)
-
-
-def omega_gradient(X, F, G, omega, params: HyperParams) -> np.ndarray:
-    """Analytic gradient of :func:`omega_objective` with respect to omega."""
-    X = as_data_matrix(X)
-    F = np.asarray(F, dtype=np.float64)
-    G = np.asarray(G, dtype=np.float64)
-    omega = np.asarray(omega, dtype=np.float64)
-    return _weight_gradient(X, omega, _row_sq_norms(X - G @ F.T), params)
 
 
 def _backtrack(fun, f0, step, shrink):

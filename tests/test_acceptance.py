@@ -23,13 +23,18 @@ from dckm.solver import (
     EmptyClusterError,
     fit,
     fit_restarts,
-    omega_gradient,
-    omega_objective,
     update_assignments,
     update_centroids,
 )
 
-from util import ari_pair_oracle, central_difference, lloyd_oracle, random_binary
+from util import (
+    ari_pair_oracle,
+    central_difference,
+    lloyd_oracle,
+    omega_gradient,
+    omega_objective,
+    random_binary,
+)
 
 FAMILY = dict(n=500, d=24, n_clusters=3, core_per_cluster=1, bias_features=5,
               noise_flip=0.005)
@@ -208,6 +213,7 @@ def _mean_metrics_dckm_grid(ds, base, restarts, max_outer):
     return best
 
 
+@pytest.mark.slow
 def test_c07_clustering_gain_under_bias():
     started = time.perf_counter()
     base, restarts, max_outer = 100, 20, 40

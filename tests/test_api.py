@@ -40,9 +40,9 @@ PINNED = {
         "BiasSpec", "EmptyClusterError", "FitResult", "HyperParams", "LabeledDataset",
         "SampleWeights", "ari", "balance_gradient", "balance_loss", "balance_only_weights",
         "binarize", "correlation_amount", "fit", "fit_restarts", "generate_biased", "kmeans",
-        "load_csv", "nmi", "objective", "omega_gradient", "omega_objective", "one_hot_rows",
-        "pca_project", "save_dataset", "select_uncorrelated_features", "update_assignments",
-        "update_centroids", "update_weights", "validate_data", "weighted_kmeans",
+        "load_csv", "nmi", "one_hot_rows", "pca_project", "save_dataset",
+        "select_uncorrelated_features", "update_assignments", "update_centroids",
+        "update_weights", "validate_data", "weighted_kmeans",
     ],
     "dckm.baselines": [
         "KMeansResult", "balance_only_weights", "kmeans", "pca_project",

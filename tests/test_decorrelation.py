@@ -6,6 +6,7 @@ from dckm.decorrelation import balance_gradient, balance_loss
 
 from util import (
     DegenerateGroupError,
+    balance_gradient_oracle,
     balance_loss_oracle,
     balance_residual,
     central_difference,
@@ -13,6 +14,7 @@ from util import (
     remaining_features,
     weighted_control_moment,
     weighted_treated_moment,
+    wide_matrix,
 )
 
 X3 = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -169,6 +171,30 @@ class TestBalanceGradient:
             fd = central_difference(lambda om: balance_loss(X, om * om).value, omega, 1e-6)
             denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-8)
             assert np.all(np.abs(grad - fd) / denom <= 1e-4)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_matches_oracle(self, scale):
+        rng = np.random.default_rng(29)
+        cases = [wide_matrix(7)]
+        for i in range(40):
+            X = random_binary(rng, rng.integers(5, 31), rng.integers(2, 9))
+            if i % 4 == 1:
+                X[:, 0] = 1.0  # no control group: skipped
+            if i % 4 == 2:
+                X[:, -1] = 0.0  # no treated group: skipped
+            cases.append(X)
+        compared = 0
+        for X in cases:
+            omega = scale * rng.uniform(0.5, 1.5, X.shape[0])
+            # At a loss of about 1e-30 (features balanced up to rounding), both
+            # gradients are about 1e-36 of rounding noise and share no digits.
+            if balance_loss(X, omega * omega).value <= 1e-20:
+                continue
+            expected = balance_gradient_oracle(X, omega)
+            diff = np.max(np.abs(balance_gradient(X, omega) - expected))
+            assert diff <= 1e-12 * np.max(np.abs(expected))
+            compared += 1
+        assert compared >= 35
 
     def test_sign_flip_negates_gradient(self):
         rng = np.random.default_rng(3)

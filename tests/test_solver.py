@@ -17,15 +17,20 @@ from dckm.solver import (
     _weight_ray,
     fit,
     fit_restarts,
-    objective,
-    omega_gradient,
-    omega_objective,
     update_assignments,
     update_centroids,
     update_weights,
 )
 
-from util import direct_backtracking_oracle, lloyd_oracle, random_binary
+from util import (
+    direct_backtracking_oracle,
+    lloyd_oracle,
+    objective,
+    omega_gradient,
+    omega_objective,
+    random_binary,
+    wide_matrix,
+)
 
 
 def lam0(k, **kw):
@@ -135,6 +140,21 @@ class TestUpdateAssignments:
                     if dist < best_dist:
                         best, best_dist = c, dist
                 assert G[i].argmax() == best
+
+    def test_near_ties_at_wide_shape(self):
+        rng = np.random.default_rng(12)
+        X = wide_matrix(3)
+        n = X.shape[0]
+        G = one_hot_rows(np.concatenate([np.arange(5), rng.integers(0, 5, n - 5)]), 5)
+        F = update_centroids(X, rng.uniform(0.1, 2.0, n), G)
+        labels = update_assignments(X, F).argmax(axis=1)
+        loop = np.column_stack([np.sum((X - F[:, c]) ** 2, axis=1) for c in range(5)])
+        chosen = loop[np.arange(n), labels]
+        assert np.all(chosen <= loop.min(axis=1) * (1.0 + 1e-12))
+        # Duplicated centroid columns tie exactly: the lowest index wins.
+        labels = update_assignments(X, F[:, [0, 1, 0, 2, 1, 3, 4]]).argmax(axis=1)
+        assert not np.isin(labels, [2, 4]).any()
+        assert np.isin(labels, [0, 1]).any()
 
 
 class TestUpdateWeights:

@@ -8,12 +8,21 @@ from fractions import Fraction
 import numpy as np
 
 from dckm.core import _weight_vector, as_data_matrix
-from dckm.decorrelation import GROUP_MASS_EPS
-from dckm.solver import LINE_SEARCH_MIN_STEP, omega_gradient, omega_objective
+from dckm.data import BiasSpec, generate_biased
+from dckm.decorrelation import GROUP_MASS_EPS, _weighted_gram
+from dckm.solver import LINE_SEARCH_MIN_STEP, _row_sq_norms, _weight_gradient, _weight_objective
 
 
 def random_binary(rng, n, d, p=0.5):
     return (rng.random((n, d)) < p).astype(np.float64)
+
+
+def wide_matrix(seed):
+    """A biased binary matrix of acceptance test C10's widest shape
+    (n=2000, d=100, k=5)."""
+    spec = BiasSpec(n=2000, d=100, n_clusters=5, core_per_cluster=4, bias_features=60,
+                    bias_strength=0.8, noise_flip=0.05, seed=seed)
+    return generate_biased(spec).X
 
 
 def central_difference(fun, x, step=1e-6):
@@ -113,6 +122,70 @@ def balance_loss_oracle(X, w):
         residual = M.T @ (w * s) / alpha - M.T @ (w * c) / beta
         total += float(residual @ residual)
     return total, skipped
+
+
+def balance_gradient_oracle(X, omega):
+    """Gradient of ``balance_loss(X, omega**2)`` in omega, row by row from the
+    quotient rule: with u = X @ residual, feature j's weight-space gradient is
+    ``2 * (s*(u - ta)/alpha - c*(u - tb)/beta)``, s/c the treated and control
+    indicators, alpha/beta the group masses, and ta/tb the residual's inner
+    products with the two normalized group moments. Builds every n-by-d term
+    explicitly; skipped features contribute zero."""
+    X = as_data_matrix(X)
+    omega = np.asarray(omega, dtype=np.float64)
+    w = omega * omega
+    gram = _weighted_gram(X, w)
+    col_mass = X.T @ w
+    total = float(w.sum())
+    control_sums = col_mass[:, None] - gram
+    beta = total - col_mass
+    valid = (col_mass > GROUP_MASS_EPS) & (beta > GROUP_MASS_EPS * max(1.0, total))
+    alpha_safe = np.where(valid, col_mass, 1.0)
+    beta_safe = np.where(valid, beta, 1.0)
+    R = gram / alpha_safe[None, :] - control_sums / beta_safe[None, :]
+    np.fill_diagonal(R, 0.0)
+    R[:, ~valid] = 0.0
+    U = X @ R
+    ta = np.einsum("fj,fj->j", R, gram) / alpha_safe
+    tb = np.einsum("fj,fj->j", R, control_sums) / beta_safe
+    P = (U - ta[None, :]) / alpha_safe[None, :]
+    Q = (U - tb[None, :]) / beta_safe[None, :]
+    P[:, ~valid] = 0.0
+    Q[:, ~valid] = 0.0
+    grad_w = 2.0 * np.sum(X * P - (1.0 - X) * Q, axis=1)
+    return 2.0 * omega * grad_w
+
+
+def objective(X, w, F, G, params):
+    """Full joint objective at weights ``w``, centroids ``F`` (d, k) and
+    one-hot assignments ``G`` (n, k), through the solver's
+    ``_weight_objective``."""
+    X = as_data_matrix(X)
+    F = np.asarray(F, dtype=np.float64)
+    G = np.asarray(G, dtype=np.float64)
+    n, d = X.shape
+    if F.ndim != 2 or F.shape[0] != d:
+        raise ValueError(f"centroids must be (d, k) with d={d}, got {F.shape}")
+    if G.shape != (n, F.shape[1]):
+        raise ValueError(f"assignments must be ({n}, {F.shape[1]}), got {G.shape}")
+    w = _weight_vector(w, n)
+    return _weight_objective(X, w, _row_sq_norms(X - G @ F.T), params)[0]
+
+
+def omega_objective(X, F, G, omega, params):
+    """Joint objective as a function of the square-root weights alone."""
+    omega = np.asarray(omega, dtype=np.float64)
+    return objective(X, omega * omega, F, G, params)
+
+
+def omega_gradient(X, F, G, omega, params):
+    """Gradient of :func:`omega_objective` in omega: the solver's own
+    ``_weight_gradient``."""
+    X = as_data_matrix(X)
+    F = np.asarray(F, dtype=np.float64)
+    G = np.asarray(G, dtype=np.float64)
+    omega = np.asarray(omega, dtype=np.float64)
+    return _weight_gradient(X, omega, _row_sq_norms(X - G @ F.T), params)
 
 
 def direct_backtracking_oracle(X, F, G, omega, params):
