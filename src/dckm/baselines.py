@@ -2,7 +2,8 @@
 iterations, balancing weights learned without the k-means term, a PCA
 projection and a correlated-feature filter.
 
-The baselines themselves (k-means, two-step DecKM, PCA-then-k-means and
+The first three run the solver's Lloyd loop and weight descent. The
+baselines themselves (k-means, two-step DecKM, PCA-then-k-means and
 drop-correlated-features-then-k-means) are compositions of these blocks;
 ``dckm.cli.run_method`` runs each of them.
 """
@@ -10,19 +11,11 @@ drop-correlated-features-then-k-means) are compositions of these blocks;
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HyperParams, SampleWeights, _weight_vector, as_data_matrix, one_hot_rows
-from .solver import (
-    _backtrack,
-    _centroids_with_recovery,
-    _descent_ray,
-    _random_labels,
-    _row_sq_norms,
-    update_assignments,
-)
+from .core import HyperParams, SampleWeights, _weight_vector, as_data_matrix
+from .solver import KMeansResult, _descend, _lloyd
 
 __all__ = [
     "KMeansResult",
@@ -34,54 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class KMeansResult:
-    centroids: np.ndarray
-    assignments: np.ndarray
-    labels: np.ndarray
-    loss: float
-    iterations: int
-    converged: bool
-    assignment_history: list[np.ndarray] | None = None
-
-
-def _lloyd(X, w, n_clusters, seed, max_iter, track_assignments, weighted_loss):
-    X = as_data_matrix(X)
-    n = X.shape[0]
-    if n_clusters > n:
-        raise ValueError(f"n_clusters={n_clusters} exceeds sample count {n}")
-    G = one_hot_rows(_random_labels(n, n_clusters, seed), n_clusters)
-    history = [] if track_assignments else None
-    previous = None
-    converged = False
-    F = np.zeros((X.shape[1], n_clusters))
-    labels = G.argmax(axis=1)
-    iterations = 0
-    for _ in range(max_iter):
-        F, G = _centroids_with_recovery(X, w, G)
-        G = update_assignments(X, F)
-        labels = G.argmax(axis=1)
-        iterations += 1
-        if history is not None:
-            history.append(labels.copy())
-        if previous is not None and np.array_equal(labels, previous):
-            converged = True
-            break
-        previous = labels
-    resid_sq = _row_sq_norms(X - G @ F.T)
-    loss = float(w @ resid_sq) if weighted_loss else float(resid_sq.sum())
-    return KMeansResult(
-        centroids=F,
-        assignments=G,
-        labels=labels,
-        loss=loss,
-        iterations=iterations,
-        converged=converged,
-        assignment_history=history,
-    )
-
-
-def kmeans(X, n_clusters, seed=0, max_iter=100, track_assignments=False):
+def kmeans(X, n_clusters, seed=0, max_iter=100):
     """Lloyd's algorithm in factorized form, to a fixed point of assignments.
 
     Starts from a uniform-random labeling drawn with ``seed``. Internally
@@ -91,16 +37,16 @@ def kmeans(X, n_clusters, seed=0, max_iter=100, track_assignments=False):
     """
     X = as_data_matrix(X)
     w = SampleWeights.uniform(X.shape[0]).w
-    return _lloyd(X, w, n_clusters, seed, max_iter, track_assignments, weighted_loss=False)
+    return _lloyd(X, w, n_clusters, seed, max_iter, weighted_loss=False)
 
 
-def weighted_kmeans(X, w, n_clusters, seed=0, max_iter=100, track_assignments=False):
+def weighted_kmeans(X, w, n_clusters, seed=0, max_iter=100):
     """Lloyd iterations on the weighted loss with a fixed weight vector."""
     X = as_data_matrix(X)
     w = _weight_vector(w, X.shape[0])
     if np.any(w < 0):
         raise ValueError("w must be a non-negative vector with one entry per sample")
-    return _lloyd(X, w, n_clusters, seed, max_iter, track_assignments, weighted_loss=True)
+    return _lloyd(X, w, n_clusters, seed, max_iter, weighted_loss=True)
 
 
 def balance_only_weights(X, params: HyperParams):
@@ -108,31 +54,17 @@ def balance_only_weights(X, params: HyperParams):
 
     Minimizes lambda1*balance_loss + lambda2*||w||^2 + lambda3*(sum w - 1)^2
     over the square-root parameterization by backtracking gradient descent
-    from uniform weights (deterministic: the start point is fixed). Returns
-    ``(weights, objective_history)``.
+    from uniform weights (deterministic: the start point is fixed), for at
+    most ``max_outer_iters * max_w_iters`` steps or until the relative change
+    is at most ``outer_tol``. Returns ``(weights, objective_history)``.
     """
     X = as_data_matrix(X)
     n = X.shape[0]
-    omega = SampleWeights.uniform(n).omega
-    resid_sq = np.zeros(n)  # no k-means term: the joint objective with zero residuals
-    history = []
-    for _ in range(params.max_outer_iters * params.max_w_iters):
-        g, ray = _descent_ray(X, omega, resid_sq, params)
-        value = ray(0.0)[0]
-        if not history:
-            history.append(value)
-        if not np.any(g):
-            break
-        t, new_value, accepted = _backtrack(
-            lambda s: ray(s)[0], value, params.grad_step, params.backtrack_shrink
-        )
-        if not accepted:
-            break
-        omega = omega - t * g
-        history.append(new_value)
-        if abs(new_value - value) <= params.outer_tol * max(1.0, abs(value)):
-            break
-    return SampleWeights(omega), history
+    steps = params.max_outer_iters * params.max_w_iters
+    # No k-means term: the joint objective with zero residuals.
+    update, history = _descend(X, SampleWeights.uniform(n).omega, np.zeros(n), params, steps,
+                               params.outer_tol)
+    return update.weights, history
 
 
 def pca_project(X, n_components):

@@ -87,13 +87,12 @@ def ari(labels_a, labels_b) -> float:
     return float((sum_cells - expected) / (maximum - expected))
 
 
-def correlation_amount(X, w=None, include_diagonal: bool = False) -> float:
+def correlation_amount(X, w=None) -> float:
     """Frobenius norm of the (weighted) between-feature covariance matrix.
 
     Weights are normalized to sum 1 internally (uniform when absent), so the
     value is invariant to rescaling the weight vector. The diagonal is zeroed
-    by default so per-feature variance does not count as correlation;
-    ``include_diagonal=True`` keeps it, for sensitivity checks.
+    so per-feature variance does not count as correlation.
     """
     X = as_data_matrix(X)
     n = X.shape[0]
@@ -110,6 +109,5 @@ def correlation_amount(X, w=None, include_diagonal: bool = False) -> float:
     mean = w @ X
     centered = X - mean
     cov = centered.T @ (centered * w[:, None])
-    if not include_diagonal:
-        np.fill_diagonal(cov, 0.0)
+    np.fill_diagonal(cov, 0.0)
     return float(np.linalg.norm(cov, "fro"))

@@ -11,7 +11,8 @@ minimized by block descent: a closed-form centroid update (per-cluster
 weighted means), an exhaustive per-row assignment search, and backtracking
 gradient descent on the square-root weight parameterization. Every block is
 non-increasing in the objective, so the recorded per-sweep objective values
-form a monotone sequence.
+form a monotone sequence. :mod:`dckm.baselines` composes the one weight
+descent (:func:`_descend`) and the one Lloyd loop (:func:`_lloyd`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .decorrelation import (
     _loss_from_gram,
     _weighted_gram,
     balance_gradient,
-    balance_loss,
 )
 
 __all__ = [
@@ -64,22 +64,8 @@ def _row_sq_norms(A: np.ndarray) -> np.ndarray:
     return np.sum(A * A, axis=1)
 
 
-def _weight_objective(X, w, resid_sq, params: HyperParams):
-    """Joint objective at weights ``w`` given each row's squared residual
-    ``||X_i - (G F^T)_i||^2``; returns ``(value, skipped_features)``."""
-    value = float(w @ resid_sq)
-    value += params.lambda2 * float(w @ w)
-    value += params.lambda3 * (float(w.sum()) - 1.0) ** 2
-    skipped = 0
-    if params.lambda1 != 0.0:
-        bal = balance_loss(X, w)
-        value += params.lambda1 * bal.value
-        skipped = bal.skipped_features
-    return value, skipped
-
-
 def _weight_gradient(X, omega, resid_sq, params: HyperParams, gram=None) -> np.ndarray:
-    """Gradient of :func:`_weight_objective` at ``w = omega**2`` in omega.
+    """Gradient in omega of the joint objective at ``w = omega**2``.
 
     Per coordinate: 2*omega_i times the sample's squared reconstruction
     residual, plus the balancing gradient scaled by lambda1, plus
@@ -95,7 +81,7 @@ def _weight_gradient(X, omega, resid_sq, params: HyperParams, gram=None) -> np.n
 
 
 def _weight_ray(X, omega, g, resid_sq, params: HyperParams, gram):
-    """:func:`_weight_objective` along the ray ``w(t) = (omega - t*g)**2``.
+    """The joint objective along the ray ``w(t) = (omega - t*g)**2``.
 
     The weighted Gram along the ray is ``gram - 2t B + t^2 C``, where ``gram``
     is the Gram of omega**2 (None when lambda1 is 0) and B, C those of
@@ -103,8 +89,8 @@ def _weight_ray(X, omega, g, resid_sq, params: HyperParams, gram):
     sum(w) and each feature's treated mass are quadratics in t and ||w||^2 a
     quartic, with coefficients from dot products. Returns
     ``value(t) -> (objective, skipped_features)``; a call costs O(d^2)
-    instead of the O(n d^2) of a fresh Gram, and ``value(0)`` is
-    ``_weight_objective(X, omega**2, ...)`` bit for bit.
+    instead of the O(n d^2) of a fresh Gram, and ``value(0)`` is bit for bit
+    the direct evaluation ``tests/util.py::weight_objective(X, omega**2, ...)``.
     """
     w, wg, gg = omega * omega, omega * g, g * g
     km = (float(w @ resid_sq), float(wg @ resid_sq), float(gg @ resid_sq))
@@ -240,8 +226,8 @@ def _backtrack(fun, f0, step, shrink):
 
 
 class WeightUpdate(NamedTuple):
-    """Outcome of :func:`update_weights`: the new weights, whether the line
-    search stalled, and the objective ``value`` and the balance term's
+    """Outcome of a weight descent: the new weights, whether the line search
+    stalled, and the objective ``value`` and the balance term's
     ``skipped_features`` at the returned weights."""
 
     weights: SampleWeights
@@ -250,34 +236,48 @@ class WeightUpdate(NamedTuple):
     skipped_features: int
 
 
-def update_weights(X, F, G, omega, params: HyperParams) -> WeightUpdate:
-    """Run up to ``max_w_iters`` backtracking gradient steps on omega.
-
-    Each step builds the objective along its descent ray once
-    (:func:`_weight_ray`), so every backtracking trial costs O(d^2).
-    Returns a :class:`WeightUpdate`; ``stalled`` is True when the line search
-    found no non-increasing step, in which case the incoming omega is kept.
+def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None):
+    """Up to ``max_steps`` (>= 1) backtracking gradient steps on omega, each
+    trial O(d^2) along the step's :func:`_weight_ray`. Stops early at a zero
+    gradient, at a stall (no non-increasing step), or after a step whose
+    relative objective change is at most ``tol``. Returns the
+    :class:`WeightUpdate` at the final omega and the objective history: the
+    start value, then the value after each accepted step.
     """
-    X = as_data_matrix(X)
-    F = np.asarray(F, dtype=np.float64)
-    G = np.asarray(G, dtype=np.float64)
-    omega = np.asarray(omega, dtype=np.float64).copy()
-    resid_sq = _row_sq_norms(X - G @ F.T)
+    history: list[float] = []
     stalled = False
-    for _ in range(params.max_w_iters):
+    for _ in range(max_steps):
         g, ray = _descent_ray(X, omega, resid_sq, params)
         t = 0.0
+        value = ray(0.0)[0]
+        if not history:
+            history.append(value)
         if not np.any(g):
             break
-        t, _, accepted = _backtrack(
-            lambda s: ray(s)[0], ray(0.0)[0], params.grad_step, params.backtrack_shrink
+        t, new_value, accepted = _backtrack(
+            lambda s: ray(s)[0], value, params.grad_step, params.backtrack_shrink
         )
         if not accepted:
             stalled = True
             break
         omega = omega - t * g
+        history.append(new_value)
+        if tol is not None and abs(new_value - value) <= tol * max(1.0, abs(value)):
+            break
     value, skipped = ray(t)
-    return WeightUpdate(SampleWeights(omega), stalled, value, skipped)
+    return WeightUpdate(SampleWeights(omega), stalled, value, skipped), history
+
+
+def update_weights(X, F, G, omega, params: HyperParams) -> WeightUpdate:
+    """Run up to ``max_w_iters`` backtracking gradient steps on omega with
+    centroids F and assignments G fixed; ``stalled`` in the returned
+    :class:`WeightUpdate` means a line search found no non-increasing step."""
+    X = as_data_matrix(X)
+    F = np.asarray(F, dtype=np.float64)
+    G = np.asarray(G, dtype=np.float64)
+    omega = np.asarray(omega, dtype=np.float64).copy()
+    resid_sq = _row_sq_norms(X - G @ F.T)
+    return _descend(X, omega, resid_sq, params, params.max_w_iters)[0]
 
 
 @dataclass
@@ -301,8 +301,14 @@ class FitResult:
         return self.objective_history[-1]
 
 
-def _random_labels(n: int, n_clusters: int, seed: int) -> np.ndarray:
-    return np.random.default_rng(seed).integers(0, n_clusters, size=n)
+def _initial_assignments(n: int, n_clusters: int, seed: int) -> np.ndarray:
+    """The seeded uniform-random one-hot start of :func:`fit` and :func:`_lloyd`."""
+    if n_clusters < 1:
+        raise ValueError("n_clusters must be >= 1")
+    if n_clusters > n:
+        raise ValueError(f"n_clusters={n_clusters} exceeds sample count {n}")
+    labels = np.random.default_rng(seed).integers(0, n_clusters, size=n)
+    return one_hot_rows(labels, n_clusters)
 
 
 def fit(X, params: HyperParams) -> FitResult:
@@ -311,25 +317,20 @@ def fit(X, params: HyperParams) -> FitResult:
 
     Starts from a uniform-random labeling seeded by ``params.seed`` and
     uniform weights summing to one. Stops when the relative objective change
-    drops below ``outer_tol`` or after ``max_outer_iters`` sweeps. Plain
-    Lloyd iterations are :func:`dckm.baselines.kmeans`.
+    drops below ``outer_tol`` or after ``max_outer_iters`` sweeps. Lloyd
+    iterations with fixed weights are :func:`_lloyd`.
     """
     X = as_data_matrix(X)
     report = validate_data(X)
     if not report.ok:
         raise ValueError("invalid data matrix: " + "; ".join(report.errors))
     n = X.shape[0]
-    k = params.n_clusters
-    if k > n:
-        raise ValueError(f"n_clusters={k} exceeds sample count {n}")
-    G = one_hot_rows(_random_labels(n, k, params.seed), k)
+    G = _initial_assignments(n, params.n_clusters, params.seed)
     weights = SampleWeights.uniform(n)
 
     history: list[float] = []
     previous = None
     converged = False
-    skipped = 0
-    F = np.zeros((X.shape[1], k))
     for _ in range(params.max_outer_iters):
         F, G = _centroids_with_recovery(X, weights.w, G)
         G = update_assignments(X, F)
@@ -351,6 +352,40 @@ def fit(X, params: HyperParams) -> FitResult:
         iterations=len(history),
         skipped_features_last=skipped,
     )
+
+
+@dataclass
+class KMeansResult:
+    """Outcome of :func:`_lloyd`; ``converged`` means the labels repeated."""
+
+    centroids: np.ndarray
+    assignments: np.ndarray
+    labels: np.ndarray
+    loss: float
+    iterations: int
+    converged: bool
+
+
+def _lloyd(X, w, n_clusters, seed, max_iter, weighted_loss) -> KMeansResult:
+    """Lloyd iterations with fixed weights ``w``, from :func:`fit`'s start,
+    until the labels repeat or for ``max_iter`` iterations; the loss is
+    weighted or plain per ``weighted_loss``."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    G = _initial_assignments(X.shape[0], n_clusters, seed)
+    previous = None
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        F, G = _centroids_with_recovery(X, w, G)
+        G = update_assignments(X, F)
+        labels = G.argmax(axis=1)
+        if previous is not None and np.array_equal(labels, previous):
+            converged = True
+            break
+        previous = labels
+    resid_sq = _row_sq_norms(X - G @ F.T)
+    loss = float(w @ resid_sq) if weighted_loss else float(resid_sq.sum())
+    return KMeansResult(F, G, labels, loss, iterations, converged)
 
 
 @dataclass

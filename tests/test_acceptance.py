@@ -34,6 +34,7 @@ from util import (
     omega_gradient,
     omega_objective,
     random_binary,
+    record_assignments,
 )
 
 FAMILY = dict(n=500, d=24, n_clusters=3, core_per_cluster=1, bias_features=5,
@@ -104,19 +105,21 @@ def test_c02_block_descent_monotonicity():
     report(2, "block-descent monotonicity", f"20 instances x 50 sweeps, {elapsed:.1f}s")
 
 
-def test_c03_lloyd_reduction():
+def test_c03_lloyd_reduction(monkeypatch):
     rng = np.random.default_rng(303)
+    recorded = record_assignments(monkeypatch)
     exact_ties = 0
     for i in range(10):
         n = int(rng.integers(30, 80))
         d = int(rng.integers(4, 10))
         k = int(rng.integers(2, 5))
         X = random_binary(rng, n, d)
-        lloyd = kmeans(X, k, seed=1000 + i, max_iter=60, track_assignments=True)
-        expected, ties = lloyd_oracle(X, k, 1000 + i, 60, prefer=lloyd.assignment_history)
+        recorded.clear()
+        lloyd = kmeans(X, k, seed=1000 + i, max_iter=60)
+        expected, ties = lloyd_oracle(X, k, 1000 + i, 60, prefer=recorded)
         exact_ties += ties
-        assert len(lloyd.assignment_history) == len(expected)
-        for a, b in zip(lloyd.assignment_history, expected):
+        assert len(recorded) == len(expected)
+        for a, b in zip(recorded, expected):
             assert np.array_equal(a, b)
         assert np.array_equal(lloyd.labels, expected[-1])
     report(3, "Lloyd reduction",

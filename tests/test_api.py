@@ -1,6 +1,7 @@
 """The public names of every module resolve, the package's and the
-baselines' public names are pinned, and every function the benchmark's tracer
-wraps by name exists."""
+baselines' public names are pinned, the baselines reach into the solver only
+through its two loops, and every function the benchmark's tracer wraps by
+name exists."""
 
 import importlib
 import importlib.util
@@ -54,3 +55,13 @@ PINNED = {
 @pytest.mark.parametrize("module_name", sorted(PINNED))
 def test_public_names_pinned(module_name):
     assert sorted(importlib.import_module(module_name).__all__) == PINNED[module_name]
+
+
+def test_baselines_reach_only_the_solver_loops():
+    baselines = importlib.import_module("dckm.baselines")
+    private = sorted(
+        value.__name__
+        for value in vars(baselines).values()
+        if getattr(value, "__module__", None) == "dckm.solver" and value.__name__.startswith("_")
+    )
+    assert private == ["_descend", "_lloyd"]

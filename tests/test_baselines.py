@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from dckm.decorrelation import balance_loss
 from dckm.metrics import nmi
 from dckm.solver import update_assignments
 
-from util import kmeans_loss_for_labels, random_binary
+from util import kmeans_loss_for_labels, random_binary, record_assignments
 
 
 def two_groups():
@@ -73,16 +74,34 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans(np.eye(2), 3)
 
+    @pytest.mark.parametrize("n_clusters", [0, -1])
+    def test_k_below_one_rejected(self, n_clusters):
+        with pytest.raises(ValueError, match="n_clusters must be >= 1"):
+            kmeans(np.eye(3), n_clusters)
+        with pytest.raises(ValueError, match="n_clusters must be >= 1"):
+            weighted_kmeans(np.eye(3), np.ones(3), n_clusters)
+
+    @pytest.mark.parametrize("max_iter", [0, -2])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        X = random_binary(np.random.default_rng(8), 20, 5)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            kmeans(X, 3, max_iter=max_iter)
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            weighted_kmeans(X, np.ones(20), 3, max_iter=max_iter)
+
 
 class TestWeightedKMeans:
-    def test_uniform_weights_match_kmeans_exactly(self):
+    def test_uniform_weights_match_kmeans_exactly(self, monkeypatch):
         rng = np.random.default_rng(3)
         X = random_binary(rng, 25, 6)
         w = SampleWeights.uniform(25).w
-        a = kmeans(X, 3, seed=5, track_assignments=True)
-        b = weighted_kmeans(X, w, 3, seed=5, track_assignments=True)
-        assert len(a.assignment_history) == len(b.assignment_history)
-        for ha, hb in zip(a.assignment_history, b.assignment_history):
+        recorded = record_assignments(monkeypatch)
+        kmeans(X, 3, seed=5)
+        a = list(recorded)
+        recorded.clear()
+        weighted_kmeans(X, w, 3, seed=5)
+        assert len(a) == len(recorded)
+        for ha, hb in zip(a, recorded):
             assert np.array_equal(ha, hb)
 
     def test_single_positive_weight(self):
@@ -127,6 +146,19 @@ class TestDecKM:
         uniform = SampleWeights.uniform(120).w
         assert balance_loss(ds.X, weights.w).value < balance_loss(ds.X, uniform).value
         assert all(b <= a + 1e-10 for a, b in zip(history, history[1:]))
+
+    def test_step_cap_and_relative_change_stop(self):
+        ds = generate_biased(BiasSpec(n=120, d=16, n_clusters=3, core_per_cluster=2,
+                                      bias_features=9, bias_strength=0.9,
+                                      noise_flip=0.02, seed=8))
+        hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=1000.0, lambda3=1.0)
+        _, capped = balance_only_weights(ds.X, replace(hp, max_outer_iters=1, max_w_iters=3))
+        assert len(capped) == 4  # the start value and the 3 capped steps
+        _, history = balance_only_weights(ds.X, hp)
+        assert len(history) - 1 < hp.max_outer_iters * hp.max_w_iters
+        small = [abs(b - a) <= hp.outer_tol * max(1.0, abs(a))
+                 for a, b in zip(history, history[1:])]
+        assert small[-1] and not any(small[:-1])
 
     def test_deterministic(self):
         ds = generate_biased(BiasSpec(n=60, d=10, n_clusters=2, core_per_cluster=2,

@@ -121,11 +121,6 @@ class TestCorrelationAmount:
         perm = rng.permutation(6)
         assert correlation_amount(X[:, perm]) == pytest.approx(correlation_amount(X), rel=1e-12)
 
-    def test_include_diagonal_flag(self):
-        rng = np.random.default_rng(4)
-        X = (rng.random((20, 4)) < 0.5).astype(float)
-        assert correlation_amount(X, include_diagonal=True) >= correlation_amount(X)
-
     def test_accepts_sample_weights(self):
         X = np.array([[1.0, 1.0], [0.0, 0.0]])
         assert correlation_amount(X, SampleWeights.uniform(2)) == pytest.approx(

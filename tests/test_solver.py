@@ -13,7 +13,6 @@ from dckm.solver import (
     _backtrack,
     _row_sq_norms,
     _weight_gradient,
-    _weight_objective,
     _weight_ray,
     fit,
     fit_restarts,
@@ -29,6 +28,8 @@ from util import (
     omega_gradient,
     omega_objective,
     random_binary,
+    record_assignments,
+    weight_objective,
     wide_matrix,
 )
 
@@ -253,10 +254,10 @@ class TestWeightRay:
             gram = _weighted_gram(X, omega * omega) if hp.lambda1 else None
             g = _weight_gradient(X, omega, resid_sq, hp, gram)
             ray = _weight_ray(X, omega, g, resid_sq, hp, gram)
-            assert ray(0.0) == _weight_objective(X, omega * omega, resid_sq, hp)
+            assert ray(0.0) == weight_objective(X, omega * omega, resid_sq, hp)
             for t in RAY_STEPS:
                 value, skipped = ray(t)
-                expected, expected_skipped = _weight_objective(
+                expected, expected_skipped = weight_objective(
                     X, (omega - t * g) ** 2, resid_sq, hp
                 )
                 assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -272,7 +273,7 @@ class TestWeightRay:
         direction = rng.normal(size=25) / 25
         ray = _weight_ray(X, omega, direction, resid_sq, hp, _weighted_gram(X, omega * omega))
         for t in RAY_STEPS:
-            expected = _weight_objective(X, (omega - t * direction) ** 2, resid_sq, hp)
+            expected = weight_objective(X, (omega - t * direction) ** 2, resid_sq, hp)
             assert ray(t)[0] == pytest.approx(expected[0], rel=1e-12, abs=0.0)
             assert ray(t)[1] == expected[1]
 
@@ -304,7 +305,7 @@ class TestWeightRay:
                 np.testing.assert_allclose(
                     update.weights.omega, expected_omega, rtol=1e-12, atol=0
                 )
-                direct = _weight_objective(
+                direct = weight_objective(
                     X, update.weights.w, _row_sq_norms(X - G @ F.T), hp
                 )
                 assert update.value == pytest.approx(direct[0], rel=1e-12, abs=0.0)
@@ -347,14 +348,15 @@ class TestFit:
         assert balance_loss(ds.X, res.weights.w).value < balance_loss(ds.X, uniform).value
         assert res.skipped_features_last == balance_loss(ds.X, res.weights.w).skipped_features
 
-    def test_lloyd_reduction_single_instance(self):
+    def test_lloyd_reduction_single_instance(self, monkeypatch):
         rng = np.random.default_rng(17)
         X = random_binary(rng, 40, 6)
-        km = kmeans(X, 3, seed=9, max_iter=50, track_assignments=True)
+        recorded = record_assignments(monkeypatch)
+        kmeans(X, 3, seed=9, max_iter=50)
         expected, ties = lloyd_oracle(X, 3, 9, 50)
         assert ties == 0
-        assert len(km.assignment_history) == len(expected)
-        for a, b in zip(km.assignment_history, expected):
+        assert len(recorded) == len(expected)
+        for a, b in zip(recorded, expected):
             assert np.array_equal(a, b)
 
 

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 
+import dckm.solver
 from dckm.core import _weight_vector, as_data_matrix
 from dckm.data import BiasSpec, generate_biased
-from dckm.decorrelation import GROUP_MASS_EPS, _weighted_gram
-from dckm.solver import LINE_SEARCH_MIN_STEP, _row_sq_norms, _weight_gradient, _weight_objective
+from dckm.decorrelation import GROUP_MASS_EPS, _weighted_gram, balance_loss
+from dckm.solver import LINE_SEARCH_MIN_STEP, _row_sq_norms, _weight_gradient
 
 
 def random_binary(rng, n, d, p=0.5):
@@ -156,10 +157,25 @@ def balance_gradient_oracle(X, omega):
     return 2.0 * omega * grad_w
 
 
+def weight_objective(X, w, resid_sq, params):
+    """Joint objective at weights ``w`` given each row's squared residual
+    ``||X_i - (G F^T)_i||^2``, evaluated directly (a fresh weighted Gram in
+    ``balance_loss``); returns ``(value, skipped_features)``. The solver's
+    ``_weight_ray`` must reproduce it at every step size."""
+    value = float(w @ resid_sq)
+    value += params.lambda2 * float(w @ w)
+    value += params.lambda3 * (float(w.sum()) - 1.0) ** 2
+    skipped = 0
+    if params.lambda1 != 0.0:
+        bal = balance_loss(X, w)
+        value += params.lambda1 * bal.value
+        skipped = bal.skipped_features
+    return value, skipped
+
+
 def objective(X, w, F, G, params):
     """Full joint objective at weights ``w``, centroids ``F`` (d, k) and
-    one-hot assignments ``G`` (n, k), through the solver's
-    ``_weight_objective``."""
+    one-hot assignments ``G`` (n, k), through :func:`weight_objective`."""
     X = as_data_matrix(X)
     F = np.asarray(F, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
@@ -169,7 +185,7 @@ def objective(X, w, F, G, params):
     if G.shape != (n, F.shape[1]):
         raise ValueError(f"assignments must be ({n}, {F.shape[1]}), got {G.shape}")
     w = _weight_vector(w, n)
-    return _weight_objective(X, w, _row_sq_norms(X - G @ F.T), params)[0]
+    return weight_objective(X, w, _row_sq_norms(X - G @ F.T), params)[0]
 
 
 def omega_objective(X, F, G, omega, params):
@@ -213,6 +229,25 @@ def direct_backtracking_oracle(X, F, G, omega, params):
         omega, value = candidate, candidate_value
         steps.append(step)
     return omega, steps, False
+
+
+def record_assignments(monkeypatch):
+    """Wrap ``dckm.solver.update_assignments`` so that every call appends its
+    labels to the returned list, as the benchmark's tracer wraps it.
+
+    The Lloyd loop calls it once per iteration, and once more per
+    empty-cluster re-seeding round; :func:`lloyd_oracle` never re-seeds.
+    """
+    history = []
+    original = dckm.solver.update_assignments
+
+    def recording(X, F):
+        G = original(X, F)
+        history.append(G.argmax(axis=1))
+        return G
+
+    monkeypatch.setattr(dckm.solver, "update_assignments", recording)
+    return history
 
 
 def lloyd_oracle(X, n_clusters, seed, max_iter, prefer=()):
