@@ -84,9 +84,13 @@ def _build_parser() -> _Parser:
     fit.add_argument("--seed", type=int, default=None)
     fit.add_argument("--max-outer", type=int, default=100)
     fit.add_argument("--max-w-iters", type=int, default=5)
-    fit.add_argument("--tol", type=float, default=1e-6)
-    fit.add_argument("--step", type=float, default=0.1)
-    fit.add_argument("--shrink", type=float, default=0.5)
+    fit.add_argument("--tol", type=float, default=1e-6,
+                     help="relative objective change that ends a fit (in a sweep with no "
+                          "label change) or deckm's weight descent")
+    fit.add_argument("--step", type=float, default=0.1,
+                     help="first trial step of the first weight line search")
+    fit.add_argument("--shrink", type=float, default=0.5,
+                     help="factor applied to a rejected trial step, in (0, 1)")
     fit.add_argument("--threshold", type=float, default=0.7, help="dropkm correlation threshold")
     fit.add_argument("--pca-dims", type=int, default=None, help="pcakm components (default k-1)")
     fit.add_argument("--out", default=None, help="structured result file")

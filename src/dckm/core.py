@@ -140,7 +140,13 @@ class HyperParams:
 
     lambda1 scales the moment-balancing loss, lambda2 the squared norm of the
     weights, lambda3 the (sum-to-one) penalty keeping weights from collapsing
-    to zero.
+    to zero. max_outer_iters caps a fit's sweeps and max_w_iters the gradient
+    steps per sweep; a fit converges when a sweep changes no label and moves
+    the objective by at most outer_tol (relative).
+    grad_step is the first trial step of a fit's first line search and of the
+    first search in ``balance_only_weights``; every later search starts at
+    the Barzilai-Borwein step of the previous one. backtrack_shrink is the
+    factor each rejected trial step is multiplied by.
     """
 
     n_clusters: int

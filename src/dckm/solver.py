@@ -9,7 +9,8 @@ The objective is
 
 minimized by block descent: a closed-form centroid update (per-cluster
 weighted means), an exhaustive per-row assignment search, and backtracking
-gradient descent on the square-root weight parameterization. Every block is
+gradient descent on the square-root weight parameterization, each line search
+starting at the Barzilai-Borwein step of the previous one. Every block is
 non-increasing in the objective, so the recorded per-sweep objective values
 form a monotone sequence. :mod:`dckm.baselines` composes the one weight
 descent (:func:`_descend`) and the one Lloyd loop (:func:`_lloyd`).
@@ -167,18 +168,23 @@ def update_centroids(X, w, G) -> np.ndarray:
     return F
 
 
-def update_assignments(X, F) -> np.ndarray:
+def update_assignments(X, F, row_sq=None) -> np.ndarray:
     """Assign every row to its nearest centroid.
 
     The squared distances come from one matrix product, as
     ``||f_c||^2 - 2 x_i . f_c + ||x_i||^2``; a row whose computed distances
-    tie goes to the lowest index. Independent of the sample weights: a row's
-    best cluster does not change under positive rescaling of its own loss
-    term.
+    tie goes to the lowest index. ``row_sq`` holds the rows' ``||x_i||^2``,
+    which :func:`fit` and :func:`_lloyd` compute once per loop; it is computed
+    here when not given. The term is the same for every cluster of a row, but
+    it rounds the distances at their own scale, so that exactly equidistant
+    centroids tie. Independent of the sample weights: a row's best cluster
+    does not change under positive rescaling of its own loss term.
     """
     X = as_data_matrix(X)
     F = np.asarray(F, dtype=np.float64)
-    dists = np.sum(F * F, axis=0) - 2.0 * (X @ F) + _row_sq_norms(X)[:, None]
+    if row_sq is None:
+        row_sq = _row_sq_norms(X)
+    dists = np.sum(F * F, axis=0) - 2.0 * (X @ F) + row_sq[:, None]
     return one_hot_rows(np.argmin(dists, axis=1), F.shape[1])
 
 
@@ -227,22 +233,48 @@ def _backtrack(fun, f0, step, shrink):
 
 class WeightUpdate(NamedTuple):
     """Outcome of a weight descent: the new weights, whether the line search
-    stalled, and the objective ``value`` and the balance term's
-    ``skipped_features`` at the returned weights."""
+    stalled, the objective ``value`` and the balance term's
+    ``skipped_features`` at the returned weights, and the ``descent`` state
+    ``(step, gradient)`` of the last accepted step (None if no step was
+    accepted yet), from which the next descent's first trial step follows."""
 
     weights: SampleWeights
     stalled: bool
     value: float
     skipped_features: int
+    descent: tuple[float, np.ndarray] | None
 
 
-def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None):
+def _first_trial(descent, g, params: HyperParams) -> float:
+    """Where a line search with gradient ``g`` starts.
+
+    With no previous accepted step, at ``grad_step``. Otherwise at the
+    Barzilai-Borwein step ||s||^2 / s.y of the previous step t along its
+    gradient g_prev, with s = -t g_prev and y = g - g_prev, which is
+    ``t ||g_prev||^2 / (||g_prev||^2 - g_prev.g)``. It falls back to t when
+    s.y <= 0 or when the proposal is not finite or is below
+    LINE_SEARCH_MIN_STEP.
+    """
+    if descent is None:
+        return params.grad_step
+    t, g_prev = descent
+    gg = float(g_prev @ g_prev)
+    curvature = gg - float(g_prev @ g)
+    if not curvature > 0.0:
+        return t
+    proposal = t * gg / curvature
+    return proposal if LINE_SEARCH_MIN_STEP <= proposal < np.inf else t
+
+
+def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, descent=None):
     """Up to ``max_steps`` (>= 1) backtracking gradient steps on omega, each
-    trial O(d^2) along the step's :func:`_weight_ray`. Stops early at a zero
-    gradient, at a stall (no non-increasing step), or after a step whose
-    relative objective change is at most ``tol``. Returns the
-    :class:`WeightUpdate` at the final omega and the objective history: the
-    start value, then the value after each accepted step.
+    trial O(d^2) along the step's :func:`_weight_ray` and each search starting
+    at :func:`_first_trial` of the last accepted step, carried in from
+    ``descent`` when given. Stops early at a zero gradient, at a stall (no
+    non-increasing step), or after a step whose relative objective change is
+    at most ``tol``. Returns the :class:`WeightUpdate` at the final omega and
+    the objective history: the start value, then the value after each
+    accepted step.
     """
     history: list[float] = []
     stalled = False
@@ -255,29 +287,33 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None):
         if not np.any(g):
             break
         t, new_value, accepted = _backtrack(
-            lambda s: ray(s)[0], value, params.grad_step, params.backtrack_shrink
+            lambda s: ray(s)[0], value, _first_trial(descent, g, params),
+            params.backtrack_shrink,
         )
         if not accepted:
             stalled = True
             break
         omega = omega - t * g
+        descent = (t, g)
         history.append(new_value)
         if tol is not None and abs(new_value - value) <= tol * max(1.0, abs(value)):
             break
     value, skipped = ray(t)
-    return WeightUpdate(SampleWeights(omega), stalled, value, skipped), history
+    return WeightUpdate(SampleWeights(omega), stalled, value, skipped, descent), history
 
 
-def update_weights(X, F, G, omega, params: HyperParams) -> WeightUpdate:
+def update_weights(X, F, G, omega, params: HyperParams, descent=None) -> WeightUpdate:
     """Run up to ``max_w_iters`` backtracking gradient steps on omega with
     centroids F and assignments G fixed; ``stalled`` in the returned
-    :class:`WeightUpdate` means a line search found no non-increasing step."""
+    :class:`WeightUpdate` means a line search found no non-increasing step.
+    ``descent`` is the state a previous call returned: without it the first
+    search starts at ``grad_step``."""
     X = as_data_matrix(X)
     F = np.asarray(F, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64).copy()
     resid_sq = _row_sq_norms(X - G @ F.T)
-    return _descend(X, omega, resid_sq, params, params.max_w_iters)[0]
+    return _descend(X, omega, resid_sq, params, params.max_w_iters, descent=descent)[0]
 
 
 @dataclass
@@ -316,9 +352,12 @@ def fit(X, params: HyperParams) -> FitResult:
     settles.
 
     Starts from a uniform-random labeling seeded by ``params.seed`` and
-    uniform weights summing to one. Stops when the relative objective change
-    drops below ``outer_tol`` or after ``max_outer_iters`` sweeps. Lloyd
-    iterations with fixed weights are :func:`_lloyd`.
+    uniform weights summing to one. Converges when, in one sweep, no label
+    changes and the relative objective change is at most ``outer_tol``;
+    otherwise stops after ``max_outer_iters`` sweeps. The weight descent's
+    step state carries from sweep to sweep, so only the first line search
+    starts at ``grad_step``. Lloyd iterations with fixed weights are
+    :func:`_lloyd`.
     """
     X = as_data_matrix(X)
     report = validate_data(X)
@@ -330,15 +369,21 @@ def fit(X, params: HyperParams) -> FitResult:
 
     history: list[float] = []
     previous = None
+    descent = None
     converged = False
+    row_sq = _row_sq_norms(X)
     for _ in range(params.max_outer_iters):
+        previous_G = G
         F, G = _centroids_with_recovery(X, weights.w, G)
-        G = update_assignments(X, F)
-        update = update_weights(X, F, G, weights.omega, params)
+        G = update_assignments(X, F, row_sq)
+        update = update_weights(X, F, G, weights.omega, params, descent)
         weights, value, skipped = update.weights, update.value, update.skipped_features
+        descent = update.descent
         history.append(value)
-        if previous is not None and abs(value - previous) <= params.outer_tol * max(
-            1.0, abs(previous)
+        if (
+            previous is not None
+            and abs(value - previous) <= params.outer_tol * max(1.0, abs(previous))
+            and np.array_equal(G, previous_G)
         ):
             converged = True
             break
@@ -375,9 +420,10 @@ def _lloyd(X, w, n_clusters, seed, max_iter, weighted_loss) -> KMeansResult:
     G = _initial_assignments(X.shape[0], n_clusters, seed)
     previous = None
     converged = False
+    row_sq = _row_sq_norms(X)
     for iterations in range(1, max_iter + 1):
         F, G = _centroids_with_recovery(X, w, G)
-        G = update_assignments(X, F)
+        G = update_assignments(X, F, row_sq)
         labels = G.argmax(axis=1)
         if previous is not None and np.array_equal(labels, previous):
             converged = True

@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from dckm.core import HyperParams, SampleWeights, one_hot_rows
 from dckm.data import BiasSpec, generate_biased
 from dckm.decorrelation import _weighted_gram, balance_loss
 from dckm.solver import (
+    LINE_SEARCH_MIN_STEP,
     EmptyClusterError,
     _backtrack,
+    _first_trial,
     _row_sq_norms,
     _weight_gradient,
     _weight_ray,
@@ -312,6 +315,103 @@ class TestWeightRay:
                 assert update.skipped_features == direct[1]
 
 
+class TestFirstTrial:
+    """Where each line search starts: the Barzilai-Borwein step of the
+    previous accepted step, with its three fallbacks to that step."""
+
+    hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=2.0, lambda3=1.0, grad_step=0.1)
+
+    def test_first_search_starts_at_grad_step(self):
+        assert _first_trial(None, np.ones(4), self.hp) == 0.1
+
+    def test_barzilai_borwein_step(self):
+        rng = np.random.default_rng(5)
+        g_prev, g = rng.normal(size=30), rng.normal(size=30)
+        g = 0.3 * g_prev + 0.1 * g  # s.y > 0
+        s, y = -0.02 * g_prev, g - g_prev
+        assert _first_trial((0.02, g_prev), g, self.hp) == pytest.approx(
+            (s @ s) / (s @ y), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("case", ["non-positive curvature", "not finite", "below minimum"])
+    def test_fallback_to_last_step(self, case):
+        rng = np.random.default_rng(6)
+        g = rng.normal(size=30)
+        g_prev = {
+            "non-positive curvature": 0.5 * g,  # s.y = -0.25 t ||g||^2
+            "not finite": np.full(30, np.nan),
+            "below minimum": -1e-20 * g,  # proposal ~ 1e-20 t
+        }[case]
+        assert _first_trial((0.03, g_prev), g, self.hp) == 0.03
+        if case == "non-positive curvature":
+            assert _first_trial((0.03, g), g, self.hp) == 0.03  # s.y == 0 exactly
+        if case == "not finite":
+            # A finite gradient whose proposal, about 1e7 t, overflows.
+            assert _first_trial((1e305, 1.0000001 * g), g, self.hp) == 1e305
+
+    @pytest.mark.parametrize("case", ["non-positive curvature", "not finite", "below minimum"])
+    def test_fallback_does_not_stall(self, case, monkeypatch):
+        first_trials = []
+        original = dckm.solver._backtrack
+
+        def recording(fun, f0, step, shrink):
+            first_trials.append(step)
+            return original(fun, f0, step, shrink)
+
+        monkeypatch.setattr(dckm.solver, "_backtrack", recording)
+        X, F, G, omega = ray_case(np.random.default_rng(48), 40, 8, 3)
+        resid_sq = _row_sq_norms(X - G @ F.T)
+        g = _weight_gradient(X, omega, resid_sq, self.hp)
+        g_prev = {"non-positive curvature": 0.5 * g, "not finite": np.full(40, np.nan),
+                  "below minimum": -1e-20 * g}[case]
+        step = 1e-3
+        update = update_weights(X, F, G, omega, replace(self.hp, max_w_iters=1), (step, g_prev))
+        assert first_trials == [step]
+        assert not update.stalled
+        assert update.value < weight_objective(X, omega * omega, resid_sq, self.hp)[0]
+        assert LINE_SEARCH_MIN_STEP <= update.descent[0] <= step
+
+
+FAMILY = dict(n=500, d=24, n_clusters=3, core_per_cluster=1, bias_features=5,
+              noise_flip=0.005)
+
+
+class TestStepSize:
+    """Guard for the Barzilai-Borwein start on the acceptance protocol's data:
+    a search that always started at ``grad_step`` took 7.5 and 19.8 trials per
+    step at these two grid points."""
+
+    @pytest.mark.parametrize("max_w_iters", [5, 1])
+    def test_few_trials_per_step(self, max_w_iters, monkeypatch):
+        counts = {"trials": 0, "steps": 0}
+        accepted_steps = []
+        original = dckm.solver._backtrack
+
+        def counting(fun, f0, step, shrink):
+            def trial(t):
+                counts["trials"] += 1
+                return fun(t)
+
+            counts["steps"] += 1
+            t, value, accepted = original(trial, f0, step, shrink)
+            if accepted:
+                accepted_steps.append(t)
+            return t, value, accepted
+
+        monkeypatch.setattr(dckm.solver, "_backtrack", counting)
+        X = generate_biased(BiasSpec(bias_strength=0.9, seed=5, **FAMILY)).X
+        for lambda1 in (1e-2, 1e3):
+            counts.update(trials=0, steps=0)
+            accepted_steps.clear()
+            hp = HyperParams(n_clusters=3, lambda1=lambda1, lambda2=1e3, lambda3=1.0,
+                             max_outer_iters=40, max_w_iters=max_w_iters, seed=100)
+            hist = np.array(fit(X, hp).objective_history)
+            assert np.all(np.diff(hist) <= 0.0)
+            assert counts["trials"] <= 3 * counts["steps"]
+            # A start carried without its gradient could only shrink.
+            assert any(b > a for a, b in zip(accepted_steps, accepted_steps[1:]))
+
+
 class TestFit:
     def test_rejects_invalid_data(self):
         with pytest.raises(ValueError):
@@ -330,6 +430,17 @@ class TestFit:
         assert np.all(np.isfinite(hist))
         assert np.all(np.diff(hist) <= 1e-8 * np.maximum(1.0, np.abs(hist[:-1])))
         assert res.iterations == len(hist)
+
+    def test_converged_needs_settled_labels(self, monkeypatch):
+        ds = generate_biased(BiasSpec(n=80, d=12, n_clusters=3, core_per_cluster=2,
+                                      bias_features=6, seed=1))
+        recorded = record_assignments(monkeypatch)
+        # Every relative change passes this tolerance; the labels decide.
+        res = fit(ds.X, HyperParams(n_clusters=3, seed=3, outer_tol=1.0, max_outer_iters=50))
+        assert res.converged
+        assert len(recorded) == res.iterations
+        assert np.array_equal(recorded[-1], recorded[-2])
+        assert not np.array_equal(recorded[0], recorded[1])
 
     def test_each_point_its_own_cluster(self):
         X = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 1.0, 0]])

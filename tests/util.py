@@ -208,16 +208,29 @@ def direct_backtracking_oracle(X, F, G, omega, params):
     """The weight block scored the definitional way: every backtracking trial
     evaluates the full objective at the candidate omega.
 
+    The first search starts at ``grad_step``; each later one at the
+    Barzilai-Borwein step ||s||^2 / s.y of the previous accepted step t along
+    gradient g_prev (s = -t g_prev, y = g - g_prev), written as
+    ``t ||g_prev||^2 / (||g_prev||^2 - g_prev.g)``, or at t itself when s.y
+    <= 0 or the proposal is not finite or below LINE_SEARCH_MIN_STEP.
     Returns ``(omega, accepted_step_sizes, stalled)``.
     """
     omega = np.asarray(omega, dtype=np.float64)
     value = omega_objective(X, F, G, omega, params)
     steps = []
+    g_prev = None
     for _ in range(params.max_w_iters):
         g = omega_gradient(X, F, G, omega, params)
         if not np.any(g):
             break
         step = params.grad_step
+        if g_prev is not None:
+            step = steps[-1]
+            norm_sq = float(g_prev @ g_prev)
+            denom = norm_sq - float(g_prev @ g)  # s.y / t
+            if denom > 0.0 and LINE_SEARCH_MIN_STEP <= step * norm_sq / denom < np.inf:
+                step = step * norm_sq / denom
+        g_prev = g
         while step >= LINE_SEARCH_MIN_STEP:
             candidate = omega - step * g
             candidate_value = omega_objective(X, F, G, candidate, params)
@@ -241,8 +254,8 @@ def record_assignments(monkeypatch):
     history = []
     original = dckm.solver.update_assignments
 
-    def recording(X, F):
-        G = original(X, F)
+    def recording(*args):
+        G = original(*args)
         history.append(G.argmax(axis=1))
         return G
 
