@@ -1,0 +1,240 @@
+"""Acceptance test C07's protocol, fit by fit, summarised per lambda cell.
+
+Runs ``solver.fit`` once per (dataset, cell, restart seed): the biased (bias
+0.9) and unbiased (bias 0.5) datasets of the C07 family at data seed 5,
+lambda3 = 1, the 36 (lambda1, lambda2) cells of the {1e-2..1e3} grid and
+restart seeds 100-119, so 1,440 fits per run. It measures the ``dckm`` that
+Python imports, so the same script can run against another checkout:
+
+    PYTHONPATH=src python3 scripts/c07_grid.py --cap 40 --label NAME \\
+        --fits NAME.npz [--bench BENCH_c07_grid.json]
+    PYTHONPATH=src python3 scripts/c07_grid.py --compare PARENT.npz CHANGE.npz
+
+A run prints the protocol NMI/ARI (C07's choice: the cell with the best mean
+NMI) and, with ``--bench``, stores its per-cell summary in that file under
+``runs[NAME]``. ``--fits`` saves every fit's labels, final objective, sweeps,
+convergence and trial counts; ``--compare`` pairs two such files fit by fit
+and prints how many label vectors moved and the final-objective ratios.
+
+Per cell: medians over the 20 restarts (sweeps, ess, grad_norm_ratio,
+objective), means (nmi, ari), the converged share, trials per gradient step
+(all trials over all steps, counted by wrapping ``solver._backtrack``) and
+the stalled line searches. ess is (sum w)^2 / sum w^2 of n = 500;
+grad_norm_ratio is the weight gradient's norm at the returned weights over
+its norm at uniform weights, for the same centroids and labels. Of the runs
+in ``BENCH_c07_grid.json``, ``direct_cap40`` is this script's; an
+uncommitted scratch version of it made ``fixed_start_cap40``, ``bb_cap40``
+and ``bb_cap1000``, and this one reproduces ``bb_cap40`` cell for cell from
+the code of that run.
+
+BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise. A run
+at the cap of 40 takes about two minutes on a 2-vCPU host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+import dckm.solver as solver  # noqa: E402
+from dckm.core import HyperParams, SampleWeights  # noqa: E402
+from dckm.data import BiasSpec, generate_biased  # noqa: E402
+from dckm.metrics import ari, nmi  # noqa: E402
+
+GRID = (1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3)
+RESTART_SEEDS = range(100, 120)
+FAMILY = dict(n=500, d=24, n_clusters=3, core_per_cluster=1, bias_features=5,
+              noise_flip=0.005)
+DATASETS = (("biased", 0.9), ("unbiased", 0.5))
+
+
+def run_grid(cap):
+    """Every fit of the protocol at ``cap`` sweeps; returns the per-cell
+    summaries and the per-fit arrays."""
+    counts = {"trials": 0, "steps": 0, "stalls": 0}
+    per_search = []  # each line search's trial count
+    original = solver._backtrack
+
+    def counting(fun, *rest):
+        before = counts["trials"]
+
+        def trial(t):
+            counts["trials"] += 1
+            return fun(t)
+
+        counts["steps"] += 1
+        result = original(trial, *rest)
+        counts["stalls"] += not result[2]
+        per_search.append(counts["trials"] - before)
+        return result
+
+    solver._backtrack = counting
+    cells, fits = [], {k: [] for k in ("labels", "objective", "sweeps", "converged",
+                                       "trials", "steps")}
+    try:
+        for name, bias in DATASETS:
+            ds = generate_biased(BiasSpec(bias_strength=bias, seed=5, **FAMILY))
+            X = ds.X
+            n = X.shape[0]
+            uniform = SampleWeights.uniform(n).omega
+            for l1 in GRID:
+                for l2 in GRID:
+                    counts.update(trials=0, steps=0, stalls=0)
+                    rows = []
+                    for seed in RESTART_SEEDS:
+                        hp = HyperParams(n_clusters=3, lambda1=l1, lambda2=l2, lambda3=1.0,
+                                         seed=seed, max_outer_iters=cap)
+                        trials, steps = counts["trials"], counts["steps"]
+                        try:
+                            result = solver.fit(X, hp)
+                        except solver.EmptyClusterError:
+                            result = None
+                        if result is None:
+                            rows.append(None)
+                            record = dict(labels=np.full(n, -1), objective=np.nan, sweeps=0,
+                                          converged=False)
+                        else:
+                            rows.append(describe(X, ds.labels, uniform, hp, result))
+                            record = dict(labels=result.labels, objective=result.final_objective,
+                                          sweeps=result.iterations, converged=result.converged)
+                        record.update(trials=counts["trials"] - trials,
+                                      steps=counts["steps"] - steps)
+                        for key, value in record.items():
+                            fits[key].append(value)
+                    cells.append(summarise(name, l1, l2, rows, counts))
+    finally:
+        solver._backtrack = original
+    fits = {k: np.asarray(v) for k, v in fits.items()}
+    fits["labels"] = fits["labels"].astype(np.int8)
+    fits["per_search"] = np.bincount(per_search)
+    return cells, fits
+
+
+def describe(X, truth, uniform, hp, result):
+    """One fit's row of the per-cell summary."""
+    w = result.weights.w
+    G, F = result.assignments, result.centroids
+    resid_sq = solver._row_sq_norms(X - G @ F.T)
+    grad = solver._weight_gradient(X, result.weights.omega, resid_sq, hp)
+    grad0 = solver._weight_gradient(X, uniform, resid_sq, hp)
+    return dict(
+        sweeps=result.iterations,
+        converged=result.converged,
+        nmi=nmi(truth, result.labels),
+        ari=ari(truth, result.labels),
+        ess=float(w.sum()) ** 2 / float(w @ w),
+        ratio=float(np.linalg.norm(grad) / np.linalg.norm(grad0)),
+        objective=result.final_objective,
+    )
+
+
+def summarise(name, l1, l2, rows, counts):
+    ok = [r for r in rows if r is not None]
+
+    def median(key):
+        return round(statistics.median(r[key] for r in ok), 4) if ok else None
+
+    def mean(key):
+        return round(float(np.mean([r[key] for r in ok])), 4) if ok else None
+
+    return {
+        "data": name, "lambda1": l1, "lambda2": l2, "fits": len(ok),
+        "converged_frac": round(sum(r["converged"] for r in ok) / len(rows), 4),
+        "sweeps_median": median("sweeps"),
+        "trials_per_step": round(counts["trials"] / max(counts["steps"], 1), 4),
+        "nmi": mean("nmi"), "ari": mean("ari"), "ess_median": median("ess"),
+        "grad_norm_ratio_median": median("ratio"),
+        "objective_median": median("objective"), "stalls": counts["stalls"],
+    }
+
+
+def protocol(cells):
+    """C07's choice per dataset: the first cell with the highest mean NMI,
+    among cells where every fit finished."""
+    best = {}
+    for cell in cells:
+        if cell["fits"] != len(RESTART_SEEDS):
+            continue
+        current = best.get(cell["data"])
+        if current is None or cell["nmi"] > current["nmi"]:
+            best[cell["data"]] = cell
+    return best
+
+
+def report_run(cells, fits):
+    for name, cell in protocol(cells).items():
+        print(f"{name}: protocol NMI {cell['nmi']:.4f} ARI {cell['ari']:.4f} at "
+              f"(lambda1, lambda2) = ({cell['lambda1']:g}, {cell['lambda2']:g})")
+    steps = fits["steps"]
+    per_fit = fits["trials"][steps > 0] / steps[steps > 0]
+    print(f"trials per step: {fits['trials'].sum() / steps.sum():.3f} overall; per fit "
+          f"median {np.median(per_fit):.3f}, 90th {np.quantile(per_fit, 0.9):.3f}, "
+          f"max {per_fit.max():.3f}")
+    hist = fits["per_search"] / fits["per_search"].sum()
+    shown = ", ".join(f"{k}: {hist[k]:.1%}" for k in range(1, 6))
+    print(f"line searches by trials: {shown}, 6 or more: {hist[6:].sum():.1%}, "
+          f"most {np.flatnonzero(fits['per_search'])[-1]}")
+    print(f"converged: {fits['converged'].mean():.4f} of {fits['converged'].size} fits")
+    print(f"stalled line searches: {sum(c['stalls'] for c in cells)}")
+
+
+def compare(path_a, path_b):
+    a, b = np.load(path_a), np.load(path_b)
+    moved = np.any(a["labels"] != b["labels"], axis=1)
+    print(f"label vectors moved: {int(moved.sum())} of {moved.size}")
+    ok = np.isfinite(a["objective"]) & np.isfinite(b["objective"])
+    ratio = b["objective"][ok] / a["objective"][ok]
+    q = np.quantile(ratio, [0.0, 0.1, 0.5, 0.9, 1.0])
+    print(f"final objective ratio (second / first) over {ok.sum()} fits: median "
+          f"{q[2]:.4f}, 10th-90th {q[1]:.4f}-{q[3]:.4f}, range {q[0]:.4f}-{q[4]:.4f}; "
+          f"lower in {np.mean(ratio < 1.0):.1%}, equal in {np.mean(ratio == 1.0):.1%}")
+    for name, f in (("first", a), ("second", b)):
+        print(f"{name}: trials per step {f['trials'].sum() / f['steps'].sum():.3f}, "
+              f"converged {f['converged'].mean():.4f}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--cap", type=int, default=40, help="sweep cap (max_outer_iters)")
+    parser.add_argument("--label", help="run name under runs[] in the --bench file")
+    parser.add_argument("--bench", help="JSON file to store the per-cell summary in")
+    parser.add_argument("--fits", help="write the per-fit arrays to this .npz")
+    parser.add_argument("--compare", nargs=2, metavar="NPZ", help="pair two --fits files")
+    args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
+    if args.bench and not args.label:
+        parser.error("--bench needs --label")
+    cells, fits = run_grid(args.cap)
+    report_run(cells, fits)
+    if args.fits:
+        np.savez_compressed(args.fits, **fits)
+    if args.bench:
+        with open(args.bench) as fh:
+            bench = json.load(fh)
+        bench["runs"][args.label] = cells
+        with open(args.bench, "w") as fh:
+            fh.write(dump(bench))
+    return 0
+
+
+def dump(bench):
+    """The file's layout: one line per cell."""
+    runs = ",\n".join(
+        f'  {json.dumps(name)}: [\n' + ",\n".join(f"   {json.dumps(c)}" for c in cells) + "\n  ]"
+        for name, cells in bench["runs"].items()
+    )
+    return f'{{\n "what": {json.dumps(bench["what"])},\n "runs": {{\n{runs}\n }}\n}}\n'
+
+
+if __name__ == "__main__":
+    sys.exit(main())

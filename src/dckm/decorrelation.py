@@ -40,9 +40,14 @@ class BalanceLoss(NamedTuple):
     skipped_features: int
 
 
-def _weighted_gram(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``X^T diag(w) X``; column j is ``X.T @ (w * X[:, j])``."""
-    return X.T @ (X * w[:, None])
+def _weighted_gram(X: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """``X^T diag(root**2) X``, built as ``Y.T @ Y`` with ``Y = X * root``
+    row-wise. numpy hands a product of a matrix with its own transpose to
+    SYRK, which does half the multiply-adds of ``X.T @ (X * w)`` and returns
+    an exactly symmetric matrix; the result does not depend on root's signs.
+    """
+    Y = X * root[:, None]
+    return Y.T @ Y
 
 
 def _residuals(gram: np.ndarray, col_mass: np.ndarray, total: float):
@@ -77,11 +82,14 @@ def balance_loss(X, w) -> BalanceLoss:
     """Sum of squared balance residuals over all target features.
 
     Features with a degenerate treated or control group contribute nothing;
-    their count comes back as ``skipped_features``.
+    their count comes back as ``skipped_features``. The weighted Gram is
+    built from ``sqrt(w)``, so a negative weight raises ``ValueError``.
     """
     X = as_data_matrix(X)
     w = _weight_vector(w, X.shape[0])
-    return _loss_from_gram(_weighted_gram(X, w), X.T @ w, float(w.sum()))
+    if np.any(w < 0.0):
+        raise ValueError("weights must be non-negative")
+    return _loss_from_gram(_weighted_gram(X, np.sqrt(w)), X.T @ w, float(w.sum()))
 
 
 def balance_gradient(X, omega, gram=None) -> np.ndarray:
@@ -111,7 +119,7 @@ def balance_gradient(X, omega, gram=None) -> np.ndarray:
         raise ValueError(f"omega must have shape ({X.shape[0]},), got {omega.shape}")
     w = omega * omega
     if gram is None:
-        gram = _weighted_gram(X, w)
+        gram = _weighted_gram(X, omega)
     col_mass = X.T @ w
     R, inv_a, inv_b, _ = _residuals(gram, col_mass, float(w.sum()))
     rg = np.einsum("fj,fj->j", R, gram)

@@ -10,7 +10,9 @@ The objective is
 minimized by block descent: a closed-form centroid update (per-cluster
 weighted means), an exhaustive per-row assignment search, and backtracking
 gradient descent on the square-root weight parameterization, each line search
-starting at the Barzilai-Borwein step of the previous one. Every block is
+starting at the Barzilai-Borwein step of the previous one. Each trial scores
+the objective directly, with one weighted Gram, and the accepted trial hands
+its Gram to the next step's gradient. Every block is
 non-increasing in the objective, so the recorded per-sweep objective values
 form a monotone sequence. :mod:`dckm.baselines` composes the one weight
 descent (:func:`_descend`) and the one Lloyd loop (:func:`_lloyd`).
@@ -81,53 +83,25 @@ def _weight_gradient(X, omega, resid_sq, params: HyperParams, gram=None) -> np.n
     return grad
 
 
-def _weight_ray(X, omega, g, resid_sq, params: HyperParams, gram):
-    """The joint objective along the ray ``w(t) = (omega - t*g)**2``.
+def _weight_point(X, omega, resid_sq, params: HyperParams):
+    """The joint objective at ``w = omega**2``, with each row's squared
+    reconstruction residual ``resid_sq`` fixed.
 
-    The weighted Gram along the ray is ``gram - 2t B + t^2 C``, where ``gram``
-    is the Gram of omega**2 (None when lambda1 is 0) and B, C those of
-    omega*g and g**2, built here from X*omega and X*g. The k-means term,
-    sum(w) and each feature's treated mass are quadratics in t and ||w||^2 a
-    quartic, with coefficients from dot products. Returns
-    ``value(t) -> (objective, skipped_features)``; a call costs O(d^2)
-    instead of the O(n d^2) of a fresh Gram, and ``value(0)`` is bit for bit
+    Returns ``(value, skipped_features, gram)``: ``gram`` is the weighted Gram
+    ``X^T diag(w) X`` of the balance term, which :func:`_weight_gradient` at
+    the same omega reuses, or None when lambda1 is 0. The value is bit for bit
     the direct evaluation ``tests/util.py::weight_objective(X, omega**2, ...)``.
     """
-    w, wg, gg = omega * omega, omega * g, g * g
-    km = (float(w @ resid_sq), float(wg @ resid_sq), float(gg @ resid_sq))
-    mass = (float(w.sum()), float(wg.sum()), float(gg.sum()))
-    quart = (float(w @ w), float(w @ wg), float(w @ gg), float(wg @ gg), float(gg @ gg))
-    lambda1, lambda2, lambda3 = params.lambda1, params.lambda2, params.lambda3
-    if lambda1 != 0.0:
-        col_mass = (X.T @ w, X.T @ wg, X.T @ gg)
-        Xg = X * g[:, None]
-        B, C = (X * omega[:, None]).T @ Xg, Xg.T @ Xg
-
-    def value(t):
-        a, b = 2.0 * t, t * t
-        total = mass[0] - a * mass[1] + b * mass[2]
-        v = km[0] - a * km[1] + b * km[2]
-        v += lambda2 * (
-            quart[0] - 2.0 * a * quart[1] + 6.0 * b * quart[2]
-            - 2.0 * a * b * quart[3] + b * b * quart[4]
-        )
-        v += lambda3 * (total - 1.0) ** 2
-        if lambda1 == 0.0:
-            return v, 0
-        bal = _loss_from_gram(
-            gram - a * B + b * C, col_mass[0] - a * col_mass[1] + b * col_mass[2], total
-        )
-        return v + lambda1 * bal.value, bal.skipped_features
-
-    return value
-
-
-def _descent_ray(X, omega, resid_sq, params: HyperParams):
-    """Gradient ``g`` at omega and :func:`_weight_ray` along ``omega - t*g``,
-    sharing the weighted Gram of omega**2; returns ``(g, value)``."""
-    gram = _weighted_gram(X, omega * omega) if params.lambda1 != 0.0 else None
-    g = _weight_gradient(X, omega, resid_sq, params, gram)
-    return g, _weight_ray(X, omega, g, resid_sq, params, gram)
+    w = omega * omega
+    total = float(w.sum())
+    value = float(w @ resid_sq)
+    value += params.lambda2 * float(w @ w)
+    value += params.lambda3 * (total - 1.0) ** 2
+    if params.lambda1 == 0.0:
+        return value, 0, None
+    gram = _weighted_gram(X, omega)
+    bal = _loss_from_gram(gram, X.T @ w, total)
+    return value + params.lambda1 * bal.value, bal.skipped_features, gram
 
 
 def _weighted_means(X, w, G):
@@ -218,10 +192,10 @@ def _centroids_with_recovery(X, w, G):
 def _backtrack(fun, f0, step, shrink):
     """Shrink the step until the objective stops increasing.
 
-    ``fun(t)`` is the objective at step size t along the descent ray; each
-    call is one trial. Returns (t, f(t), accepted); accepted is False, with
-    t = 0 and f0, when no step down to LINE_SEARCH_MIN_STEP achieves
-    f(t) <= f0.
+    ``fun(t)`` is the objective at step size t along the descent direction;
+    each call is one trial, and an accepted trial is the last call made.
+    Returns (t, f(t), accepted); accepted is False, with t = 0 and f0, when
+    no step down to LINE_SEARCH_MIN_STEP achieves f(t) <= f0.
     """
     while step >= LINE_SEARCH_MIN_STEP:
         f_step = fun(step)
@@ -268,37 +242,43 @@ def _first_trial(descent, g, params: HyperParams) -> float:
 
 def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, descent=None):
     """Up to ``max_steps`` (>= 1) backtracking gradient steps on omega, each
-    trial O(d^2) along the step's :func:`_weight_ray` and each search starting
-    at :func:`_first_trial` of the last accepted step, carried in from
-    ``descent`` when given. Stops early at a zero gradient, at a stall (no
+    search starting at :func:`_first_trial` of the last accepted step, carried
+    in from ``descent`` when given. Every trial scores ``omega - t*g`` with
+    :func:`_weight_point`, one weighted Gram each, and the accepted trial's
+    omega, value and Gram become the next step's start, so no step rebuilds
+    its starting point. Stops early at a zero gradient, at a stall (no
     non-increasing step), or after a step whose relative objective change is
     at most ``tol``. Returns the :class:`WeightUpdate` at the final omega and
     the objective history: the start value, then the value after each
     accepted step.
     """
-    history: list[float] = []
+    value, skipped, gram = _weight_point(X, omega, resid_sq, params)
+    history = [value]
     stalled = False
     for _ in range(max_steps):
-        g, ray = _descent_ray(X, omega, resid_sq, params)
-        t = 0.0
-        value = ray(0.0)[0]
-        if not history:
-            history.append(value)
+        g = _weight_gradient(X, omega, resid_sq, params, gram)
         if not np.any(g):
             break
-        t, new_value, accepted = _backtrack(
-            lambda s: ray(s)[0], value, _first_trial(descent, g, params),
-            params.backtrack_shrink,
+        scored = []
+
+        def trial(t):
+            point = omega - t * g
+            scored[:] = [point, *_weight_point(X, point, resid_sq, params)]
+            return scored[1]
+
+        t, _, accepted = _backtrack(
+            trial, value, _first_trial(descent, g, params), params.backtrack_shrink
         )
         if not accepted:
             stalled = True
             break
-        omega = omega - t * g
+        # The accepted trial is the last one scored.
+        previous = value
+        omega, value, skipped, gram = scored
         descent = (t, g)
-        history.append(new_value)
-        if tol is not None and abs(new_value - value) <= tol * max(1.0, abs(value)):
+        history.append(value)
+        if tol is not None and abs(value - previous) <= tol * max(1.0, abs(previous)):
             break
-    value, skipped = ray(t)
     return WeightUpdate(SampleWeights(omega), stalled, value, skipped, descent), history
 
 

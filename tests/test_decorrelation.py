@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dckm.core import SampleWeights
-from dckm.decorrelation import balance_gradient, balance_loss
+from dckm.decorrelation import _weighted_gram, balance_gradient, balance_loss
 
 from util import (
     DegenerateGroupError,
@@ -153,6 +153,37 @@ class TestBalanceLoss:
         a = balance_loss(X, w).value
         b = balance_loss(X[perm], w[perm]).value
         assert b == pytest.approx(a, rel=1e-12)
+
+    def test_rejects_negative_weights(self):
+        w = np.ones(3)
+        w[1] = -0.5
+        with pytest.raises(ValueError, match="non-negative"):
+            balance_loss(X3, w)
+
+
+class TestWeightedGram:
+    """``_weighted_gram(X, omega)`` is ``X^T diag(omega**2) X``, built as one
+    product of ``X * omega`` with its own transpose."""
+
+    @staticmethod
+    def check(X, omega):
+        gram = _weighted_gram(X, omega)
+        np.testing.assert_allclose(
+            gram, X.T @ (X * (omega * omega)[:, None]), rtol=1e-13, atol=0
+        )
+        assert np.array_equal(gram, gram.T)
+        assert np.array_equal(_weighted_gram(X, -omega), gram)
+
+    def test_wide_shape(self):
+        rng = np.random.default_rng(3)
+        self.check(wide_matrix(3), rng.uniform(0.2, 1.2, 2000) / np.sqrt(2000))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_small_shapes(self, scale):
+        rng = np.random.default_rng(101)
+        for _ in range(20):
+            X = random_binary(rng, int(rng.integers(5, 31)), int(rng.integers(2, 9)))
+            self.check(X, scale * rng.uniform(0.7, 1.3, X.shape[0]))
 
 
 class TestBalanceGradient:

@@ -8,7 +8,7 @@ import dckm.solver
 from dckm.baselines import kmeans
 from dckm.core import HyperParams, SampleWeights, one_hot_rows
 from dckm.data import BiasSpec, generate_biased
-from dckm.decorrelation import _weighted_gram, balance_loss
+from dckm.decorrelation import balance_loss
 from dckm.solver import (
     LINE_SEARCH_MIN_STEP,
     EmptyClusterError,
@@ -16,7 +16,7 @@ from dckm.solver import (
     _first_trial,
     _row_sq_norms,
     _weight_gradient,
-    _weight_ray,
+    _weight_point,
     fit,
     fit_restarts,
     update_assignments,
@@ -230,8 +230,11 @@ RAY_LAMBDAS = [(l1, l2, l3) for l1 in (0.0, 0.3, 1.0) for l2 in (0.0, 2.0) for l
 # A large lambda1 makes the step t = 10 reach sum(w) ~ 3e6, where the all-ones
 # column's control mass is rounding noise and must still count as empty.
 RAY_LAMBDAS.append((50.0, 2.0, 1.0))
-# The extremes of the acceptance protocol's grid, where trial steps overshoot far.
+# The extremes of the acceptance protocol's grid, where trial steps overshoot
+# far. The large lambda1 of the last case sends trials to sum(w) ~ 1e3 from
+# sum(w) ~ 0.5, where the all-ones column must still count as empty.
 STEP_LAMBDAS = [(l1, l2, 1.0) for l1 in (0.0, 1e-2, 1.0, 1e3) for l2 in (0.0, 1e-2, 1e3)]
+STEP_LAMBDAS.append((50.0, 2.0, 1.0))
 
 
 def ray_case(rng, n, d, k, constant_columns=True):
@@ -246,6 +249,8 @@ def ray_case(rng, n, d, k, constant_columns=True):
 
 
 class TestWeightRay:
+    """The weight descent along ``omega - t*g``, each trial scored directly."""
+
     @pytest.mark.parametrize("lambdas", RAY_LAMBDAS)
     def test_matches_direct_objective(self, lambdas):
         rng = np.random.default_rng(41)
@@ -254,17 +259,14 @@ class TestWeightRay:
         for _ in range(4):
             X, F, G, omega = ray_case(rng, 30, 7, 3)
             resid_sq = _row_sq_norms(X - G @ F.T)
-            gram = _weighted_gram(X, omega * omega) if hp.lambda1 else None
+            value, skipped, gram = _weight_point(X, omega, resid_sq, hp)
+            assert (gram is None) == (hp.lambda1 == 0.0)
+            assert (value, skipped) == weight_objective(X, omega * omega, resid_sq, hp)
             g = _weight_gradient(X, omega, resid_sq, hp, gram)
-            ray = _weight_ray(X, omega, g, resid_sq, hp, gram)
-            assert ray(0.0) == weight_objective(X, omega * omega, resid_sq, hp)
             for t in RAY_STEPS:
-                value, skipped = ray(t)
-                expected, expected_skipped = weight_objective(
-                    X, (omega - t * g) ** 2, resid_sq, hp
-                )
-                assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
-                assert skipped == expected_skipped
+                value, skipped, _ = _weight_point(X, omega - t * g, resid_sq, hp)
+                expected = weight_objective(X, (omega - t * g) ** 2, resid_sq, hp)
+                assert (value, skipped) == expected
                 if hp.lambda1:
                     assert skipped >= 2
 
@@ -274,11 +276,10 @@ class TestWeightRay:
         X, F, G, omega = ray_case(rng, 25, 6, 2, constant_columns=False)
         resid_sq = _row_sq_norms(X - G @ F.T)
         direction = rng.normal(size=25) / 25
-        ray = _weight_ray(X, omega, direction, resid_sq, hp, _weighted_gram(X, omega * omega))
         for t in RAY_STEPS:
-            expected = weight_objective(X, (omega - t * direction) ** 2, resid_sq, hp)
-            assert ray(t)[0] == pytest.approx(expected[0], rel=1e-12, abs=0.0)
-            assert ray(t)[1] == expected[1]
+            point = omega - t * direction
+            value, skipped, _ = _weight_point(X, point, resid_sq, hp)
+            assert (value, skipped) == weight_objective(X, point**2, resid_sq, hp)
 
     @pytest.mark.parametrize("lambdas", STEP_LAMBDAS)
     def test_update_weights_matches_direct_backtracking(self, lambdas, monkeypatch):
@@ -313,6 +314,31 @@ class TestWeightRay:
                 )
                 assert update.value == pytest.approx(direct[0], rel=1e-12, abs=0.0)
                 assert update.skipped_features == direct[1]
+
+    def test_one_gram_per_trial(self, monkeypatch):
+        counts = {"grams": 0, "trials": 0}
+        original_gram = dckm.solver._weighted_gram
+        original_backtrack = dckm.solver._backtrack
+
+        def counting_gram(*args):
+            counts["grams"] += 1
+            return original_gram(*args)
+
+        def counting_backtrack(fun, *rest):
+            def trial(t):
+                counts["trials"] += 1
+                return fun(t)
+
+            return original_backtrack(trial, *rest)
+
+        monkeypatch.setattr(dckm.solver, "_weighted_gram", counting_gram)
+        monkeypatch.setattr(dckm.solver, "_backtrack", counting_backtrack)
+        X, F, G, omega = ray_case(np.random.default_rng(49), 40, 8, 3)
+        hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=1e-2, lambda3=1.0, max_w_iters=8)
+        update = update_weights(X, F, G, omega, hp)
+        assert not update.stalled and counts["trials"] > 8
+        # The start, then one per trial; the gradients reuse them.
+        assert counts["grams"] == 1 + counts["trials"]
 
 
 class TestFirstTrial:

@@ -10,7 +10,7 @@ import numpy as np
 import dckm.solver
 from dckm.core import _weight_vector, as_data_matrix
 from dckm.data import BiasSpec, generate_biased
-from dckm.decorrelation import GROUP_MASS_EPS, _weighted_gram, balance_loss
+from dckm.decorrelation import GROUP_MASS_EPS, balance_loss
 from dckm.solver import LINE_SEARCH_MIN_STEP, _row_sq_norms, _weight_gradient
 
 
@@ -131,11 +131,12 @@ def balance_gradient_oracle(X, omega):
     ``2 * (s*(u - ta)/alpha - c*(u - tb)/beta)``, s/c the treated and control
     indicators, alpha/beta the group masses, and ta/tb the residual's inner
     products with the two normalized group moments. Builds every n-by-d term
-    explicitly; skipped features contribute zero."""
+    explicitly, its weighted Gram included; skipped features contribute
+    zero."""
     X = as_data_matrix(X)
     omega = np.asarray(omega, dtype=np.float64)
     w = omega * omega
-    gram = _weighted_gram(X, w)
+    gram = X.T @ (X * w[:, None])
     col_mass = X.T @ w
     total = float(w.sum())
     control_sums = col_mass[:, None] - gram
@@ -161,7 +162,7 @@ def weight_objective(X, w, resid_sq, params):
     """Joint objective at weights ``w`` given each row's squared residual
     ``||X_i - (G F^T)_i||^2``, evaluated directly (a fresh weighted Gram in
     ``balance_loss``); returns ``(value, skipped_features)``. The solver's
-    ``_weight_ray`` must reproduce it at every step size."""
+    ``_weight_point`` must reproduce it bit for bit at ``w = omega**2``."""
     value = float(w @ resid_sq)
     value += params.lambda2 * float(w @ w)
     value += params.lambda3 * (float(w.sum()) - 1.0) ** 2
