@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .core import HyperParams, SampleWeights, _weight_vector, as_data_matrix
+from .core import HyperParams, SampleWeights, _binary_data, _weight_vector, as_data_matrix
 from .solver import KMeansResult, _descend, _lloyd
 
 __all__ = [
@@ -57,8 +57,9 @@ def balance_only_weights(X, params: HyperParams):
     from uniform weights (deterministic: the start point is fixed), for at
     most ``max_outer_iters * max_w_iters`` steps or until the relative change
     is at most ``outer_tol``. Returns ``(weights, objective_history)``.
+    Raises ValueError on non-binary or non-finite data, as :func:`dckm.fit` does.
     """
-    X = as_data_matrix(X)
+    X = _binary_data(X)
     n = X.shape[0]
     steps = params.max_outer_iters * params.max_w_iters
     # No k-means term: the joint objective with zero residuals.

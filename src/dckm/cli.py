@@ -1,7 +1,10 @@
 """Command-line surface: dataset generation, model fitting, benchmark sweeps
 and correlation diagnostics.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 solver failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 solver failure. Every
+flag, and the DCKM_SEED environment variable that --seed defaults to, is
+checked before any data is read; a failure prints one line,
+"dckm <command>: <message>", to stderr.
 Result files are line-oriented ``key=value`` text with a versioned header
 (see README for the schema); they contain no timing, so identical flags
 produce byte-identical files.
@@ -13,7 +16,8 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -53,22 +57,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("DCKM_SEED", "0"))
+class _Exit(Exception):
+    """A command's failure; :func:`main` prints the message and returns the code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _build_parser() -> _Parser:
+    # A flag's dest is the HyperParams or BiasSpec field it sets (see
+    # _params); metavar keeps the usage text naming the flag.
     parser = _Parser(prog="dckm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic biased dataset", parents=[])
     gen.add_argument("--n", type=int, default=500, help="number of samples")
     gen.add_argument("--d", type=int, default=24, help="number of features")
-    gen.add_argument("--k", type=int, default=3, help="number of clusters")
+    gen.add_argument("--k", dest="n_clusters", metavar="K", type=int, default=3,
+                     help="number of clusters")
     gen.add_argument("--core-per-cluster", type=int, default=1)
     gen.add_argument("--bias-features", type=int, default=5)
-    gen.add_argument("--bias", type=float, default=0.9, help="bias strength in [0.5, 1)")
-    gen.add_argument("--noise", type=float, default=0.005, help="bit-flip probability")
+    gen.add_argument("--bias", dest="bias_strength", metavar="BIAS", type=float, default=0.9,
+                     help="bias strength in [0.5, 1)")
+    gen.add_argument("--noise", dest="noise_flip", metavar="NOISE", type=float, default=0.005,
+                     help="bit-flip probability")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True, help="output CSV path")
 
@@ -76,21 +89,22 @@ def _build_parser() -> _Parser:
     fit.add_argument("--data", required=True, help="input CSV path")
     fit.add_argument("--labels", default=None, help="label column name or index")
     fit.add_argument("--method", required=True, choices=METHODS)
-    fit.add_argument("--k", type=int, required=True)
-    fit.add_argument("--l1", type=float, default=1.0)
-    fit.add_argument("--l2", type=float, default=1.0)
-    fit.add_argument("--l3", type=float, default=1.0)
+    fit.add_argument("--k", dest="n_clusters", metavar="K", type=int, required=True)
+    fit.add_argument("--l1", dest="lambda1", metavar="L1", type=float, default=1.0)
+    fit.add_argument("--l2", dest="lambda2", metavar="L2", type=float, default=1.0)
+    fit.add_argument("--l3", dest="lambda3", metavar="L3", type=float, default=1.0)
     fit.add_argument("--restarts", type=int, default=20)
     fit.add_argument("--seed", type=int, default=None)
-    fit.add_argument("--max-outer", type=int, default=100)
+    fit.add_argument("--max-outer", dest="max_outer_iters", metavar="MAX_OUTER", type=int,
+                     default=100)
     fit.add_argument("--max-w-iters", type=int, default=5)
-    fit.add_argument("--tol", type=float, default=1e-6,
+    fit.add_argument("--tol", dest="outer_tol", metavar="TOL", type=float, default=1e-6,
                      help="relative objective change that ends a fit (in a sweep with no "
                           "label change) or deckm's weight descent")
-    fit.add_argument("--step", type=float, default=0.1,
+    fit.add_argument("--step", dest="grad_step", metavar="STEP", type=float, default=0.1,
                      help="first trial step of the first weight line search")
-    fit.add_argument("--shrink", type=float, default=0.5,
-                     help="factor applied to a rejected trial step, in (0, 1)")
+    fit.add_argument("--shrink", dest="backtrack_shrink", metavar="SHRINK", type=float,
+                     default=0.5, help="factor applied to a rejected trial step, in (0, 1)")
     fit.add_argument("--threshold", type=float, default=0.7, help="dropkm correlation threshold")
     fit.add_argument("--pca-dims", type=int, default=None, help="pcakm components (default k-1)")
     fit.add_argument("--out", default=None, help="structured result file")
@@ -100,12 +114,13 @@ def _build_parser() -> _Parser:
     bench.add_argument("--data", action="append", required=True, help="dataset CSV (repeatable)")
     bench.add_argument("--labels", default="label")
     bench.add_argument("--methods", required=True, help="comma-separated method list")
-    bench.add_argument("--k", type=int, required=True)
+    bench.add_argument("--k", dest="n_clusters", metavar="K", type=int, required=True)
     bench.add_argument("--grid", default=None, help="comma-separated lambda values")
-    bench.add_argument("--l3", type=float, default=1.0)
+    bench.add_argument("--l3", dest="lambda3", metavar="L3", type=float, default=1.0)
     bench.add_argument("--restarts", type=int, default=20)
     bench.add_argument("--seed", type=int, default=None)
-    bench.add_argument("--max-outer", type=int, default=100)
+    bench.add_argument("--max-outer", dest="max_outer_iters", metavar="MAX_OUTER", type=int,
+                       default=100)
     bench.add_argument("--threshold", type=float, default=0.7)
     bench.add_argument("--out", default=None, help="comparison table file")
 
@@ -126,6 +141,55 @@ def _parse_label_column(value):
         return value
 
 
+@contextmanager
+def _flag_check():
+    """Report a ValueError raised while checking flags as a usage failure."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _Exit(EXIT_USAGE, f"invalid flags: {exc}") from None
+
+
+@contextmanager
+def _writing(path):
+    """Report an OSError raised while writing ``path`` as a data failure."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Exit(EXIT_DATA, f"cannot write {path}: {exc}") from None
+
+
+def _write_text(path, text: str) -> None:
+    with _writing(path), open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def _read_dataset(path, labels) -> LabeledDataset:
+    try:
+        return load_csv(path, label_column=_parse_label_column(labels))
+    except (OSError, ValueError) as exc:
+        raise _Exit(EXIT_DATA, str(exc)) from None
+
+
+def _seed(args) -> int:
+    """--seed, else the DCKM_SEED environment variable, else 0."""
+    if args.seed is not None:
+        return args.seed
+    try:
+        return int(os.environ.get("DCKM_SEED", "0"))
+    except ValueError:
+        raise ValueError("DCKM_SEED must be an integer") from None
+
+
+def _params(cls, args):
+    """``cls`` (HyperParams or BiasSpec) from the flags whose dest is one of
+    its fields and the seed from :func:`_seed`; other fields keep their
+    defaults. Raises ValueError on values ``cls`` rejects."""
+    values = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    values["seed"] = _seed(args)
+    return cls(**values)
+
+
 @dataclass
 class RunRecord:
     """Aggregated outcome of one method on one dataset."""
@@ -135,28 +199,36 @@ class RunRecord:
     seed: int
     restarts: int
     per_restart_objective: list
-    best_objective: float
     best_iterations: int
     best_converged: bool
     correlation_unweighted: float
+    correlation_weighted: float | None = None
     per_restart_nmi: list | None = None
     per_restart_ari: list | None = None
-    mean_nmi: float | None = None
-    std_nmi: float | None = None
-    mean_ari: float | None = None
-    std_ari: float | None = None
-    correlation_weighted: float | None = None
     skipped_features: int | None = None
     kept_features: list | None = None
-    wall_time: float = 0.0
     weights: np.ndarray | None = None
+
+    @property
+    def best_objective(self) -> float:
+        return min(self.per_restart_objective)
+
+    def mean(self, metric: str) -> float:
+        """Mean over restarts of ``metric`` ("nmi" or "ari")."""
+        return float(np.mean(getattr(self, f"per_restart_{metric}")))
+
+    def score_fields(self) -> list[str]:
+        """``mean_nmi``, ``std_nmi``, ``mean_ari`` and ``std_ari`` as key=value."""
+        out = []
+        for metric in ("nmi", "ari"):
+            std = float(np.std(getattr(self, f"per_restart_{metric}")))
+            out += [f"mean_{metric}={_fmt(self.mean(metric))}", f"std_{metric}={_fmt(std)}"]
+        return out
 
     def lines(self) -> list[str]:
         """Deterministic key=value serialization (timing excluded)."""
-        out = [RESULT_HEADER]
-        out.append(f"method={self.method}")
-        for key in sorted(self.params):
-            out.append(f"{key}={_fmt(self.params[key])}")
+        out = [RESULT_HEADER, f"method={self.method}"]
+        out += [f"{key}={_fmt(self.params[key])}" for key in sorted(self.params)]
         out.append(f"seed={self.seed}")
         out.append(f"restarts={self.restarts}")
         out.append(f"best_objective={_fmt(self.best_objective)}")
@@ -164,10 +236,7 @@ class RunRecord:
         out.append(f"best_converged={_fmt(self.best_converged)}")
         out.append(f"restart_objective={_fmt(self.per_restart_objective)}")
         if self.per_restart_nmi is not None:
-            out.append(f"mean_nmi={_fmt(self.mean_nmi)}")
-            out.append(f"std_nmi={_fmt(self.std_nmi)}")
-            out.append(f"mean_ari={_fmt(self.mean_ari)}")
-            out.append(f"std_ari={_fmt(self.std_ari)}")
+            out += self.score_fields()
             out.append(f"restart_nmi={_fmt(self.per_restart_nmi)}")
             out.append(f"restart_ari={_fmt(self.per_restart_ari)}")
         out.append(f"correlation_unweighted={_fmt(self.correlation_unweighted)}")
@@ -197,7 +266,7 @@ def _method_params(method: str, hp: HyperParams, drop_threshold, pca_dims) -> di
     return {}
 
 
-def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0.7, pca_dims=None, extra_params=None) -> RunRecord:
+def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0.7, pca_dims=None) -> RunRecord:
     """Run one method with ``hp.restarts`` seeded restarts and aggregate.
 
     Each method is one pipeline of :mod:`dckm.baselines` blocks (or the
@@ -206,21 +275,10 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
     (lowest method objective) supplies the reported objective, iteration
     count and, where applicable, learned weights.
     """
-    start = time.perf_counter()
-    params = {
-        "k": hp.n_clusters,
-        "lambda1": hp.lambda1,
-        "lambda2": hp.lambda2,
-        "lambda3": hp.lambda3,
-        "max_outer_iters": hp.max_outer_iters,
-        "max_w_iters": hp.max_w_iters,
-        "outer_tol": hp.outer_tol,
-        "grad_step": hp.grad_step,
-        "backtrack_shrink": hp.backtrack_shrink,
-    }
+    params = asdict(hp)
+    del params["seed"], params["restarts"]
+    params["k"] = params.pop("n_clusters")
     params.update(_method_params(method, hp, drop_threshold, pca_dims))
-    if extra_params:
-        params.update(extra_params)
 
     weights = None
     skipped = None
@@ -265,199 +323,106 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
         seed=hp.seed,
         restarts=hp.restarts,
         per_restart_objective=objectives,
-        best_objective=min(objectives),
         best_iterations=best.iterations,
         best_converged=best.converged,
         correlation_unweighted=correlation_amount(X),
+        correlation_weighted=None if weights is None else correlation_amount(X, weights),
         skipped_features=skipped,
         kept_features=kept,
         weights=weights,
     )
-    if weights is not None:
-        record.correlation_weighted = correlation_amount(X, weights)
     if true_labels is not None:
         record.per_restart_nmi = [nmi(true_labels, r.labels) for r in runs]
         record.per_restart_ari = [ari(true_labels, r.labels) for r in runs]
-        record.mean_nmi = float(np.mean(record.per_restart_nmi))
-        record.std_nmi = float(np.std(record.per_restart_nmi))
-        record.mean_ari = float(np.mean(record.per_restart_ari))
-        record.std_ari = float(np.std(record.per_restart_ari))
-    record.wall_time = time.perf_counter() - start
     return record
 
 
-def _cmd_gen(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        spec = BiasSpec(
-            n=args.n,
-            d=args.d,
-            n_clusters=args.k,
-            core_per_cluster=args.core_per_cluster,
-            bias_features=args.bias_features,
-            bias_strength=args.bias,
-            noise_flip=args.noise,
-            seed=seed,
-        )
-    except ValueError as exc:
-        print(f"dckm gen: invalid flags: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_gen(args) -> None:
+    with _flag_check():
+        spec = _params(BiasSpec, args)
     dataset = generate_biased(spec)
-    try:
+    with _writing(args.out):
         save_dataset(dataset, args.out)
-    except OSError as exc:
-        print(f"dckm gen: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_DATA
     for key, value in dataset.provenance.items():
         print(f"{key}={_fmt(value)}")
     print(f"rows={dataset.X.shape[0]}")
     print(f"columns={dataset.X.shape[1]}")
     print(f"out={args.out}")
-    return EXIT_OK
 
 
-def _load(args) -> LabeledDataset:
-    return load_csv(args.data, label_column=_parse_label_column(args.labels))
-
-
-def _cmd_fit(args) -> int:
-    try:
-        dataset = _load(args)
-    except (OSError, ValueError) as exc:
-        print(f"dckm fit: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        hp = HyperParams(
-            n_clusters=args.k,
-            lambda1=args.l1,
-            lambda2=args.l2,
-            lambda3=args.l3,
-            max_outer_iters=args.max_outer,
-            max_w_iters=args.max_w_iters,
-            outer_tol=args.tol,
-            grad_step=args.step,
-            backtrack_shrink=args.shrink,
-            seed=seed,
-            restarts=args.restarts,
-        )
+def _cmd_fit(args) -> None:
+    with _flag_check():
+        hp = _params(HyperParams, args)
         _method_params(args.method, hp, args.threshold, args.pca_dims)
-    except ValueError as exc:
-        print(f"dckm fit: invalid flags: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     if args.weights_out is not None and args.method not in ("dckm", "deckm"):
-        print("dckm fit: --weights-out applies only to dckm/deckm", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, "--weights-out applies only to dckm/deckm")
+    dataset = _read_dataset(args.data, args.labels)
+    start = time.perf_counter()
     try:
         record = run_method(
-            dataset.X,
-            dataset.labels,
-            args.method,
-            hp,
-            drop_threshold=args.threshold,
-            pca_dims=args.pca_dims,
-            extra_params={"data": args.data, "n": dataset.X.shape[0], "d": dataset.X.shape[1]},
+            dataset.X, dataset.labels, args.method, hp,
+            drop_threshold=args.threshold, pca_dims=args.pca_dims,
         )
     except EmptyClusterError as exc:
-        print(f"dckm fit: solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        raise _Exit(EXIT_SOLVER, f"solver failure: {exc}") from None
     except ValueError as exc:
-        print(f"dckm fit: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        raise _Exit(EXIT_DATA, str(exc)) from None
+    wall_time = time.perf_counter() - start
+    record.params.update(data=args.data, n=dataset.X.shape[0], d=dataset.X.shape[1])
 
     for line in record.lines()[1:]:
         print(line)
-    print(f"wall_time_s={record.wall_time:.3f}")
+    print(f"wall_time_s={wall_time:.3f}")
     if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write("\n".join(record.lines()) + "\n")
-        except OSError as exc:
-            print(f"dckm fit: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        _write_text(args.out, "\n".join(record.lines()) + "\n")
     if args.weights_out is not None:
-        try:
-            with open(args.weights_out, "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(repr(float(v)) + "\n" for v in record.weights)
-        except OSError as exc:
-            print(f"dckm fit: cannot write {args.weights_out}: {exc}", file=sys.stderr)
-            return EXIT_DATA
-    return EXIT_OK
+        _write_text(args.weights_out, "".join(repr(float(v)) + "\n" for v in record.weights))
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> None:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
-        print("dckm bench: empty method list", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, "empty method list")
     for m in methods:
         if m not in METHODS:
-            print(f"dckm bench: unknown method {m!r}", file=sys.stderr)
-            return EXIT_USAGE
-    seed = args.seed if args.seed is not None else _default_seed()
-
-    def cell(l1, l2):
-        return HyperParams(
-            n_clusters=args.k,
-            lambda1=l1,
-            lambda2=l2,
-            lambda3=args.l3,
-            max_outer_iters=args.max_outer,
-            seed=seed,
-            restarts=args.restarts,
-        )
-
-    try:
+            raise _Exit(EXIT_USAGE, f"unknown method {m!r}")
+    with _flag_check():
         grid = DEFAULT_GRID if args.grid is None else tuple(float(v) for v in args.grid.split(","))
-        lambda_cells = [cell(l1, l2) for l1 in grid for l2 in grid]
-        plain_cells = [cell(1.0, 1.0)]
+        plain = _params(HyperParams, args)
+        lambda_cells = [replace(plain, lambda1=l1, lambda2=l2) for l1 in grid for l2 in grid]
         for method in methods:
-            _method_params(method, plain_cells[0], args.threshold, None)
-    except ValueError as exc:
-        print(f"dckm bench: invalid flags: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    label_col = _parse_label_column(args.labels)
+            _method_params(method, plain, args.threshold, None)
 
     lines = [BENCH_HEADER]
     lines.append(f"datasets={','.join(args.data)}")
     lines.append(f"methods={','.join(methods)}")
     lines.append(f"grid={_fmt(list(grid))}")
     lines.append(f"restarts={args.restarts}")
-    lines.append(f"seed={seed}")
+    lines.append(f"seed={plain.seed}")
     table: dict[tuple[str, str], RunRecord] = {}
 
     for data_path in args.data:
-        try:
-            dataset = load_csv(data_path, label_column=label_col)
-        except (OSError, ValueError) as exc:
-            print(f"dckm bench: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        dataset = _read_dataset(data_path, args.labels)
         if dataset.labels is None:
-            print(f"dckm bench: {data_path}: ground-truth labels required", file=sys.stderr)
-            return EXIT_DATA
+            raise _Exit(EXIT_DATA, f"{data_path}: ground-truth labels required")
         for method in methods:
             uses_lambdas = method in ("dckm", "deckm")
             best_record = None
-            for hp in lambda_cells if uses_lambdas else plain_cells:
-                cell_l1 = _fmt(hp.lambda1) if uses_lambdas else "-"
-                cell_l2 = _fmt(hp.lambda2) if uses_lambdas else "-"
+            for hp in lambda_cells if uses_lambdas else [plain]:
+                cell = (
+                    f"[cell] dataset={data_path} method={method} "
+                    f"lambda1={_fmt(hp.lambda1) if uses_lambdas else '-'} "
+                    f"lambda2={_fmt(hp.lambda2) if uses_lambdas else '-'}"
+                )
                 try:
                     record = run_method(
                         dataset.X, dataset.labels, method, hp, drop_threshold=args.threshold
                     )
                 except (EmptyClusterError, ValueError) as exc:
-                    lines.append(
-                        f"[cell] dataset={data_path} method={method} lambda1={cell_l1} "
-                        f"lambda2={cell_l2} error={exc}"
-                    )
+                    lines.append(f"{cell} error={exc}")
                     continue
-                lines.append(
-                    f"[cell] dataset={data_path} method={method} lambda1={cell_l1} "
-                    f"lambda2={cell_l2} mean_nmi={_fmt(record.mean_nmi)} "
-                    f"std_nmi={_fmt(record.std_nmi)} mean_ari={_fmt(record.mean_ari)} "
-                    f"std_ari={_fmt(record.std_ari)}"
-                )
-                if best_record is None or record.mean_nmi > best_record.mean_nmi:
+                lines.append(" ".join([cell] + record.score_fields()))
+                if best_record is None or record.mean("nmi") > best_record.mean("nmi"):
                     best_record = record
             if best_record is not None:
                 table[(data_path, method)] = best_record
@@ -467,44 +432,25 @@ def _cmd_bench(args) -> int:
             (m, table[(data_path, m)]) for m in methods if m != "dckm" and (data_path, m) in table
         ]
         if row is not None and baselines:
-            best_nmi_method, best_nmi = max(baselines, key=lambda kv: kv[1].mean_nmi)
-            best_ari_method, best_ari = max(baselines, key=lambda kv: kv[1].mean_ari)
-            nmi_gain = (
-                (row.mean_nmi - best_nmi.mean_nmi) / best_nmi.mean_nmi * 100.0
-                if best_nmi.mean_nmi
-                else float("nan")
-            )
-            ari_gain = (
-                (row.mean_ari - best_ari.mean_ari) / best_ari.mean_ari * 100.0
-                if best_ari.mean_ari
-                else float("nan")
-            )
-            lines.append(
-                f"[row] dataset={data_path} best_baseline_nmi={best_nmi_method} "
-                f"dckm_nmi={_fmt(row.mean_nmi)} baseline_nmi={_fmt(best_nmi.mean_nmi)} "
-                f"nmi_improvement_pct={_fmt(nmi_gain)} best_baseline_ari={best_ari_method} "
-                f"dckm_ari={_fmt(row.mean_ari)} baseline_ari={_fmt(best_ari.mean_ari)} "
-                f"ari_improvement_pct={_fmt(ari_gain)}"
-            )
+            row_fields = [f"[row] dataset={data_path}"]
+            for metric in ("nmi", "ari"):
+                best_method, best = max(baselines, key=lambda kv: kv[1].mean(metric))
+                ours, theirs = row.mean(metric), best.mean(metric)
+                gain = (ours - theirs) / theirs * 100.0 if theirs else float("nan")
+                row_fields += [
+                    f"best_baseline_{metric}={best_method}", f"dckm_{metric}={_fmt(ours)}",
+                    f"baseline_{metric}={_fmt(theirs)}", f"{metric}_improvement_pct={_fmt(gain)}",
+                ]
+            lines.append(" ".join(row_fields))
 
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"dckm bench: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_DATA
-    return EXIT_OK
+        _write_text(args.out, text)
 
 
-def _cmd_corr(args) -> int:
-    try:
-        dataset = _load(args)
-    except (OSError, ValueError) as exc:
-        print(f"dckm corr: {exc}", file=sys.stderr)
-        return EXIT_DATA
+def _cmd_corr(args) -> None:
+    dataset = _read_dataset(args.data, args.labels)
     unweighted = correlation_amount(dataset.X)
     print(f"correlation_unweighted={_fmt(unweighted)}")
     if args.weights is not None:
@@ -512,23 +458,18 @@ def _cmd_corr(args) -> int:
             with open(args.weights, "r", encoding="utf-8") as fh:
                 w = np.asarray([float(line) for line in fh if line.strip()])
         except (OSError, ValueError) as exc:
-            print(f"dckm corr: cannot read weights: {exc}", file=sys.stderr)
-            return EXIT_DATA
+            raise _Exit(EXIT_DATA, f"cannot read weights: {exc}") from None
         if w.shape != (dataset.X.shape[0],):
-            print(
-                f"dckm corr: weight length {w.size} does not match {dataset.X.shape[0]} samples",
-                file=sys.stderr,
+            raise _Exit(
+                EXIT_DATA, f"weight length {w.size} does not match {dataset.X.shape[0]} samples"
             )
-            return EXIT_DATA
         try:
             weighted = correlation_amount(dataset.X, w)
         except ValueError as exc:
-            print(f"dckm corr: invalid weights: {exc}", file=sys.stderr)
-            return EXIT_DATA
+            raise _Exit(EXIT_DATA, f"invalid weights: {exc}") from None
         print(f"correlation_weighted={_fmt(weighted)}")
         ratio = weighted / unweighted if unweighted else float("nan")
         print(f"reduction_ratio={_fmt(ratio)}")
-    return EXIT_OK
 
 
 _HANDLERS = {"gen": _cmd_gen, "fit": _cmd_fit, "bench": _cmd_bench, "corr": _cmd_corr}
@@ -540,7 +481,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return _HANDLERS[args.command](args)
+    try:
+        _HANDLERS[args.command](args)
+    except _Exit as exc:
+        print(f"dckm {args.command}: {exc}", file=sys.stderr)
+        return exc.code
+    return EXIT_OK
 
 
 def run() -> None:  # console-script entry point

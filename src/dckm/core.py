@@ -77,6 +77,16 @@ def validate_data(X) -> ValidationReport:
     )
 
 
+def _binary_data(X) -> np.ndarray:
+    """:func:`as_data_matrix`, raising ValueError when :func:`validate_data`
+    finds a fatal error (the balancing loss is defined for binary data only)."""
+    X = as_data_matrix(X)
+    report = validate_data(X)
+    if not report.ok:
+        raise ValueError("invalid data matrix: " + "; ".join(report.errors))
+    return X
+
+
 def _first_positions(mask: np.ndarray, limit: int = _MAX_REPORTED_ENTRIES):
     rows, cols = np.nonzero(mask)
     return [(int(i), int(j)) for i, j in zip(rows[:limit], cols[:limit])]

@@ -6,6 +6,7 @@ correlations.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -100,11 +101,14 @@ def load_csv(path, label_column=None) -> LabeledDataset:
     for i, row in enumerate(body):
         for out_j, j in enumerate(feature_cols):
             cell = row[j].strip()
-            if not _is_number(cell):
-                raise ValueError(
-                    f"{path}: non-numeric cell {cell!r} at line {i + offset}, column {j}"
-                )
-            X[i, out_j] = float(cell)
+            try:
+                value = float(cell)
+            except ValueError:
+                value = None
+            if value is None or not math.isfinite(value):
+                kind = "non-numeric" if value is None else "non-finite"
+                raise ValueError(f"{path}: {kind} cell {cell!r} at line {i + offset}, column {j}")
+            X[i, out_j] = value
 
     labels = None
     if label_idx is not None:

@@ -28,10 +28,10 @@ import numpy as np
 from .core import (
     HyperParams,
     SampleWeights,
+    _binary_data,
     _weight_vector,
     as_data_matrix,
     one_hot_rows,
-    validate_data,
 )
 from .decorrelation import (
     GROUP_MASS_EPS,
@@ -339,10 +339,7 @@ def fit(X, params: HyperParams) -> FitResult:
     starts at ``grad_step``. Lloyd iterations with fixed weights are
     :func:`_lloyd`.
     """
-    X = as_data_matrix(X)
-    report = validate_data(X)
-    if not report.ok:
-        raise ValueError("invalid data matrix: " + "; ".join(report.errors))
+    X = _binary_data(X)
     n = X.shape[0]
     G = _initial_assignments(n, params.n_clusters, params.seed)
     weights = SampleWeights.uniform(n)

@@ -160,6 +160,13 @@ class TestDecKM:
                  for a, b in zip(history, history[1:])]
         assert small[-1] and not any(small[:-1])
 
+    @pytest.mark.parametrize("bad", [2.0, np.nan])
+    def test_stage1_rejects_non_binary_data(self, bad):
+        X = two_groups()
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match=r"invalid data matrix: .*\(3, 1\)"):
+            balance_only_weights(X, HyperParams(n_clusters=2))
+
     def test_deterministic(self):
         ds = generate_biased(BiasSpec(n=60, d=10, n_clusters=2, core_per_cluster=2,
                                       bias_features=4, seed=1))

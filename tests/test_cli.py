@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from dckm.cli import main
+from dckm.cli import METHODS, main
+from dckm.core import HyperParams
 
 
 @pytest.fixture
@@ -16,6 +19,15 @@ def small_data(tmp_path):
     )
     assert code == 0
     return path
+
+
+def with_cell(path, tmp_path, cell):
+    """A copy of the CSV at ``path`` whose first cell on line 6 is ``cell``."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[5] = cell + lines[5][lines[5].index(","):]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return bad
 
 
 def fit_args(data, method, out=None, **extra):
@@ -48,6 +60,22 @@ class TestGen:
     def test_invalid_bias_is_usage_error(self, tmp_path):
         code = main(["gen", "--bias", "1.2", "--out", str(tmp_path / "x.csv")])
         assert code == 1
+
+    def test_every_flag_reaches_the_spec(self, tmp_path, capsys):
+        # flag -> (provenance key, a value other than the default)
+        flags = {
+            "--n": ("n", "40"), "--d": ("d", "15"), "--k": ("n_clusters", "4"),
+            "--core-per-cluster": ("core_per_cluster", "2"), "--bias-features": ("bias_features", "6"),
+            "--bias": ("bias_strength", "0.75"), "--noise": ("noise_flip", "0.125"),
+            "--seed": ("seed", "17"),
+        }
+        argv = ["gen", "--out", str(tmp_path / "x.csv")]
+        for flag, (_, value) in flags.items():
+            argv += [flag, value]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        for key, value in flags.values():
+            assert f"{key}={value}" in printed
 
 
 class TestFit:
@@ -99,6 +127,44 @@ class TestFit:
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(fit_args(tmp_path / "nope.csv", "kmeans"))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags", [["--k", "0"], ["--k", "3", "--weights-out", "w.txt"]]
+    )
+    def test_flags_are_checked_before_data(self, tmp_path, flags):
+        argv = ["fit", "--data", str(tmp_path / "missing.csv"), "--method", "kmeans"]
+        assert main(argv + flags) == 1
+
+    def test_every_hyperparameter_flag_reaches_the_result_file(self, small_data, tmp_path):
+        # flag -> (result-file key, a value other than the default)
+        flags = {
+            "--k": ("k", "2"), "--l1": ("lambda1", "0.5"), "--l2": ("lambda2", "2.5"),
+            "--l3": ("lambda3", "0.25"), "--max-outer": ("max_outer_iters", "7"),
+            "--max-w-iters": ("max_w_iters", "3"), "--tol": ("outer_tol", "0.001"),
+            "--step": ("grad_step", "0.25"), "--shrink": ("backtrack_shrink", "0.75"),
+            "--restarts": ("restarts", "2"), "--seed": ("seed", "9"),
+        }
+        keys = {"n_clusters" if key == "k" else key for key, _ in flags.values()}
+        assert keys == {f.name for f in fields(HyperParams)}
+        out = tmp_path / "r.txt"
+        argv = ["fit", "--data", str(small_data), "--labels", "label", "--method", "dckm",
+                "--out", str(out)]
+        for flag, (_, value) in flags.items():
+            argv += [flag, value]
+        assert main(argv) == 0
+        written = out.read_text(encoding="utf-8").splitlines()
+        for key, value in flags.values():
+            assert f"{key}={value}" in written
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_finite_cell_is_data_error(self, small_data, tmp_path, method, capsys):
+        assert main(fit_args(with_cell(small_data, tmp_path, "nan"), method)) == 2
+        assert "non-finite cell 'nan' at line 6, column 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["dckm", "deckm"])
+    def test_non_binary_cell_is_data_error(self, small_data, tmp_path, method, capsys):
+        assert main(fit_args(with_cell(small_data, tmp_path, "2"), method)) == 2
+        assert "invalid data matrix: entry (4, 0) non-binary" in capsys.readouterr().err
 
     def test_unknown_method_is_usage_error(self, small_data):
         code = main(
@@ -160,7 +226,7 @@ class TestCorr:
         ratio = float(out.split("reduction_ratio=")[1].split()[0])
         assert ratio < 1.0
 
-    @pytest.mark.parametrize("value", ["-1.0", "0.0"])
+    @pytest.mark.parametrize("value", ["-1.0", "0.0", "nan", "inf"])
     def test_invalid_weights_are_data_error(self, small_data, tmp_path, value, capsys):
         wpath = tmp_path / "w.txt"
         wpath.write_text(f"{value}\n" * 80, encoding="utf-8")
@@ -244,3 +310,39 @@ class TestUsage:
         out_flag = tmp_path / "flag.txt"
         assert main(args + ["--seed", "5", "--out", str(out_flag)]) == 0
         assert out_env.read_bytes() == out_flag.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--out", "x.csv"],
+        ["fit", "--data", "x.csv", "--method", "kmeans", "--k", "3"],
+        ["bench", "--data", "x.csv", "--methods", "kmeans", "--k", "3"],
+    ])
+    def test_non_integer_env_seed_is_usage_error(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("DCKM_SEED", "abc")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"dckm {argv[0]}: invalid flags: DCKM_SEED must be an integer\n"
+
+
+# One failing command per command and exit code; {data} is a labeled CSV,
+# {same} a CSV of identical rows (no k=3 clustering) and {tmp} a directory.
+FAILURES = [
+    (1, ["gen", "--bias", "1.2", "--out", "{tmp}/x.csv"]),
+    (2, ["gen", "--out", "{tmp}/missing/x.csv"]),
+    (1, ["fit", "--data", "{data}", "--method", "kmeans", "--k", "0"]),
+    (2, ["fit", "--data", "{tmp}/missing.csv", "--method", "kmeans", "--k", "3"]),
+    (3, ["fit", "--data", "{same}", "--method", "kmeans", "--k", "3", "--restarts", "1"]),
+    (1, ["bench", "--data", "{data}", "--methods", "kmeans,magic", "--k", "3"]),
+    (2, ["bench", "--data", "{same}", "--methods", "kmeans", "--k", "3"]),
+    (2, ["corr", "--data", "{data}", "--labels", "label", "--weights", "{tmp}/missing.txt"]),
+]
+
+
+@pytest.mark.parametrize("code, argv", FAILURES)
+def test_failure_prints_one_line(small_data, tmp_path, code, argv, capsys):
+    same = tmp_path / "same.csv"
+    same.write_text("1,0\n" * 4, encoding="utf-8")
+    argv = [a.format(data=small_data, same=same, tmp=tmp_path) for a in argv]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert err.startswith(f"dckm {argv[0]}: ")

@@ -55,6 +55,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="oops"):
             load_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        p = tmp_path / "non_finite.csv"
+        p.write_text(f"f1,f2,label\n1,0,0\n0,{cell},1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"non-finite cell '{cell}' at line 3, column 1"):
+            load_csv(p, label_column="label")
+
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "missing.csv"
         p.write_text("f1,f2\n1,0\n", encoding="utf-8")

@@ -135,3 +135,8 @@ class TestCorrelationAmount:
             correlation_amount(X, np.zeros(3))
         with pytest.raises(ValueError):
             correlation_amount(X, np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            correlation_amount(np.eye(3), np.array([1.0, bad, 1.0]))
