@@ -14,7 +14,14 @@ import warnings
 
 import numpy as np
 
-from .core import HyperParams, SampleWeights, _binary_data, _weight_vector, as_data_matrix
+from .core import (
+    HyperParams,
+    SampleWeights,
+    _binary_data,
+    _distinct_rows,
+    _weight_vector,
+    as_data_matrix,
+)
 from .solver import KMeansResult, _descend, _lloyd
 
 __all__ = [
@@ -56,16 +63,17 @@ def balance_only_weights(X, params: HyperParams):
     over the square-root parameterization by backtracking gradient descent
     from uniform weights (deterministic: the start point is fixed), for at
     most ``max_outer_iters * max_w_iters`` steps or until the relative change
-    is at most ``outer_tol``. Returns ``(weights, objective_history)``.
+    is at most ``outer_tol``. Runs on the distinct rows with their counts, as
+    :func:`dckm.fit` does. Returns ``(weights, objective_history)``.
     Raises ValueError on non-binary or non-finite data, as :func:`dckm.fit` does.
     """
     X = _binary_data(X)
-    n = X.shape[0]
+    U, inverse, m = _distinct_rows(X)
     steps = params.max_outer_iters * params.max_w_iters
     # No k-means term: the joint objective with zero residuals.
-    update, history = _descend(X, SampleWeights.uniform(n).omega, np.zeros(n), params, steps,
-                               params.outer_tol)
-    return update.weights, history
+    update, history = _descend(U, np.sqrt(m / X.shape[0]), np.zeros(m.size), params, steps,
+                               params.outer_tol, m=m)
+    return SampleWeights((update.weights.omega / np.sqrt(m))[inverse]), history
 
 
 def pca_project(X, n_components):

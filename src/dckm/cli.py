@@ -401,10 +401,11 @@ def _cmd_bench(args) -> None:
     lines.append(f"seed={plain.seed}")
     table: dict[tuple[str, str], RunRecord] = {}
 
-    for data_path in args.data:
-        dataset = _read_dataset(data_path, args.labels)
+    datasets = [(path, _read_dataset(path, args.labels)) for path in args.data]
+    for data_path, dataset in datasets:
         if dataset.labels is None:
             raise _Exit(EXIT_DATA, f"{data_path}: ground-truth labels required")
+    for data_path, dataset in datasets:
         for method in methods:
             uses_lambdas = method in ("dckm", "deckm")
             best_record = None

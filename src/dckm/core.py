@@ -68,7 +68,7 @@ def validate_data(X) -> ValidationReport:
         errors.append(f"non-finite entry at ({i}, {j})")
     nonbinary = np.isfinite(X) & (X != 0.0) & (X != 1.0)
     for i, j in _first_positions(nonbinary):
-        errors.append(f"entry ({i}, {j}) non-binary: {X[i, j]!r}")
+        errors.append(f"entry ({i}, {j}) non-binary: {float(X[i, j])!r}")
 
     constant = [j for j in range(d) if np.all(X[:, j] == X[0, j])]
     warnings = [f"column {j} constant" for j in constant]
@@ -85,6 +85,24 @@ def _binary_data(X) -> np.ndarray:
     if not report.ok:
         raise ValueError("invalid data matrix: " + "; ".join(report.errors))
     return X
+
+
+def _distinct_rows(X: np.ndarray):
+    """The distinct rows of a binary matrix, in order of first occurrence.
+
+    Returns ``(U, inverse, counts)`` with ``X == U[inverse]`` and ``counts``
+    (float64) the number of copies of each row of U. Rows are keyed by their
+    packed bits, so X must be data that :func:`_binary_data` accepted.
+    """
+    packed = np.packbits(X != 0.0, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return X[first[order]], rank[inverse.ravel()], counts[order].astype(np.float64)
 
 
 def _first_positions(mask: np.ndarray, limit: int = _MAX_REPORTED_ENTRIES):

@@ -16,6 +16,15 @@ its Gram to the next step's gradient. Every block is
 non-increasing in the objective, so the recorded per-sweep objective values
 form a monotone sequence. :mod:`dckm.baselines` composes the one weight
 descent (:func:`_descend`) and the one Lloyd loop (:func:`_lloyd`).
+
+The objective sees the data only through each row's value, and identical
+rows share their label and, from uniform weights, their weight. So
+:func:`fit` and the weight descent of ``balance_only_weights`` run on the
+distinct rows U with their counts m, as one sample each of weight
+``w' = m*w`` (``omega' = sqrt(m)*omega``). The k-means term, sum(w), the
+balance term and their gradients then need no change; the ||w||^2 term
+divides by m. A gradient step on omega' is sqrt(m) times the step on omega,
+so the iterates are those of the fit on all rows.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .core import (
     HyperParams,
     SampleWeights,
     _binary_data,
+    _distinct_rows,
     _weight_vector,
     as_data_matrix,
     one_hot_rows,
@@ -67,25 +77,27 @@ def _row_sq_norms(A: np.ndarray) -> np.ndarray:
     return np.sum(A * A, axis=1)
 
 
-def _weight_gradient(X, omega, resid_sq, params: HyperParams, gram=None) -> np.ndarray:
+def _weight_gradient(X, omega, resid_sq, params: HyperParams, gram=None, m=1.0) -> np.ndarray:
     """Gradient in omega of the joint objective at ``w = omega**2``.
 
     Per coordinate: 2*omega_i times the sample's squared reconstruction
     residual, plus the balancing gradient scaled by lambda1, plus
-    4*lambda2*omega_i^3 and 4*lambda3*(sum(omega^2)-1)*omega_i from the two
-    penalty terms. ``gram`` is passed on to :func:`balance_gradient`.
+    4*lambda2*omega_i^3/m_i and 4*lambda3*(sum(omega^2)-1)*omega_i from the
+    two penalty terms, for rows that stand for ``m`` copies each (see the
+    module docstring). ``gram`` is passed on to :func:`balance_gradient`.
     """
     grad = 2.0 * omega * resid_sq
-    grad += 4.0 * params.lambda2 * omega**3
+    grad += 4.0 * params.lambda2 * omega**3 / m
     grad += 4.0 * params.lambda3 * (float(omega @ omega) - 1.0) * omega
     if params.lambda1 != 0.0:
         grad += params.lambda1 * balance_gradient(X, omega, gram)
     return grad
 
 
-def _weight_point(X, omega, resid_sq, params: HyperParams):
+def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0):
     """The joint objective at ``w = omega**2``, with each row's squared
-    reconstruction residual ``resid_sq`` fixed.
+    reconstruction residual ``resid_sq`` fixed; the ||w||^2 term is
+    ``sum(w**2 / m)``, for rows that stand for ``m`` copies each.
 
     Returns ``(value, skipped_features, gram)``: ``gram`` is the weighted Gram
     ``X^T diag(w) X`` of the balance term, which :func:`_weight_gradient` at
@@ -95,7 +107,7 @@ def _weight_point(X, omega, resid_sq, params: HyperParams):
     w = omega * omega
     total = float(w.sum())
     value = float(w @ resid_sq)
-    value += params.lambda2 * float(w @ w)
+    value += params.lambda2 * float(w @ (w / m))
     value += params.lambda3 * (total - 1.0) ** 2
     if params.lambda1 == 0.0:
         return value, 0, None
@@ -104,15 +116,16 @@ def _weight_point(X, omega, resid_sq, params: HyperParams):
     return value + params.lambda1 * bal.value, bal.skipped_features, gram
 
 
-def _weighted_means(X, w, G):
-    """Per-cluster weighted means and the list of memberless clusters.
+def _weighted_means(X, w, G, m):
+    """Per-cluster weighted means and the list of memberless clusters, for
+    rows that stand for ``m`` copies each.
 
     A cluster whose members carry (numerically) zero total weight keeps the
     plain mean of its members: the weighted loss is indifferent to its
     centroid, and a finite deterministic value keeps the iteration stable.
     """
     k = G.shape[1]
-    counts = G.sum(axis=0)
+    counts = G.T @ m
     mass = G.T @ w
     weighted_sums = X.T @ (G * w[:, None])
     F = np.zeros((X.shape[1], k))
@@ -123,7 +136,7 @@ def _weighted_means(X, w, G):
         elif mass[c] > GROUP_MASS_EPS:
             F[:, c] = weighted_sums[:, c] / mass[c]
         else:
-            F[:, c] = (X.T @ G[:, c]) / counts[c]
+            F[:, c] = (X.T @ (G[:, c] * m)) / counts[c]
     return F, empty
 
 
@@ -136,7 +149,7 @@ def update_centroids(X, w, G) -> np.ndarray:
     X = as_data_matrix(X)
     w = _weight_vector(w, X.shape[0])
     G = np.asarray(G, dtype=np.float64)
-    F, empty = _weighted_means(X, w, G)
+    F, empty = _weighted_means(X, w, G, np.ones(X.shape[0]))
     if empty:
         raise EmptyClusterError(empty)
     return F
@@ -162,18 +175,20 @@ def update_assignments(X, F, row_sq=None) -> np.ndarray:
     return one_hot_rows(np.argmin(dists, axis=1), F.shape[1])
 
 
-def _centroids_with_recovery(X, w, G):
-    """Centroid update with empty-cluster re-seeding.
+def _centroids_with_recovery(X, w, G, m):
+    """Centroid update with empty-cluster re-seeding, for rows that stand
+    for ``m`` copies each and carry their copies' total weight ``w``.
 
-    Each empty cluster is re-seeded at the not-yet-taken sample with the
-    largest weighted residual, then assignments are redone. A round that does
-    not reduce the number of empty clusters counts as a failure; after
-    _RESEED_MAX_FAILURES failures the fit gives up.
+    Each empty cluster is re-seeded at the not-yet-taken row with the largest
+    weighted residual of one copy, then assignments are redone. On distinct
+    rows, two empty clusters are never re-seeded at two copies of one row. A
+    round that does not reduce the number of empty clusters counts as a
+    failure; after _RESEED_MAX_FAILURES failures the fit gives up.
     """
     failures = 0
     prev_empty = None
     while True:
-        F, empty = _weighted_means(X, w, G)
+        F, empty = _weighted_means(X, w, G, m)
         if not empty:
             return F, G
         if prev_empty is not None and len(empty) >= prev_empty:
@@ -182,7 +197,7 @@ def _centroids_with_recovery(X, w, G):
                 raise EmptyClusterError(empty)
         prev_empty = len(empty)
         labels = G.argmax(axis=1)
-        residuals = w * _row_sq_norms(X - F[:, labels].T)
+        residuals = w / m * _row_sq_norms(X - F[:, labels].T)
         order = np.argsort(-residuals, kind="stable")
         for cluster, i in zip(empty, order):
             F[:, cluster] = X[i]
@@ -240,7 +255,7 @@ def _first_trial(descent, g, params: HyperParams) -> float:
     return proposal if LINE_SEARCH_MIN_STEP <= proposal < np.inf else t
 
 
-def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, descent=None):
+def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, descent=None, m=1.0):
     """Up to ``max_steps`` (>= 1) backtracking gradient steps on omega, each
     search starting at :func:`_first_trial` of the last accepted step, carried
     in from ``descent`` when given. Every trial scores ``omega - t*g`` with
@@ -248,22 +263,22 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
     omega, value and Gram become the next step's start, so no step rebuilds
     its starting point. Stops early at a zero gradient, at a stall (no
     non-increasing step), or after a step whose relative objective change is
-    at most ``tol``. Returns the :class:`WeightUpdate` at the final omega and
-    the objective history: the start value, then the value after each
-    accepted step.
+    at most ``tol``. Row i of X stands for ``m[i]`` copies. Returns the
+    :class:`WeightUpdate` at the final omega and the objective history: the
+    start value, then the value after each accepted step.
     """
-    value, skipped, gram = _weight_point(X, omega, resid_sq, params)
+    value, skipped, gram = _weight_point(X, omega, resid_sq, params, m)
     history = [value]
     stalled = False
     for _ in range(max_steps):
-        g = _weight_gradient(X, omega, resid_sq, params, gram)
+        g = _weight_gradient(X, omega, resid_sq, params, gram, m)
         if not np.any(g):
             break
         scored = []
 
         def trial(t):
             point = omega - t * g
-            scored[:] = [point, *_weight_point(X, point, resid_sq, params)]
+            scored[:] = [point, *_weight_point(X, point, resid_sq, params, m)]
             return scored[1]
 
         t, _, accepted = _backtrack(
@@ -282,18 +297,20 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
     return WeightUpdate(SampleWeights(omega), stalled, value, skipped, descent), history
 
 
-def update_weights(X, F, G, omega, params: HyperParams, descent=None) -> WeightUpdate:
+def update_weights(X, F, G, omega, params: HyperParams, descent=None, counts=1.0) -> WeightUpdate:
     """Run up to ``max_w_iters`` backtracking gradient steps on omega with
     centroids F and assignments G fixed; ``stalled`` in the returned
     :class:`WeightUpdate` means a line search found no non-increasing step.
     ``descent`` is the state a previous call returned: without it the first
-    search starts at ``grad_step``."""
+    search starts at ``grad_step``. When row i of X stands for ``counts[i]``
+    identical rows, omega_i is sqrt(counts[i]) times their common omega."""
     X = as_data_matrix(X)
     F = np.asarray(F, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64).copy()
     resid_sq = _row_sq_norms(X - G @ F.T)
-    return _descend(X, omega, resid_sq, params, params.max_w_iters, descent=descent)[0]
+    m = np.asarray(counts, dtype=np.float64)
+    return _descend(X, omega, resid_sq, params, params.max_w_iters, descent=descent, m=m)[0]
 
 
 @dataclass
@@ -332,29 +349,38 @@ def fit(X, params: HyperParams) -> FitResult:
     settles.
 
     Starts from a uniform-random labeling seeded by ``params.seed`` and
-    uniform weights summing to one. Converges when, in one sweep, no label
-    changes and the relative objective change is at most ``outer_tol``;
-    otherwise stops after ``max_outer_iters`` sweeps. The weight descent's
-    step state carries from sweep to sweep, so only the first line search
-    starts at ``grad_step``. Lloyd iterations with fixed weights are
+    uniform weights summing to one. ``converged`` means that, in one sweep,
+    no label changed and the objective moved by at most ``outer_tol``
+    (relative); it does not mean a stationary point of the objective.
+    Otherwise the fit stops after ``max_outer_iters`` sweeps. The weight
+    descent's step state carries from sweep to sweep, so only the first line
+    search starts at ``grad_step``. Lloyd iterations with fixed weights are
     :func:`_lloyd`.
+
+    The random start labels every row, so the first centroid update runs on
+    all of X; every later update runs on the distinct rows with their counts
+    (see the module docstring), and the labels and weights are expanded back
+    to all rows at the end.
     """
     X = _binary_data(X)
     n = X.shape[0]
+    U, inverse, m = _distinct_rows(X)
     G = _initial_assignments(n, params.n_clusters, params.seed)
-    weights = SampleWeights.uniform(n)
+    F, _ = _centroids_with_recovery(X, SampleWeights.uniform(n).w, G, np.ones(n))
+    omega = np.sqrt(m / n)
 
     history: list[float] = []
     previous = None
     descent = None
     converged = False
-    row_sq = _row_sq_norms(X)
-    for _ in range(params.max_outer_iters):
+    row_sq = _row_sq_norms(U)
+    for sweep in range(params.max_outer_iters):
         previous_G = G
-        F, G = _centroids_with_recovery(X, weights.w, G)
-        G = update_assignments(X, F, row_sq)
-        update = update_weights(X, F, G, weights.omega, params, descent)
-        weights, value, skipped = update.weights, update.value, update.skipped_features
+        if sweep:
+            F, G = _centroids_with_recovery(U, omega * omega, G, m)
+        G = update_assignments(U, F, row_sq)
+        update = update_weights(U, F, G, omega, params, descent, m)
+        omega, value, skipped = update.weights.omega, update.value, update.skipped_features
         descent = update.descent
         history.append(value)
         if (
@@ -367,8 +393,8 @@ def fit(X, params: HyperParams) -> FitResult:
         previous = value
     return FitResult(
         centroids=F,
-        assignments=G,
-        weights=weights,
+        assignments=G[inverse],
+        weights=SampleWeights((omega / np.sqrt(m))[inverse]),
         objective_history=history,
         converged=converged,
         iterations=len(history),
@@ -398,8 +424,9 @@ def _lloyd(X, w, n_clusters, seed, max_iter, weighted_loss) -> KMeansResult:
     previous = None
     converged = False
     row_sq = _row_sq_norms(X)
+    ones = np.ones(X.shape[0])
     for iterations in range(1, max_iter + 1):
-        F, G = _centroids_with_recovery(X, w, G)
+        F, G = _centroids_with_recovery(X, w, G, ones)
         G = update_assignments(X, F, row_sq)
         labels = G.argmax(axis=1)
         if previous is not None and np.array_equal(labels, previous):

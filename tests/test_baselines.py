@@ -19,7 +19,13 @@ from dckm.decorrelation import balance_loss
 from dckm.metrics import nmi
 from dckm.solver import update_assignments
 
-from util import kmeans_loss_for_labels, random_binary, record_assignments
+from util import (
+    full_row_balance_only_weights,
+    kmeans_loss_for_labels,
+    random_binary,
+    record_assignments,
+    with_copies,
+)
 
 
 def two_groups():
@@ -159,6 +165,19 @@ class TestDecKM:
         small = [abs(b - a) <= hp.outer_tol * max(1.0, abs(a))
                  for a, b in zip(history, history[1:])]
         assert small[-1] and not any(small[:-1])
+
+    @pytest.mark.parametrize("lambdas", [(1.0, 1e2), (1e3, 1e3), (1e-2, 1e-2)])
+    def test_distinct_rows_equal_full_row_descent(self, lambdas):
+        rng = np.random.default_rng(10)
+        U = np.unique(random_binary(rng, 16, 8), axis=0)
+        X, _, _ = with_copies(rng, U)
+        assert U.shape[0] < X.shape[0] / 3
+        hp = HyperParams(n_clusters=2, lambda1=lambdas[0], lambda2=lambdas[1], lambda3=1.0,
+                         max_outer_iters=3)
+        weights, history = balance_only_weights(X, hp)
+        omega, expected = full_row_balance_only_weights(X, hp)
+        np.testing.assert_allclose(weights.omega, omega, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(history, expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("bad", [2.0, np.nan])
     def test_stage1_rejects_non_binary_data(self, bad):

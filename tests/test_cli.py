@@ -289,6 +289,21 @@ class TestBench:
         assert main(args + flags) == 1
         assert "invalid flags" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("second", ["missing", "unlabeled"])
+    def test_every_dataset_loads_before_the_first_fit(self, small_data, tmp_path, second,
+                                                      monkeypatch, capsys):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before every dataset loaded")
+
+        monkeypatch.setattr("dckm.cli.run_method", no_fit)
+        bad = tmp_path / f"{second}.csv"
+        if second == "unlabeled":
+            bad.write_text("1,0\n0,1\n", encoding="utf-8")
+        code = main(["bench", "--data", str(small_data), "--data", str(bad), "--labels",
+                     "label", "--methods", "kmeans,dckm", "--k", "3", "--grid", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("dckm bench: ")
+
     def test_unlabeled_dataset_is_data_error(self, tmp_path):
         p = tmp_path / "plain.csv"
         p.write_text("1,0\n0,1\n", encoding="utf-8")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dckm.core import HyperParams, SampleWeights, one_hot_rows, validate_data
+from dckm.core import HyperParams, SampleWeights, _distinct_rows, one_hot_rows, validate_data
 
 
 class TestValidateData:
@@ -17,6 +17,10 @@ class TestValidateData:
         report = validate_data([[1, 0.5], [0, 1]])
         assert not report.ok
         assert any("(0, 1)" in msg for msg in report.errors)
+
+    def test_bad_entry_printed_as_python_float(self):
+        report = validate_data(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        assert report.errors == ["entry (0, 1) non-binary: 2.0"]
 
     def test_constant_column_is_warning_only(self):
         report = validate_data([[1, 1], [0, 1]])
@@ -44,6 +48,22 @@ class TestValidateData:
         second = validate_data(X)
         assert np.array_equal(X, before)
         assert first == second
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("d", [3, 19])
+    def test_first_occurrence_order_and_counts(self, d):
+        rng = np.random.default_rng(d)
+        X = rng.integers(0, 2, size=(12, d))[rng.integers(0, 12, 300)].astype(np.float64)
+        first = {}
+        for i, row in enumerate(map(tuple, X)):
+            first.setdefault(row, i)
+        rows = sorted(first, key=first.get)
+        U, inverse, counts = _distinct_rows(X)
+        assert np.array_equal(U, np.array(rows))
+        assert np.array_equal(inverse, [rows.index(tuple(row)) for row in X])
+        assert counts.dtype == np.float64
+        assert np.array_equal(counts, np.bincount(inverse))
 
 
 class TestOneHotRows:

@@ -13,6 +13,7 @@ from dckm.solver import (
     LINE_SEARCH_MIN_STEP,
     EmptyClusterError,
     _backtrack,
+    _centroids_with_recovery,
     _first_trial,
     _row_sq_norms,
     _weight_gradient,
@@ -26,6 +27,7 @@ from dckm.solver import (
 
 from util import (
     direct_backtracking_oracle,
+    full_row_fit,
     lloyd_oracle,
     objective,
     omega_gradient,
@@ -34,6 +36,7 @@ from util import (
     record_assignments,
     weight_objective,
     wide_matrix,
+    with_copies,
 )
 
 
@@ -281,6 +284,27 @@ class TestWeightRay:
             value, skipped, _ = _weight_point(X, point, resid_sq, hp)
             assert (value, skipped) == weight_objective(X, point**2, resid_sq, hp)
 
+    @pytest.mark.parametrize("lambdas", RAY_LAMBDAS)
+    def test_distinct_rows_with_counts(self, lambdas):
+        """On distinct rows U with counts m and omega' = sqrt(m)*omega, the
+        kernels score the objective of all rows, and their gradient is
+        sqrt(m) times each copy's coordinate of the all-rows gradient."""
+        rng = np.random.default_rng(53)
+        hp = HyperParams(n_clusters=3, lambda1=lambdas[0], lambda2=lambdas[1],
+                         lambda3=lambdas[2])
+        for _ in range(4):
+            U, F, G, omega = ray_case(rng, 12, 7, 3)
+            X, m, index = with_copies(rng, U)
+            resid_sq = _row_sq_norms(U - G @ F.T)
+            root = np.sqrt(m)
+            value, skipped, gram = _weight_point(U, root * omega, resid_sq, hp, m)
+            expected = weight_objective(X, omega[index] ** 2, resid_sq[index], hp)
+            assert value == pytest.approx(expected[0], rel=1e-12, abs=0.0)
+            assert skipped == expected[1]
+            g = _weight_gradient(U, root * omega, resid_sq, hp, gram, m)
+            g_full = _weight_gradient(X, omega[index], resid_sq[index], hp)
+            np.testing.assert_allclose(g[index], root[index] * g_full, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("lambdas", STEP_LAMBDAS)
     def test_update_weights_matches_direct_backtracking(self, lambdas, monkeypatch):
         accepted_steps = []
@@ -467,6 +491,61 @@ class TestFit:
         assert len(recorded) == res.iterations
         assert np.array_equal(recorded[-1], recorded[-2])
         assert not np.array_equal(recorded[0], recorded[1])
+
+    @pytest.mark.parametrize("lambdas", [(1.0, 1e2), (1e3, 1e3)])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_distinct_rows_fit_equals_full_row_fit(self, seed, lambdas):
+        rng = np.random.default_rng(seed)
+        U = np.unique(random_binary(rng, 16, 8), axis=0)
+        X, _, _ = with_copies(rng, U)
+        assert U.shape[0] < X.shape[0] / 3
+        hp = HyperParams(n_clusters=3, lambda1=lambdas[0], lambda2=lambdas[1], lambda3=1.0,
+                         seed=seed, max_outer_iters=3)
+        labels, omega, history, margin = full_row_fit(X, hp)
+        assert margin > 1e-4  # no near ties
+        result = fit(X, hp)
+        assert np.array_equal(result.labels, labels)
+        np.testing.assert_allclose(result.weights.omega, omega, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(result.objective_history, history, rtol=1e-12, atol=0)
+
+    def test_reseeds_at_distinct_rows(self, monkeypatch):
+        """Two empty clusters are re-seeded at the two distinct rows with the
+        largest residual, although the first of them has two copies."""
+        a, b, z = [1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]
+        U, m = np.array([a, b, z]), np.array([2.0, 1.0, 6.0])
+        G = one_hot_rows([0, 0, 0], 3)
+        recorded = record_assignments(monkeypatch)
+        F, G = _centroids_with_recovery(U, m, G, m)  # one unit of weight per copy
+        assert len(recorded) == 1
+        assert np.array_equal(G.argmax(axis=1), [1, 2, 0])
+        assert np.array_equal(F.T, [z, a, b])
+        # On all nine rows, both empty clusters start at a copy of a, and
+        # cluster 2 stays empty after the first round.
+        X = U[[0, 0, 1, 2, 2, 2, 2, 2, 2]]
+        recorded.clear()
+        _centroids_with_recovery(X, np.ones(9), one_hot_rows([0] * 9, 3), np.ones(9))
+        assert len(recorded) == 2
+        assert not np.any(recorded[0] == 2)
+
+    def test_reseed_ranks_one_copy_residual(self):
+        """A re-seed ranks rows by one copy's weighted residual, as on all
+        rows: b's one copy outranks the eight copies of z together."""
+        b, z, y = [1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]
+        U, m = np.array([b, z, y]), np.array([1.0, 8.0, 20.0])
+        F, G = _centroids_with_recovery(U, m, one_hot_rows([0, 0, 0], 2), m)
+        X = U[np.repeat([0, 1, 2], m.astype(int))]
+        F_all, G_all = _centroids_with_recovery(X, np.ones(29), one_hot_rows([0] * 29, 2),
+                                                np.ones(29))
+        assert np.array_equal(F[:, 1], b)
+        assert np.allclose(F, F_all, rtol=1e-15, atol=0)
+        assert np.array_equal(G[np.repeat([0, 1, 2], m.astype(int))], G_all)
+
+    def test_zero_mass_cluster_takes_the_mean_of_all_copies(self):
+        U, m = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([3.0, 1.0, 2.0])
+        w = np.array([0.0, 0.0, 2.0])
+        F, _ = _centroids_with_recovery(U, w, one_hot_rows([0, 0, 1], 2), m)
+        assert np.array_equal(F[:, 0], [0.75, 0.25])
+        assert np.array_equal(F[:, 1], [1.0, 1.0])
 
     def test_each_point_its_own_cluster(self):
         X = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 1.0, 0]])

@@ -8,10 +8,19 @@ from fractions import Fraction
 import numpy as np
 
 import dckm.solver
-from dckm.core import _weight_vector, as_data_matrix
+from dckm.core import SampleWeights, _weight_vector, as_data_matrix
 from dckm.data import BiasSpec, generate_biased
 from dckm.decorrelation import GROUP_MASS_EPS, balance_loss
-from dckm.solver import LINE_SEARCH_MIN_STEP, _row_sq_norms, _weight_gradient
+from dckm.solver import (
+    LINE_SEARCH_MIN_STEP,
+    _centroids_with_recovery,
+    _descend,
+    _initial_assignments,
+    _row_sq_norms,
+    _weight_gradient,
+    update_assignments,
+    update_weights,
+)
 
 
 def random_binary(rng, n, d, p=0.5):
@@ -24,6 +33,17 @@ def wide_matrix(seed):
     spec = BiasSpec(n=2000, d=100, n_clusters=5, core_per_cluster=4, bias_features=60,
                     bias_strength=0.8, noise_flip=0.05, seed=seed)
     return generate_biased(spec).X
+
+
+def with_copies(rng, U, most=6):
+    """``(X, m, index)``: the rows of U, each repeated 1 to ``most`` times
+    (at least one row more than once) and shuffled, with ``X == U[index]``
+    and m (float64) the number of copies of each row of U."""
+    m = rng.integers(1, most + 1, U.shape[0])
+    m[0] = max(m[0], 2)
+    index = np.repeat(np.arange(U.shape[0]), m)
+    rng.shuffle(index)
+    return U[index], m.astype(np.float64), index
 
 
 def central_difference(fun, x, step=1e-6):
@@ -243,6 +263,52 @@ def direct_backtracking_oracle(X, F, G, omega, params):
         omega, value = candidate, candidate_value
         steps.append(step)
     return omega, steps, False
+
+
+def full_row_fit(X, params):
+    """:func:`dckm.fit`'s sweep loop run on every row of X, each row its own
+    sample: the random start, then centroid, assignment and weight updates
+    until the labels settle and the objective moves by at most
+    ``outer_tol``, or for ``max_outer_iters`` sweeps. Returns ``(labels,
+    omega, history, margin)``, margin being the smallest gap between a row's
+    nearest and second-nearest centroid over all sweeps: a fit with a small
+    margin may break a near tie differently on rounded centroids."""
+    X = as_data_matrix(X)
+    n = X.shape[0]
+    ones = np.ones(n)
+    G = _initial_assignments(n, params.n_clusters, params.seed)
+    weights = SampleWeights.uniform(n)
+    history = []
+    descent = None
+    margin = np.inf
+    for _ in range(params.max_outer_iters):
+        previous_G = G
+        F, G = _centroids_with_recovery(X, weights.w, G, ones)
+        dists = np.column_stack([_row_sq_norms(X - f) for f in F.T])
+        margin = min(margin, float(np.min(np.diff(np.sort(dists, axis=1)[:, :2], axis=1))))
+        G = update_assignments(X, F)
+        update = update_weights(X, F, G, weights.omega, params, descent)
+        weights, descent = update.weights, update.descent
+        history.append(update.value)
+        if (
+            len(history) > 1
+            and abs(history[-1] - history[-2]) <= params.outer_tol * max(1.0, abs(history[-2]))
+            and np.array_equal(G, previous_G)
+        ):
+            break
+    return G.argmax(axis=1), weights.omega, history, margin
+
+
+def full_row_balance_only_weights(X, params):
+    """``balance_only_weights`` run on every row of X, each row its own
+    sample: the weight descent with zero residuals from uniform weights.
+    Returns ``(omega, history)``."""
+    X = as_data_matrix(X)
+    n = X.shape[0]
+    steps = params.max_outer_iters * params.max_w_iters
+    update, history = _descend(X, SampleWeights.uniform(n).omega, np.zeros(n), params, steps,
+                               params.outer_tol)
+    return update.weights.omega, history
 
 
 def record_assignments(monkeypatch):
