@@ -106,7 +106,7 @@ def run_grid(cap):
                                           converged=False)
                         else:
                             rows.append(describe(X, ds.labels, uniform, hp, result))
-                            record = dict(labels=result.labels, objective=result.final_objective,
+                            record = dict(labels=result.labels, objective=result.objective,
                                           sweeps=result.iterations, converged=result.converged)
                         record.update(trials=counts["trials"] - trials,
                                       steps=counts["steps"] - steps)
@@ -135,7 +135,7 @@ def describe(X, truth, uniform, hp, result):
         ari=ari(truth, result.labels),
         ess=float(w.sum()) ** 2 / float(w @ w),
         ratio=float(np.linalg.norm(grad) / np.linalg.norm(grad0)),
-        objective=result.final_objective,
+        objective=result.objective,
     )
 
 

@@ -40,7 +40,7 @@ def kmeans(X, n_clusters, seed=0, max_iter=100):
     Starts from a uniform-random labeling drawn with ``seed``. Internally
     runs with a uniform weight vector (weights cancel in the means), sharing
     the exact update and recovery code of the joint solver; the reported
-    loss is the plain within-cluster sum of squares.
+    objective is the plain within-cluster sum of squares.
     """
     X = as_data_matrix(X)
     w = SampleWeights.uniform(X.shape[0]).w
@@ -51,8 +51,6 @@ def weighted_kmeans(X, w, n_clusters, seed=0, max_iter=100):
     """Lloyd iterations on the weighted loss with a fixed weight vector."""
     X = as_data_matrix(X)
     w = _weight_vector(w, X.shape[0])
-    if np.any(w < 0):
-        raise ValueError("w must be a non-negative vector with one entry per sample")
     return _lloyd(X, w, n_clusters, seed, max_iter, weighted_loss=True)
 
 

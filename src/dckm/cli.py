@@ -25,7 +25,7 @@ from .baselines import balance_only_weights, kmeans, pca_project, select_uncorre
 from .core import HyperParams
 from .data import BiasSpec, LabeledDataset, generate_biased, load_csv, save_dataset
 from .metrics import ari, correlation_amount, nmi
-from .solver import EmptyClusterError, fit_restarts
+from .solver import EmptyClusterError, _restarts, fit_restarts
 
 __all__ = ["main", "run"]
 
@@ -271,9 +271,10 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
 
     Each method is one pipeline of :mod:`dckm.baselines` blocks (or the
     joint solver for dckm): its data-dependent preparation runs once, then
-    one clustering per restart seed ``hp.seed + i``. The best restart
-    (lowest method objective) supplies the reported objective, iteration
-    count and, where applicable, learned weights.
+    one clustering per restart seed ``hp.seed + i``, through the solver's
+    one restart loop. The best restart (lowest objective, first on ties)
+    supplies the iteration count, the converged flag and, for dckm, the
+    learned weights; every restart's objective, NMI and ARI are reported.
     """
     params = asdict(hp)
     del params["seed"], params["restarts"]
@@ -285,7 +286,6 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
     kept = None
     if method == "dckm":
         best, runs = fit_restarts(X, hp)
-        objectives = [r.objective for r in runs]
         weights = best.weights.w
         skipped = best.skipped_features_last
     else:
@@ -313,16 +313,14 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
             def cluster(seed):
                 return kmeans(Z, hp.n_clusters, seed=seed, max_iter=hp.max_outer_iters)
 
-        runs = [cluster(hp.seed + i) for i in range(hp.restarts)]
-        objectives = [r.loss for r in runs]
-        best = min(runs, key=lambda r: r.loss)  # first wins ties
+        best, runs = _restarts(cluster, hp)
 
     record = RunRecord(
         method=method,
         params=params,
         seed=hp.seed,
         restarts=hp.restarts,
-        per_restart_objective=objectives,
+        per_restart_objective=[r.objective for r in runs],
         best_iterations=best.iterations,
         best_converged=best.converged,
         correlation_unweighted=correlation_amount(X),

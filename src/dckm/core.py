@@ -30,12 +30,15 @@ def as_data_matrix(X) -> np.ndarray:
 
 
 def _weight_vector(w, n: int) -> np.ndarray:
-    """Unwrap :class:`SampleWeights` and coerce to a float64 vector of length n."""
+    """Unwrap :class:`SampleWeights` and coerce to a float64 vector of length
+    n; raises ValueError unless every weight is finite and non-negative."""
     if isinstance(w, SampleWeights):
         w = w.w
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (n,):
         raise ValueError(f"weights must have shape ({n},), got {w.shape}")
+    if not np.all(np.isfinite(w) & (w >= 0.0)):
+        raise ValueError("weights must be finite and non-negative")
     return w
 
 

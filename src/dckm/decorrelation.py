@@ -83,12 +83,11 @@ def balance_loss(X, w) -> BalanceLoss:
 
     Features with a degenerate treated or control group contribute nothing;
     their count comes back as ``skipped_features``. The weighted Gram is
-    built from ``sqrt(w)``, so a negative weight raises ``ValueError``.
+    built from ``sqrt(w)``; a negative or non-finite weight raises
+    ``ValueError``.
     """
     X = as_data_matrix(X)
     w = _weight_vector(w, X.shape[0])
-    if np.any(w < 0.0):
-        raise ValueError("weights must be non-negative")
     return _loss_from_gram(_weighted_gram(X, np.sqrt(w)), X.T @ w, float(w.sum()))
 
 

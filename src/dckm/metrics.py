@@ -102,11 +102,9 @@ def correlation_amount(X, w=None) -> float:
         w = np.full(n, 1.0 / n)
     else:
         w = _weight_vector(w, n)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
         total = float(w.sum())
-        if total <= 0 or np.any(w < 0):
-            raise ValueError("weights must be non-negative with positive sum")
+        if total <= 0:
+            raise ValueError("weights must have a positive sum")
         w = w / total
     mean = w @ X
     centered = X - mean

@@ -53,7 +53,6 @@ from .decorrelation import (
 __all__ = [
     "EmptyClusterError",
     "FitResult",
-    "RestartSummary",
     "fit",
     "fit_restarts",
     "update_assignments",
@@ -330,7 +329,7 @@ class FitResult:
         return self.assignments.argmax(axis=1)
 
     @property
-    def final_objective(self) -> float:
+    def objective(self) -> float:
         return self.objective_history[-1]
 
 
@@ -404,19 +403,20 @@ def fit(X, params: HyperParams) -> FitResult:
 
 @dataclass
 class KMeansResult:
-    """Outcome of :func:`_lloyd`; ``converged`` means the labels repeated."""
+    """Outcome of :func:`_lloyd`: ``objective`` is the (weighted) within-cluster
+    sum of squares; ``converged`` means the labels repeated."""
 
     centroids: np.ndarray
     assignments: np.ndarray
     labels: np.ndarray
-    loss: float
+    objective: float
     iterations: int
     converged: bool
 
 
 def _lloyd(X, w, n_clusters, seed, max_iter, weighted_loss) -> KMeansResult:
     """Lloyd iterations with fixed weights ``w``, from :func:`fit`'s start,
-    until the labels repeat or for ``max_iter`` iterations; the loss is
+    until the labels repeat or for ``max_iter`` iterations; the objective is
     weighted or plain per ``weighted_loss``."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -434,40 +434,23 @@ def _lloyd(X, w, n_clusters, seed, max_iter, weighted_loss) -> KMeansResult:
             break
         previous = labels
     resid_sq = _row_sq_norms(X - G @ F.T)
-    loss = float(w @ resid_sq) if weighted_loss else float(resid_sq.sum())
-    return KMeansResult(F, G, labels, loss, iterations, converged)
+    objective = float(w @ resid_sq) if weighted_loss else float(resid_sq.sum())
+    return KMeansResult(F, G, labels, objective, iterations, converged)
 
 
-@dataclass
-class RestartSummary:
-    seed: int
-    objective: float
-    iterations: int
-    converged: bool
-    labels: np.ndarray
+def _restarts(run, params: HyperParams):
+    """The one restart loop: ``run(seed)`` for the seeds ``params.seed + i``,
+    i < ``params.restarts``, in order. Returns ``(best, runs)``: ``best`` is
+    the run with the lowest ``objective``, the first one on ties."""
+    runs = [run(params.seed + i) for i in range(params.restarts)]
+    return min(runs, key=lambda r: r.objective), runs
 
 
 def fit_restarts(X, params: HyperParams):
     """Run ``params.restarts`` fits with seeds seed, seed+1, ... and keep the
     one with the lowest final objective (first wins ties).
 
-    Returns ``(best_result, summaries)`` with one summary per restart, in
-    restart order; deterministic for a fixed base seed.
+    Returns ``(best_result, runs)``: ``runs`` holds every restart's
+    :class:`FitResult`, in restart order; deterministic for a fixed base seed.
     """
-    best = None
-    summaries: list[RestartSummary] = []
-    for i in range(params.restarts):
-        run_params = replace(params, seed=params.seed + i)
-        result = fit(X, run_params)
-        summaries.append(
-            RestartSummary(
-                seed=run_params.seed,
-                objective=result.final_objective,
-                iterations=result.iterations,
-                converged=result.converged,
-                labels=result.labels,
-            )
-        )
-        if best is None or result.final_objective < best.final_objective:
-            best = result
-    return best, summaries
+    return _restarts(lambda seed: fit(X, replace(params, seed=seed)), params)

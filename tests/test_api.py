@@ -1,5 +1,5 @@
-"""The public names of every module resolve, the package's and the
-baselines' public names are pinned, the baselines reach into the solver only
+"""The public names of every module resolve, the package's, the baselines'
+and the solver's public names are pinned, the baselines reach into the solver only
 through its two loops, and every function the benchmark's tracer wraps by
 name exists."""
 
@@ -48,6 +48,10 @@ PINNED = {
     "dckm.baselines": [
         "KMeansResult", "balance_only_weights", "kmeans", "pca_project",
         "select_uncorrelated_features", "weighted_kmeans",
+    ],
+    "dckm.solver": [
+        "EmptyClusterError", "FitResult", "fit", "fit_restarts", "update_assignments",
+        "update_centroids", "update_weights",
     ],
 }
 

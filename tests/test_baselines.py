@@ -53,8 +53,8 @@ class TestKMeans:
             for labels in itertools.product([0, 1], repeat=8)
             if len(set(labels)) == 2
         )
-        result = min((kmeans(X, 2, seed=s) for s in range(3)), key=lambda r: r.loss)
-        assert result.loss == pytest.approx(best_loss, rel=1e-12)
+        result = min((kmeans(X, 2, seed=s) for s in range(3)), key=lambda r: r.objective)
+        assert result.objective == pytest.approx(best_loss, rel=1e-12)
         assert len(set(result.labels[:4])) == 1
         assert len(set(result.labels[4:])) == 1
 
@@ -67,7 +67,7 @@ class TestKMeans:
     def test_duplicated_rows_zero_loss(self):
         X = np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
         result = kmeans(X, 2, seed=0)
-        assert result.loss == pytest.approx(0.0, abs=1e-20)
+        assert result.objective == pytest.approx(0.0, abs=1e-20)
 
     def test_terminal_assignment_is_fixed_point(self):
         rng = np.random.default_rng(9)
@@ -124,12 +124,13 @@ class TestWeightedKMeans:
         rng = np.random.default_rng(12)
         X = random_binary(rng, 30, 6)
         w = rng.uniform(0.1, 2.0, 30)
-        losses = [weighted_kmeans(X, w, 3, seed=4, max_iter=t).loss for t in (1, 2, 3, 5, 20)]
+        losses = [weighted_kmeans(X, w, 3, seed=4, max_iter=t).objective for t in (1, 2, 3, 5, 20)]
         assert all(b <= a + 1e-10 for a, b in zip(losses, losses[1:]))
 
     def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_kmeans(np.eye(3), np.array([1.0, -1.0, 0.0]), 2)
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                weighted_kmeans(np.eye(3), np.array([1.0, bad, 0.0]), 2)
 
 
 class TestDecKM:
@@ -296,5 +297,5 @@ class TestDropKM:
                             drop_threshold=0.7)
         kept = select_uncorrelated_features(ds.X, 0.7)
         assert kept and record.kept_features == kept
-        assert record.best_objective == kmeans(ds.X[:, kept], 2, seed=1).loss
+        assert record.best_objective == kmeans(ds.X[:, kept], 2, seed=1).objective
 

@@ -155,10 +155,11 @@ class TestBalanceLoss:
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_rejects_negative_weights(self):
-        w = np.ones(3)
-        w[1] = -0.5
-        with pytest.raises(ValueError, match="non-negative"):
-            balance_loss(X3, w)
+        for bad in (-0.5, np.nan, np.inf):
+            w = np.ones(3)
+            w[1] = bad
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                balance_loss(X3, w)
 
 
 class TestWeightedGram:

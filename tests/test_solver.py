@@ -1,5 +1,6 @@
 import inspect
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dckm.solver import (
     _backtrack,
     _centroids_with_recovery,
     _first_trial,
+    _restarts,
     _row_sq_norms,
     _weight_gradient,
     _weight_point,
@@ -105,6 +107,12 @@ class TestUpdateCentroids:
         F = update_centroids(X, np.array([1.0, 0.0, 0.0]), G)
         assert np.allclose(F[:, 0], [1.0, 0.0])
         assert np.allclose(F[:, 1], [0.5, 1.0])  # unweighted mean of its members
+
+    def test_rejects_bad_weights(self):
+        X = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                update_centroids(X, np.array([1.0, bad, 1.0]), one_hot_rows([0, 0, 1], 2))
 
     def test_weighted_kmeans_gradient_vanishes(self):
         rng = np.random.default_rng(4)
@@ -580,13 +588,25 @@ class TestFitRestarts:
     def test_single_restart_equals_fit(self):
         ds = generate_biased(BiasSpec(n=60, d=10, n_clusters=2, core_per_cluster=2,
                                       bias_features=4, seed=2))
-        hp = HyperParams(n_clusters=2, seed=11, restarts=1, max_outer_iters=15)
-        best, summaries = fit_restarts(ds.X, hp)
-        single = fit(ds.X, hp)
-        assert len(summaries) == 1
-        assert summaries[0].seed == 11
-        assert best.objective_history == single.objective_history
-        assert np.array_equal(best.labels, single.labels)
+        hp = HyperParams(n_clusters=2, seed=11, restarts=3, max_outer_iters=15)
+        best, runs = fit_restarts(ds.X, hp)
+        assert len(runs) == 3
+        for i, run in enumerate(runs):
+            single = fit(ds.X, replace(hp, seed=11 + i))
+            assert run.objective_history == single.objective_history
+            assert np.array_equal(run.labels, single.labels)
+        assert any(best is run for run in runs)
+
+    def test_restart_loop_keeps_first_lowest(self):
+        seeds = []
+
+        def run(seed):
+            seeds.append(seed)
+            return SimpleNamespace(objective=[3.0, 1.0, 1.0][len(seeds) - 1])
+
+        best, runs = _restarts(run, HyperParams(n_clusters=2, seed=7, restarts=3))
+        assert seeds == [7, 8, 9]
+        assert best is runs[1]
 
     def test_deterministic_for_fixed_seed(self):
         ds = generate_biased(BiasSpec(n=60, d=10, n_clusters=2, core_per_cluster=2,
@@ -602,5 +622,5 @@ class TestFitRestarts:
         ds = generate_biased(BiasSpec(n=60, d=10, n_clusters=2, core_per_cluster=2,
                                       bias_features=4, seed=3))
         hp = HyperParams(n_clusters=2, seed=0, restarts=4, max_outer_iters=15)
-        best, summaries = fit_restarts(ds.X, hp)
-        assert best.final_objective == min(s.objective for s in summaries)
+        best, runs = fit_restarts(ds.X, hp)
+        assert best.objective == min(r.objective for r in runs)
