@@ -74,7 +74,7 @@ def run_grid(cap):
 
         counts["steps"] += 1
         result = original(trial, *rest)
-        counts["stalls"] += not result[2]
+        counts["stalls"] += result[1] is None
         per_search.append(counts["trials"] - before)
         return result
 

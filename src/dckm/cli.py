@@ -71,7 +71,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="dckm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a synthetic biased dataset", parents=[])
+    gen = sub.add_parser("gen", help="generate a synthetic biased dataset")
     gen.add_argument("--n", type=int, default=500, help="number of samples")
     gen.add_argument("--d", type=int, default=24, help="number of features")
     gen.add_argument("--k", dest="n_clusters", metavar="K", type=int, default=3,
@@ -85,43 +85,37 @@ def _build_parser() -> _Parser:
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True, help="output CSV path")
 
-    fit = sub.add_parser("fit", help="fit one method on a dataset")
+    # The flags fit and bench share.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--k", dest="n_clusters", metavar="K", type=int, required=True)
+    shared.add_argument("--l3", dest="lambda3", metavar="L3", type=float, default=1.0)
+    shared.add_argument("--restarts", type=int, default=20)
+    shared.add_argument("--seed", type=int, default=None)
+    shared.add_argument("--max-outer", dest="max_outer_iters", metavar="MAX_OUTER", type=int,
+                        default=100)
+    shared.add_argument("--threshold", type=float, default=0.7,
+                        help="dropkm correlation threshold")
+
+    fit = sub.add_parser("fit", help="fit one method on a dataset", parents=[shared])
     fit.add_argument("--data", required=True, help="input CSV path")
     fit.add_argument("--labels", default=None, help="label column name or index")
     fit.add_argument("--method", required=True, choices=METHODS)
-    fit.add_argument("--k", dest="n_clusters", metavar="K", type=int, required=True)
     fit.add_argument("--l1", dest="lambda1", metavar="L1", type=float, default=1.0)
     fit.add_argument("--l2", dest="lambda2", metavar="L2", type=float, default=1.0)
-    fit.add_argument("--l3", dest="lambda3", metavar="L3", type=float, default=1.0)
-    fit.add_argument("--restarts", type=int, default=20)
-    fit.add_argument("--seed", type=int, default=None)
-    fit.add_argument("--max-outer", dest="max_outer_iters", metavar="MAX_OUTER", type=int,
-                     default=100)
     fit.add_argument("--max-w-iters", type=int, default=5)
     fit.add_argument("--tol", dest="outer_tol", metavar="TOL", type=float, default=1e-6,
                      help="relative objective change that ends a fit (in a sweep with no "
                           "label change) or deckm's weight descent")
-    fit.add_argument("--step", dest="grad_step", metavar="STEP", type=float, default=0.1,
-                     help="first trial step of the first weight line search")
-    fit.add_argument("--shrink", dest="backtrack_shrink", metavar="SHRINK", type=float,
-                     default=0.5, help="factor applied to a rejected trial step, in (0, 1)")
-    fit.add_argument("--threshold", type=float, default=0.7, help="dropkm correlation threshold")
     fit.add_argument("--pca-dims", type=int, default=None, help="pcakm components (default k-1)")
     fit.add_argument("--out", default=None, help="structured result file")
     fit.add_argument("--weights-out", default=None, help="write learned weights (dckm/deckm)")
 
-    bench = sub.add_parser("bench", help="compare methods over a hyperparameter grid")
+    bench = sub.add_parser("bench", help="compare methods over a hyperparameter grid",
+                           parents=[shared])
     bench.add_argument("--data", action="append", required=True, help="dataset CSV (repeatable)")
     bench.add_argument("--labels", default="label")
     bench.add_argument("--methods", required=True, help="comma-separated method list")
-    bench.add_argument("--k", dest="n_clusters", metavar="K", type=int, required=True)
     bench.add_argument("--grid", default=None, help="comma-separated lambda values")
-    bench.add_argument("--l3", dest="lambda3", metavar="L3", type=float, default=1.0)
-    bench.add_argument("--restarts", type=int, default=20)
-    bench.add_argument("--seed", type=int, default=None)
-    bench.add_argument("--max-outer", dest="max_outer_iters", metavar="MAX_OUTER", type=int,
-                       default=100)
-    bench.add_argument("--threshold", type=float, default=0.7)
     bench.add_argument("--out", default=None, help="comparison table file")
 
     corr = sub.add_parser("corr", help="report the dataset's correlation diagnostic")

@@ -173,11 +173,9 @@ class HyperParams:
     weights, lambda3 the (sum-to-one) penalty keeping weights from collapsing
     to zero. max_outer_iters caps a fit's sweeps and max_w_iters the gradient
     steps per sweep; a fit converges when a sweep changes no label and moves
-    the objective by at most outer_tol (relative).
-    grad_step is the first trial step of a fit's first line search and of the
-    first search in ``balance_only_weights``; every later search starts at
-    the Barzilai-Borwein step of the previous one. backtrack_shrink is the
-    factor each rejected trial step is multiplied by.
+    the objective by at most outer_tol (relative). How each weight line
+    search picks its trial steps is fixed in :mod:`dckm.solver`
+    (FIRST_TRIAL_STEP, BACKTRACK_SHRINK).
     """
 
     n_clusters: int
@@ -187,8 +185,6 @@ class HyperParams:
     max_outer_iters: int = 100
     max_w_iters: int = 5
     outer_tol: float = 1e-6
-    grad_step: float = 0.1
-    backtrack_shrink: float = 0.5
     seed: int = 0
     restarts: int = 1
 
@@ -200,11 +196,8 @@ class HyperParams:
                 raise ValueError(f"{name} must be finite and non-negative")
         if self.max_outer_iters < 1 or self.max_w_iters < 1:
             raise ValueError("iteration caps must be positive")
-        for name in ("outer_tol", "grad_step"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ValueError(f"{name} must be finite and positive")
-        if not 0.0 < self.backtrack_shrink < 1.0:
-            raise ValueError("backtrack_shrink must lie in (0, 1)")
+        if not (math.isfinite(self.outer_tol) and self.outer_tol > 0):
+            raise ValueError("outer_tol must be finite and positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.restarts < 1:

@@ -60,6 +60,11 @@ __all__ = [
     "update_weights",
 ]
 
+# The weight line search: the first trial step of a descent with no earlier
+# step, the factor each rejected trial step is multiplied by, and the
+# smallest step tried.
+FIRST_TRIAL_STEP = 0.1
+BACKTRACK_SHRINK = 0.5
 LINE_SEARCH_MIN_STEP = 1e-16
 _RESEED_MAX_FAILURES = 3
 
@@ -101,10 +106,14 @@ def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0):
     Returns ``(value, skipped_features, gram)``: ``gram`` is the weighted Gram
     ``X^T diag(w) X`` of the balance term, which :func:`_weight_gradient` at
     the same omega reuses, or None when lambda1 is 0. The value is bit for bit
-    the direct evaluation ``tests/util.py::weight_objective(X, omega**2, ...)``.
+    the direct evaluation ``tests/util.py::weight_objective(X, omega**2, ...)``,
+    except at all-zero weights, which no :class:`SampleWeights` holds: there it
+    is +inf, so that a line search never accepts them.
     """
     w = omega * omega
     total = float(w.sum())
+    if total <= 0.0:
+        return np.inf, 0, None
     value = float(w @ resid_sq)
     value += params.lambda2 * float(w @ (w / m))
     value += params.lambda3 * (total - 1.0) ** 2
@@ -203,20 +212,21 @@ def _centroids_with_recovery(X, w, G, m):
         G = update_assignments(X, F)
 
 
-def _backtrack(fun, f0, step, shrink):
-    """Shrink the step until the objective stops increasing.
+def _backtrack(fun, f0, step):
+    """Shrink the step by BACKTRACK_SHRINK until the objective stops increasing.
 
-    ``fun(t)`` is the objective at step size t along the descent direction;
-    each call is one trial, and an accepted trial is the last call made.
-    Returns (t, f(t), accepted); accepted is False, with t = 0 and f0, when
-    no step down to LINE_SEARCH_MIN_STEP achieves f(t) <= f0.
+    ``fun(t)`` scores step size t along the descent direction and returns a
+    tuple whose first item is the objective there; each call is one trial.
+    Returns ``(t, trial)`` for the first trial with objective <= f0, ``trial``
+    being the tuple ``fun(t)`` returned, or ``(0.0, None)`` when no step down
+    to LINE_SEARCH_MIN_STEP gets there.
     """
     while step >= LINE_SEARCH_MIN_STEP:
-        f_step = fun(step)
-        if f_step <= f0:
-            return step, f_step, True
-        step *= shrink
-    return 0.0, f0, False
+        trial = fun(step)
+        if trial[0] <= f0:
+            return step, trial
+        step *= BACKTRACK_SHRINK
+    return 0.0, None
 
 
 class WeightUpdate(NamedTuple):
@@ -233,10 +243,10 @@ class WeightUpdate(NamedTuple):
     descent: tuple[float, np.ndarray] | None
 
 
-def _first_trial(descent, g, params: HyperParams) -> float:
+def _first_trial(descent, g) -> float:
     """Where a line search with gradient ``g`` starts.
 
-    With no previous accepted step, at ``grad_step``. Otherwise at the
+    With no previous accepted step, at FIRST_TRIAL_STEP. Otherwise at the
     Barzilai-Borwein step ||s||^2 / s.y of the previous step t along its
     gradient g_prev, with s = -t g_prev and y = g - g_prev, which is
     ``t ||g_prev||^2 / (||g_prev||^2 - g_prev.g)``. It falls back to t when
@@ -244,7 +254,7 @@ def _first_trial(descent, g, params: HyperParams) -> float:
     LINE_SEARCH_MIN_STEP.
     """
     if descent is None:
-        return params.grad_step
+        return FIRST_TRIAL_STEP
     t, g_prev = descent
     gg = float(g_prev @ g_prev)
     curvature = gg - float(g_prev @ g)
@@ -260,11 +270,14 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
     in from ``descent`` when given. Every trial scores ``omega - t*g`` with
     :func:`_weight_point`, one weighted Gram each, and the accepted trial's
     omega, value and Gram become the next step's start, so no step rebuilds
-    its starting point. Stops early at a zero gradient, at a stall (no
-    non-increasing step), or after a step whose relative objective change is
-    at most ``tol``. Row i of X stands for ``m[i]`` copies. Returns the
-    :class:`WeightUpdate` at the final omega and the objective history: the
-    start value, then the value after each accepted step.
+    its starting point. A trial whose weights are all zero scores +inf, so
+    the search shrinks past it: when every row has the same residual the
+    gradient is parallel to omega, and a step can land on omega = 0. Stops
+    early at a zero gradient, at a stall (no non-increasing step), or after a
+    step whose relative objective change is at most ``tol``. Row i of X
+    stands for ``m[i]`` copies. Returns the :class:`WeightUpdate` at the
+    final omega and the objective history: the start value, then the value
+    after each accepted step.
     """
     value, skipped, gram = _weight_point(X, omega, resid_sq, params, m)
     history = [value]
@@ -273,22 +286,17 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
         g = _weight_gradient(X, omega, resid_sq, params, gram, m)
         if not np.any(g):
             break
-        scored = []
 
-        def trial(t):
+        def score(t):
             point = omega - t * g
-            scored[:] = [point, *_weight_point(X, point, resid_sq, params, m)]
-            return scored[1]
+            return (*_weight_point(X, point, resid_sq, params, m), point)
 
-        t, _, accepted = _backtrack(
-            trial, value, _first_trial(descent, g, params), params.backtrack_shrink
-        )
-        if not accepted:
+        t, trial = _backtrack(score, value, _first_trial(descent, g))
+        if trial is None:
             stalled = True
             break
-        # The accepted trial is the last one scored.
         previous = value
-        omega, value, skipped, gram = scored
+        value, skipped, gram, omega = trial
         descent = (t, g)
         history.append(value)
         if tol is not None and abs(value - previous) <= tol * max(1.0, abs(previous)):
@@ -301,7 +309,7 @@ def update_weights(X, F, G, omega, params: HyperParams, descent=None, counts=1.0
     centroids F and assignments G fixed; ``stalled`` in the returned
     :class:`WeightUpdate` means a line search found no non-increasing step.
     ``descent`` is the state a previous call returned: without it the first
-    search starts at ``grad_step``. When row i of X stands for ``counts[i]``
+    search starts at FIRST_TRIAL_STEP. When row i of X stands for ``counts[i]``
     identical rows, omega_i is sqrt(counts[i]) times their common omega."""
     X = as_data_matrix(X)
     F = np.asarray(F, dtype=np.float64)
@@ -353,7 +361,7 @@ def fit(X, params: HyperParams) -> FitResult:
     (relative); it does not mean a stationary point of the objective.
     Otherwise the fit stops after ``max_outer_iters`` sweeps. The weight
     descent's step state carries from sweep to sweep, so only the first line
-    search starts at ``grad_step``. Lloyd iterations with fixed weights are
+    search starts at FIRST_TRIAL_STEP. Lloyd iterations with fixed weights are
     :func:`_lloyd`.
 
     The random start labels every row, so the first centroid update runs on

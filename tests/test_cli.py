@@ -141,7 +141,6 @@ class TestFit:
             "--k": ("k", "2"), "--l1": ("lambda1", "0.5"), "--l2": ("lambda2", "2.5"),
             "--l3": ("lambda3", "0.25"), "--max-outer": ("max_outer_iters", "7"),
             "--max-w-iters": ("max_w_iters", "3"), "--tol": ("outer_tol", "0.001"),
-            "--step": ("grad_step", "0.25"), "--shrink": ("backtrack_shrink", "0.75"),
             "--restarts": ("restarts", "2"), "--seed": ("seed", "9"),
         }
         keys = {"n_clusters" if key == "k" else key for key, _ in flags.values()}
@@ -178,7 +177,7 @@ class TestFit:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "flag, value", [("l1", "nan"), ("l2", "inf"), ("step", "nan"), ("tol", "nan")]
+        "flag, value", [("l1", "nan"), ("l2", "inf"), ("l3", "nan"), ("tol", "nan")]
     )
     def test_non_finite_flags_are_usage_errors(self, small_data, flag, value, capsys):
         assert main(fit_args(small_data, "dckm", **{flag: value})) == 1
@@ -196,6 +195,23 @@ class TestFit:
     def test_invalid_method_flags_are_usage_errors(self, small_data, method, flags, capsys):
         assert main(fit_args(small_data, method, **flags)) == 1
         assert "invalid flags" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--step", "--shrink"])
+    def test_removed_line_search_flags_are_usage_errors(self, small_data, flag):
+        assert main(fit_args(small_data, "dckm") + [flag, "0.2"]) == 1
+
+    @pytest.mark.parametrize("l3", ["0", "0.1"])
+    def test_step_onto_zero_weights_still_fits(self, tmp_path, l3, capsys):
+        # Every row has the same residual at k=1, so the weight gradient is
+        # parallel to omega and the first trial step lands on omega = 0.
+        X = np.vstack([np.eye(4)] * 3)
+        p = tmp_path / "eye.csv"
+        rows = [",".join(f"{v:g}" for v in row) + f",{i % 4}" for i, row in enumerate(X)]
+        p.write_text("a,b,c,d,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main(["fit", "--method", "dckm", "--data", str(p), "--labels", "label",
+                     "--k", "1", "--restarts", "1", "--l3", l3])
+        assert code == 0
+        assert "best_objective=" in capsys.readouterr().out
 
     def test_unlabeled_data_still_fits(self, tmp_path, capsys):
         p = tmp_path / "plain.csv"

@@ -128,9 +128,6 @@ class TestHyperParams:
             {"lambda1": -0.1},
             {"lambda2": -1.0},
             {"outer_tol": 0.0},
-            {"grad_step": 0.0},
-            {"backtrack_shrink": 1.0},
-            {"backtrack_shrink": 0.0},
             {"max_outer_iters": 0},
             {"max_w_iters": 0},
             {"restarts": 0},
@@ -141,8 +138,6 @@ class TestHyperParams:
             {"lambda3": float("nan")},
             {"outer_tol": float("nan")},
             {"outer_tol": float("inf")},
-            {"grad_step": float("nan")},
-            {"grad_step": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -11,6 +11,8 @@ from dckm.core import HyperParams, SampleWeights, one_hot_rows
 from dckm.data import BiasSpec, generate_biased
 from dckm.decorrelation import balance_loss
 from dckm.solver import (
+    BACKTRACK_SHRINK,
+    FIRST_TRIAL_STEP,
     LINE_SEARCH_MIN_STEP,
     EmptyClusterError,
     _backtrack,
@@ -36,6 +38,7 @@ from util import (
     omega_objective,
     random_binary,
     record_assignments,
+    record_line_searches,
     weight_objective,
     wide_matrix,
     with_copies,
@@ -228,12 +231,20 @@ class TestUpdateWeights:
 
         def always_worse(t):
             trials.append(t)
-            return 1.0
+            return (1.0,)
 
-        t, f, accepted = _backtrack(always_worse, 0.0, 0.1, 0.5)
-        assert not accepted
+        t, trial = _backtrack(always_worse, 0.0, 0.1)
+        assert trial is None
         assert t == 0.0 and min(trials) > 0.0
-        assert f == 0.0
+        assert trials[1] == BACKTRACK_SHRINK * trials[0]
+
+    def test_backtrack_returns_the_accepted_trial(self):
+        def score(t):
+            return abs(t - 0.02), ("scored at", t)
+
+        t, trial = _backtrack(score, 0.01, 0.1)
+        assert t == 0.025
+        assert trial == (score(0.025)[0], ("scored at", 0.025))
 
 
 RAY_STEPS = (0.0, 1e-8, 0.1, 1.0, 10.0)
@@ -315,28 +326,19 @@ class TestWeightRay:
 
     @pytest.mark.parametrize("lambdas", STEP_LAMBDAS)
     def test_update_weights_matches_direct_backtracking(self, lambdas, monkeypatch):
-        accepted_steps = []
-        original = dckm.solver._backtrack
-
-        def recording(*args):
-            t, value, accepted = original(*args)
-            if accepted:
-                accepted_steps.append(t)
-            return t, value, accepted
-
-        monkeypatch.setattr(dckm.solver, "_backtrack", recording)
+        searches = record_line_searches(monkeypatch)
         rng = np.random.default_rng(47)
         hp = HyperParams(n_clusters=3, lambda1=lambdas[0], lambda2=lambdas[1],
                          lambda3=lambdas[2], max_w_iters=8)
         for constant_columns in (False, True):
             for _ in range(3):
                 X, F, G, omega = ray_case(rng, 40, 8, 3, constant_columns)
-                accepted_steps.clear()
+                searches.clear()
                 update = update_weights(X, F, G, omega, hp)
                 expected_omega, expected_steps, expected_stalled = direct_backtracking_oracle(
                     X, F, G, omega, hp
                 )
-                assert accepted_steps == expected_steps
+                assert [s.step for s in searches if s.step is not None] == expected_steps
                 assert update.stalled == expected_stalled
                 np.testing.assert_allclose(
                     update.weights.omega, expected_omega, rtol=1e-12, atol=0
@@ -347,47 +349,64 @@ class TestWeightRay:
                 assert update.value == pytest.approx(direct[0], rel=1e-12, abs=0.0)
                 assert update.skipped_features == direct[1]
 
+    @pytest.mark.parametrize("lambdas", [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
+    def test_trials_onto_zero_weights_match_direct_backtracking(self, lambdas, monkeypatch):
+        # At k=1 every row of eye(4) has the same residual, so the gradient is
+        # parallel to omega and Barzilai-Borwein trials land on omega = 0.
+        zero_trials = 0
+        original = dckm.solver._weight_point
+
+        def counting(X, omega, *rest):
+            nonlocal zero_trials
+            zero_trials += not np.any(omega)
+            return original(X, omega, *rest)
+
+        monkeypatch.setattr(dckm.solver, "_weight_point", counting)
+        X = np.vstack([np.eye(4)] * 2)
+        F, G, omega = X.mean(axis=0)[:, None], np.ones((8, 1)), np.full(8, np.sqrt(1 / 8))
+        hp = HyperParams(n_clusters=1, lambda1=lambdas[0], lambda2=lambdas[1],
+                         lambda3=lambdas[2], max_w_iters=8)
+        update = update_weights(X, F, G, omega, hp)
+        expected_omega, _, expected_stalled = direct_backtracking_oracle(X, F, G, omega, hp)
+        assert zero_trials > 0
+        assert not update.stalled and not expected_stalled
+        np.testing.assert_allclose(update.weights.omega, expected_omega, rtol=1e-12, atol=0)
+
     def test_one_gram_per_trial(self, monkeypatch):
-        counts = {"grams": 0, "trials": 0}
+        grams = 0
         original_gram = dckm.solver._weighted_gram
-        original_backtrack = dckm.solver._backtrack
 
         def counting_gram(*args):
-            counts["grams"] += 1
+            nonlocal grams
+            grams += 1
             return original_gram(*args)
 
-        def counting_backtrack(fun, *rest):
-            def trial(t):
-                counts["trials"] += 1
-                return fun(t)
-
-            return original_backtrack(trial, *rest)
-
         monkeypatch.setattr(dckm.solver, "_weighted_gram", counting_gram)
-        monkeypatch.setattr(dckm.solver, "_backtrack", counting_backtrack)
+        searches = record_line_searches(monkeypatch)
         X, F, G, omega = ray_case(np.random.default_rng(49), 40, 8, 3)
         hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=1e-2, lambda3=1.0, max_w_iters=8)
         update = update_weights(X, F, G, omega, hp)
-        assert not update.stalled and counts["trials"] > 8
+        trials = sum(s.trials for s in searches)
+        assert not update.stalled and trials > 8
         # The start, then one per trial; the gradients reuse them.
-        assert counts["grams"] == 1 + counts["trials"]
+        assert grams == 1 + trials
 
 
 class TestFirstTrial:
     """Where each line search starts: the Barzilai-Borwein step of the
     previous accepted step, with its three fallbacks to that step."""
 
-    hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=2.0, lambda3=1.0, grad_step=0.1)
+    hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=2.0, lambda3=1.0)
 
     def test_first_search_starts_at_grad_step(self):
-        assert _first_trial(None, np.ones(4), self.hp) == 0.1
+        assert _first_trial(None, np.ones(4)) == FIRST_TRIAL_STEP == 0.1
 
     def test_barzilai_borwein_step(self):
         rng = np.random.default_rng(5)
         g_prev, g = rng.normal(size=30), rng.normal(size=30)
         g = 0.3 * g_prev + 0.1 * g  # s.y > 0
         s, y = -0.02 * g_prev, g - g_prev
-        assert _first_trial((0.02, g_prev), g, self.hp) == pytest.approx(
+        assert _first_trial((0.02, g_prev), g) == pytest.approx(
             (s @ s) / (s @ y), rel=1e-12
         )
 
@@ -400,23 +419,16 @@ class TestFirstTrial:
             "not finite": np.full(30, np.nan),
             "below minimum": -1e-20 * g,  # proposal ~ 1e-20 t
         }[case]
-        assert _first_trial((0.03, g_prev), g, self.hp) == 0.03
+        assert _first_trial((0.03, g_prev), g) == 0.03
         if case == "non-positive curvature":
-            assert _first_trial((0.03, g), g, self.hp) == 0.03  # s.y == 0 exactly
+            assert _first_trial((0.03, g), g) == 0.03  # s.y == 0 exactly
         if case == "not finite":
             # A finite gradient whose proposal, about 1e7 t, overflows.
-            assert _first_trial((1e305, 1.0000001 * g), g, self.hp) == 1e305
+            assert _first_trial((1e305, 1.0000001 * g), g) == 1e305
 
     @pytest.mark.parametrize("case", ["non-positive curvature", "not finite", "below minimum"])
     def test_fallback_does_not_stall(self, case, monkeypatch):
-        first_trials = []
-        original = dckm.solver._backtrack
-
-        def recording(fun, f0, step, shrink):
-            first_trials.append(step)
-            return original(fun, f0, step, shrink)
-
-        monkeypatch.setattr(dckm.solver, "_backtrack", recording)
+        searches = record_line_searches(monkeypatch)
         X, F, G, omega = ray_case(np.random.default_rng(48), 40, 8, 3)
         resid_sq = _row_sq_norms(X - G @ F.T)
         g = _weight_gradient(X, omega, resid_sq, self.hp)
@@ -424,7 +436,7 @@ class TestFirstTrial:
                   "below minimum": -1e-20 * g}[case]
         step = 1e-3
         update = update_weights(X, F, G, omega, replace(self.hp, max_w_iters=1), (step, g_prev))
-        assert first_trials == [step]
+        assert [s.first for s in searches] == [step]
         assert not update.stalled
         assert update.value < weight_objective(X, omega * omega, resid_sq, self.hp)[0]
         assert LINE_SEARCH_MIN_STEP <= update.descent[0] <= step
@@ -436,41 +448,36 @@ FAMILY = dict(n=500, d=24, n_clusters=3, core_per_cluster=1, bias_features=5,
 
 class TestStepSize:
     """Guard for the Barzilai-Borwein start on the acceptance protocol's data:
-    a search that always started at ``grad_step`` took 7.5 and 19.8 trials per
-    step at these two grid points."""
+    a search that always started at FIRST_TRIAL_STEP took 7.5 and 19.8 trials
+    per step at these two grid points."""
 
     @pytest.mark.parametrize("max_w_iters", [5, 1])
     def test_few_trials_per_step(self, max_w_iters, monkeypatch):
-        counts = {"trials": 0, "steps": 0}
-        accepted_steps = []
-        original = dckm.solver._backtrack
-
-        def counting(fun, f0, step, shrink):
-            def trial(t):
-                counts["trials"] += 1
-                return fun(t)
-
-            counts["steps"] += 1
-            t, value, accepted = original(trial, f0, step, shrink)
-            if accepted:
-                accepted_steps.append(t)
-            return t, value, accepted
-
-        monkeypatch.setattr(dckm.solver, "_backtrack", counting)
+        searches = record_line_searches(monkeypatch)
         X = generate_biased(BiasSpec(bias_strength=0.9, seed=5, **FAMILY)).X
         for lambda1 in (1e-2, 1e3):
-            counts.update(trials=0, steps=0)
-            accepted_steps.clear()
+            searches.clear()
             hp = HyperParams(n_clusters=3, lambda1=lambda1, lambda2=1e3, lambda3=1.0,
                              max_outer_iters=40, max_w_iters=max_w_iters, seed=100)
             hist = np.array(fit(X, hp).objective_history)
             assert np.all(np.diff(hist) <= 0.0)
-            assert counts["trials"] <= 3 * counts["steps"]
+            assert sum(s.trials for s in searches) <= 3 * len(searches)
+            accepted_steps = [s.step for s in searches if s.step is not None]
             # A start carried without its gradient could only shrink.
             assert any(b > a for a, b in zip(accepted_steps, accepted_steps[1:]))
 
 
 class TestFit:
+    @pytest.mark.parametrize("lambdas", [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+    def test_step_onto_zero_weights_is_rejected(self, lambdas):
+        # At k=1 every row of eye(4) has the same residual, so the weight
+        # gradient is parallel to omega and a trial step can land on omega = 0.
+        hp = HyperParams(n_clusters=1, lambda1=lambdas[0], lambda2=lambdas[1],
+                         lambda3=lambdas[2])
+        result = fit(np.vstack([np.eye(4)] * 2), hp)
+        assert result.weights.w.sum() > 0.0
+        assert np.all(np.diff(result.objective_history) <= 0.0)
+
     def test_rejects_invalid_data(self):
         with pytest.raises(ValueError):
             fit(np.array([[1.0, 0.5], [0.0, 1.0]]), HyperParams(n_clusters=2))

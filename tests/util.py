@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,6 +13,8 @@ from dckm.core import SampleWeights, _weight_vector, as_data_matrix
 from dckm.data import BiasSpec, generate_biased
 from dckm.decorrelation import GROUP_MASS_EPS, balance_loss
 from dckm.solver import (
+    BACKTRACK_SHRINK,
+    FIRST_TRIAL_STEP,
     LINE_SEARCH_MIN_STEP,
     _centroids_with_recovery,
     _descend,
@@ -229,11 +232,13 @@ def direct_backtracking_oracle(X, F, G, omega, params):
     """The weight block scored the definitional way: every backtracking trial
     evaluates the full objective at the candidate omega.
 
-    The first search starts at ``grad_step``; each later one at the
+    The first search starts at FIRST_TRIAL_STEP; each later one at the
     Barzilai-Borwein step ||s||^2 / s.y of the previous accepted step t along
     gradient g_prev (s = -t g_prev, y = g - g_prev), written as
     ``t ||g_prev||^2 / (||g_prev||^2 - g_prev.g)``, or at t itself when s.y
-    <= 0 or the proposal is not finite or below LINE_SEARCH_MIN_STEP.
+    <= 0 or the proposal is not finite or below LINE_SEARCH_MIN_STEP. A
+    rejected step is multiplied by BACKTRACK_SHRINK, and a candidate whose
+    weights are all zero is rejected.
     Returns ``(omega, accepted_step_sizes, stalled)``.
     """
     omega = np.asarray(omega, dtype=np.float64)
@@ -244,7 +249,7 @@ def direct_backtracking_oracle(X, F, G, omega, params):
         g = omega_gradient(X, F, G, omega, params)
         if not np.any(g):
             break
-        step = params.grad_step
+        step = FIRST_TRIAL_STEP
         if g_prev is not None:
             step = steps[-1]
             norm_sq = float(g_prev @ g_prev)
@@ -254,10 +259,11 @@ def direct_backtracking_oracle(X, F, G, omega, params):
         g_prev = g
         while step >= LINE_SEARCH_MIN_STEP:
             candidate = omega - step * g
-            candidate_value = omega_objective(X, F, G, candidate, params)
-            if candidate_value <= value:
-                break
-            step *= params.backtrack_shrink
+            if np.any(candidate * candidate):
+                candidate_value = omega_objective(X, F, G, candidate, params)
+                if candidate_value <= value:
+                    break
+            step *= BACKTRACK_SHRINK
         else:
             return omega, steps, True
         omega, value = candidate, candidate_value
@@ -328,6 +334,38 @@ def record_assignments(monkeypatch):
 
     monkeypatch.setattr(dckm.solver, "update_assignments", recording)
     return history
+
+
+class LineSearch(NamedTuple):
+    """One call of ``solver._backtrack``: its first trial step, the number of
+    trials it scored and the step it accepted (None on a stall)."""
+
+    first: float
+    trials: int
+    step: float | None
+
+
+def record_line_searches(monkeypatch):
+    """Wrap ``dckm.solver._backtrack`` so that every weight line search
+    appends its :class:`LineSearch` to the returned list, in order, as the
+    benchmark's tracer and ``scripts/c07_grid.py`` wrap it."""
+    searches = []
+    original = dckm.solver._backtrack
+
+    def recording(fun, f0, step):
+        trials = 0
+
+        def counted(t):
+            nonlocal trials
+            trials += 1
+            return fun(t)
+
+        t, trial = original(counted, f0, step)
+        searches.append(LineSearch(step, trials, None if trial is None else t))
+        return t, trial
+
+    monkeypatch.setattr(dckm.solver, "_backtrack", recording)
+    return searches
 
 
 def lloyd_oracle(X, n_clusters, seed, max_iter, prefer=()):
