@@ -23,7 +23,7 @@ import numpy as np
 
 from .baselines import balance_only_weights, kmeans, pca_project, select_uncorrelated_features, weighted_kmeans
 from .core import HyperParams
-from .data import BiasSpec, LabeledDataset, generate_biased, load_csv, save_dataset
+from .data import BiasSpec, LabeledDataset, float_texts, generate_biased, load_csv, save_dataset
 from .metrics import ari, correlation_amount, nmi
 from .solver import EmptyClusterError, _restarts, fit_restarts
 
@@ -368,7 +368,7 @@ def _cmd_fit(args) -> None:
     if args.out is not None:
         _write_text(args.out, "\n".join(record.lines()) + "\n")
     if args.weights_out is not None:
-        _write_text(args.weights_out, "".join(repr(float(v)) + "\n" for v in record.weights))
+        _write_text(args.weights_out, "".join(t + "\n" for t in float_texts(record.weights).tolist()))
 
 
 def _cmd_bench(args) -> None:

@@ -9,11 +9,17 @@ import csv
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .core import as_data_matrix
+
+# save_dataset formats and writes this many cells at a time, so the text of
+# one block, not of the whole matrix, is held in memory.
+WRITE_BLOCK_CELLS = 8192
 
 __all__ = [
     "BiasSpec",
@@ -61,11 +67,23 @@ def load_csv(path, label_column=None) -> LabeledDataset:
     A header row is auto-detected (any non-numeric cell in the first row).
     ``label_column`` selects the ground-truth column by header name or by
     integer position; label cells may be non-numeric and are mapped to
-    integer codes 0..C-1 in sorted order of the distinct values.
+    integer codes 0..C-1 in sorted order of the distinct values. A label
+    name that appears more than once in the header is rejected, since either
+    column could be meant.
+
+    Feature cells are stripped of surrounding whitespace and converted by
+    ``float``, in one pass over all cells. Every failure raises ``ValueError``
+    naming the file and a line: a malformed CSV (such as a field over the
+    ``csv`` module's size limit), a ragged row, or else the first feature cell
+    in row-major order that is not a finite number.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        try:
+            rows = [row for row in reader if row]
+        except csv.Error as exc:
+            raise ValueError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
 
@@ -87,8 +105,11 @@ def load_csv(path, label_column=None) -> LabeledDataset:
         if isinstance(label_column, str):
             if header is None:
                 raise ValueError(f"{path}: label column {label_column!r} needs a header row")
-            if label_column not in header:
+            count = header.count(label_column)
+            if count == 0:
                 raise ValueError(f"{path}: missing label column {label_column!r}")
+            if count > 1:
+                raise ValueError(f"{path}: label column {label_column!r} appears {count} times in the header")
             label_idx = header.index(label_column)
         else:
             label_idx = int(label_column)
@@ -96,19 +117,7 @@ def load_csv(path, label_column=None) -> LabeledDataset:
                 raise ValueError(f"{path}: label column index {label_idx} out of range")
 
     feature_cols = [j for j in range(width) if j != label_idx]
-    offset = 2 if has_header else 1
-    X = np.empty((len(body), len(feature_cols)), dtype=np.float64)
-    for i, row in enumerate(body):
-        for out_j, j in enumerate(feature_cols):
-            cell = row[j].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                value = None
-            if value is None or not math.isfinite(value):
-                kind = "non-numeric" if value is None else "non-finite"
-                raise ValueError(f"{path}: {kind} cell {cell!r} at line {i + offset}, column {j}")
-            X[i, out_j] = value
+    X = _feature_matrix(path, body, feature_cols, first_line=2 if has_header else 1)
 
     labels = None
     if label_idx is not None:
@@ -131,24 +140,75 @@ def load_csv(path, label_column=None) -> LabeledDataset:
     )
 
 
+def _feature_matrix(path, body, feature_cols, first_line: int) -> np.ndarray:
+    """The feature cells of ``body`` as an n x d float64 matrix, converted in
+    one ``np.fromiter`` pass. When a cell is not a finite number, a loop over
+    the cells finds the first one in row-major order and raises the error
+    that names it (``first_line`` is the file line of ``body[0]``)."""
+    n, d = len(body), len(feature_cols)
+    if d == 0:
+        return np.empty((n, 0))
+    if d == 1:  # itemgetter of one index returns the cell, not a tuple
+        cells = map(itemgetter(feature_cols[0]), body)
+    else:
+        cells = chain.from_iterable(map(itemgetter(*feature_cols), body))
+    try:
+        X = np.fromiter(map(float, map(str.strip, cells)), np.float64, count=n * d)
+        # min and max are NaN or infinite when any cell is, and unlike
+        # np.isfinite(X) they need no n*d temporary while the rows are held.
+        if math.isfinite(X.min()) and math.isfinite(X.max()):
+            return X.reshape(n, d)
+    except ValueError:
+        pass
+    for i, row in enumerate(body):
+        for j in feature_cols:
+            cell = row[j].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                value = None
+            if value is None or not math.isfinite(value):
+                kind = "non-numeric" if value is None else "non-finite"
+                raise ValueError(f"{path}: {kind} cell {cell!r} at line {i + first_line}, column {j}")
+
+
 def save_dataset(dataset: LabeledDataset, path) -> None:
     """Write a dataset as CSV (header row, optional trailing label column).
 
-    Floats are written in shortest round-trip form and lines end with LF, so
-    ``load_csv`` reproduces the matrix and labels exactly.
+    Floats are written as ``repr`` gives them (shortest round-trip form) and
+    lines end with LF, so ``load_csv`` reproduces the matrix and labels
+    exactly. The header goes through ``csv.writer``, which quotes names that
+    need it; the number cells never do. A dataset with labels and a feature
+    named ``label`` raises ``ValueError`` before the file is opened, because
+    ``load_csv(path, label_column="label")`` could not tell the two apart.
     """
     path = Path(path)
-    d = dataset.X.shape[1]
+    X, labels = dataset.X, dataset.labels
+    n, d = X.shape
     names = dataset.feature_names or [f"f{j}" for j in range(d)]
-    header = list(names) + (["label"] if dataset.labels is not None else [])
+    if labels is not None and any(str(name).strip() == "label" for name in names):
+        raise ValueError("a feature named 'label' would clash with the label column")
+    header = list(names) + (["label"] if labels is not None else [])
+    block = max(1, WRITE_BLOCK_CELLS // max(d, 1))
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(dataset.X.shape[0]):
-            row = [repr(float(v)) for v in dataset.X[i]]
-            if dataset.labels is not None:
-                row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for start in range(0, n, block):
+            rows = float_texts(X[start : start + block]).tolist()
+            if labels is not None:
+                for row, label in zip(rows, labels[start : start + block].tolist()):
+                    row.append(str(label))
+            fh.write("".join(",".join(row) + "\n" for row in rows))
+
+
+def float_texts(values) -> np.ndarray:
+    """``repr`` of each float in ``values``, as an object array of the same
+    shape. ``repr`` runs once per distinct bit pattern, so ``-0.0`` keeps
+    its own text; this is the one float-to-text rule of the CSV and weight
+    files."""
+    values = np.asarray(values, dtype=np.float64)
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].reshape(values.shape)
 
 
 @dataclass

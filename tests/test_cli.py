@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import fields
 
 import numpy as np
@@ -60,6 +61,21 @@ class TestGen:
     def test_invalid_bias_is_usage_error(self, tmp_path):
         code = main(["gen", "--bias", "1.2", "--out", str(tmp_path / "x.csv")])
         assert code == 1
+
+    # sha256 of the CSV written by the per-cell writer, which save_dataset
+    # must reproduce byte for byte.
+    @pytest.mark.parametrize("flags, digest", [
+        (["--n", "500", "--d", "24", "--k", "3", "--core-per-cluster", "1", "--bias-features", "5",
+          "--bias", "0.9", "--noise", "0.005", "--seed", "5"],
+         "21a091a6374301952e109c3986b9af3f9c73333821b23c3f46d5fcb0db3b3158"),
+        (["--n", "2000", "--d", "100", "--k", "5", "--core-per-cluster", "4", "--bias-features", "60",
+          "--bias", "0.8", "--noise", "0.05", "--seed", "7"],
+         "c640d6c96eea8428a244ed4761b73535d75f45d7e772d79a20ff5afa36f9f98a"),
+    ], ids=["c07-family-seed5", "c10-shape-seed7"])
+    def test_output_bytes_pinned(self, tmp_path, flags, digest):
+        out = tmp_path / "gen.csv"
+        assert main(["gen", *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_every_flag_reaches_the_spec(self, tmp_path, capsys):
         # flag -> (provenance key, a value other than the default)
@@ -377,3 +393,31 @@ def test_failure_prints_one_line(small_data, tmp_path, code, argv, capsys):
     err = capsys.readouterr().err
     assert err.endswith("\n") and err.count("\n") == 1
     assert err.startswith(f"dckm {argv[0]}: ")
+
+
+CSV_READERS = {
+    "corr": ["corr", "--data", "{data}", "--labels", "label"],
+    "fit": ["fit", "--data", "{data}", "--labels", "label", "--method", "kmeans", "--k", "2"],
+    "bench": ["bench", "--data", "{data}", "--labels", "label", "--methods", "kmeans", "--k", "2"],
+}
+
+
+@pytest.mark.parametrize("command", CSV_READERS)
+def test_oversized_csv_field_is_data_error(tmp_path, command, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text("f1,label\n1," + "0" * 200_000 + "\n0,1\n", encoding="utf-8")
+    assert main([a.format(data=big) for a in CSV_READERS[command]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"dckm {command}: {big}: malformed CSV at line 2: ")
+    assert "field larger than field limit" in err
+
+
+@pytest.mark.parametrize("command", CSV_READERS)
+def test_duplicate_label_column_is_data_error(tmp_path, command, capsys):
+    dup = tmp_path / "dup.csv"
+    dup.write_text("a,label,label\n1,0,0\n0,1,1\n1,1,2\n0,0,1\n", encoding="utf-8")
+    assert main([a.format(data=dup) for a in CSV_READERS[command]]) == 2
+    assert capsys.readouterr().err == (
+        f"dckm {command}: {dup}: label column 'label' appears 2 times in the header\n"
+    )

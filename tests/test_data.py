@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import dckm.data
 from dckm.data import (
     BiasSpec,
     LabeledDataset,
@@ -11,6 +14,7 @@ from dckm.data import (
 )
 from dckm.core import validate_data
 from dckm.metrics import correlation_amount
+from util import save_dataset_oracle
 
 
 class TestLoadCsv:
@@ -74,6 +78,81 @@ class TestLoadCsv:
         assert load_csv(p).X.shape == (2, 2)
 
 
+class TestLoadCsvCells:
+    """How single cells and odd files read; each case reads the same as
+    with the per-cell parser."""
+
+    def read(self, tmp_path, text, **kwargs):
+        p = tmp_path / "cells.csv"
+        p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        return load_csv(p, **kwargs)
+
+    def test_label_column_only(self, tmp_path):
+        ds = self.read(tmp_path, "label\n1\n0\n1\n", label_column="label")
+        assert ds.X.shape == (3, 0)
+        assert ds.feature_names == []
+        assert np.array_equal(ds.labels, [1, 0, 1])
+
+    @pytest.mark.parametrize("label_column", [None, "label"])
+    def test_one_feature_column(self, tmp_path, label_column):
+        ds = self.read(tmp_path, "f1,label\n1.5,0\n0,1\n2,1\n", label_column=label_column)
+        expected = [[1.5], [0.0], [2.0]] if label_column else [[1.5, 0.0], [0.0, 1.0], [2.0, 1.0]]
+        assert np.array_equal(ds.X, expected)
+
+    def test_one_feature_column_no_header(self, tmp_path):
+        assert np.array_equal(self.read(tmp_path, "1\n0\n-0.5\n").X, [[1.0], [0.0], [-0.5]])
+
+    def test_whitespace_around_cells(self, tmp_path):
+        ds = self.read(tmp_path, "f1 , f2,label\n 1 ,\t0.25\t, 1\n0\u00a0,  1e-3,0\n",
+                       label_column="label")
+        assert ds.feature_names == ["f1", "f2"]
+        assert np.array_equal(ds.X, [[1.0, 0.25], [0.0, 1e-3]])
+        assert np.array_equal(ds.labels, [1, 0])
+
+    def test_separator_controls_stripped_as_whitespace(self, tmp_path):
+        # str.strip removes U+001C..U+001F, which float() alone rejects.
+        ds = self.read(tmp_path, "f1,f2\n1\x1c,\x1f0\n0,1\n")
+        assert np.array_equal(ds.X, [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_quoted_numeric_cell(self, tmp_path):
+        ds = self.read(tmp_path, 'f1,f2\n"1",0\n0,"2.5"\n')
+        assert np.array_equal(ds.X, [[1.0, 0.0], [0.0, 2.5]])
+
+    def test_underscore_digits_read_as_python_float(self, tmp_path):
+        assert np.array_equal(self.read(tmp_path, "f1,f2\n1_0,0\n0,1\n").X, [[10.0, 0.0], [0.0, 1.0]])
+
+    def test_crlf_with_byte_order_mark(self, tmp_path):
+        ds = self.read(tmp_path, b"\xef\xbb\xbff1,f2\r\n1,0\r\n0,1\r\n")
+        assert ds.feature_names == ["f1", "f2"]
+        assert np.array_equal(ds.X, [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_ragged_row_reported_before_bad_cell(self, tmp_path):
+        with pytest.raises(ValueError, match="ragged row at line 3"):
+            self.read(tmp_path, "f1,f2\n1,oops\n0,1,1\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("f1,f2\n1,0\nnan,oops\n", "non-finite cell 'nan' at line 3, column 0"),
+        ("f1,f2\n1,x\ninf,0\n", "non-numeric cell 'x' at line 2, column 1"),
+        ("1,0\n0,-inf\ny,1\n", "non-finite cell '-inf' at line 2, column 1"),
+    ])
+    def test_first_bad_cell_in_row_major_order(self, tmp_path, text, message):
+        with pytest.raises(ValueError, match=message):
+            self.read(tmp_path, text)
+
+    def test_bad_cell_in_label_column_position_named(self, tmp_path):
+        with pytest.raises(ValueError, match="non-numeric cell 'z' at line 3, column 2"):
+            self.read(tmp_path, "label,f1,f2\n0,1,0\n1,0,z\n", label_column="label")
+
+    def test_oversized_field_is_value_error(self, tmp_path):
+        text = "f1,f2\n0,1\n1," + "0" * 200_000 + "\n0,1\n"
+        with pytest.raises(ValueError, match=r"cells\.csv: malformed CSV at line 3: .*field limit"):
+            self.read(tmp_path, text)
+
+    def test_duplicate_label_column_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="label column 'label' appears 2 times"):
+            self.read(tmp_path, "a,label,label\n1,0,0\n0,1,1\n", label_column="label")
+
+
 class TestSaveRoundTrip:
     def test_round_trip_with_labels(self, tmp_path):
         ds = generate_biased(BiasSpec(n=40, d=12, n_clusters=3, core_per_cluster=2,
@@ -103,6 +182,64 @@ class TestSaveRoundTrip:
         p = tmp_path / "lf.csv"
         save_dataset(ds, p)
         assert b"\r" not in p.read_bytes()
+
+
+# Finite floats, with the values whose text is easy to get wrong.
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1e16, 0.1]),
+    st.integers(-(2**53), 2**53).map(float),
+)
+NAMES = st.text(alphabet='ab,"\' x', min_size=1, max_size=4)
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 5))
+    strided = draw(st.booleans())
+    X = draw(arrays(np.float64, (n, 2 * d if strided else d), elements=CELLS))
+    if strided:
+        X = X[:, ::2]
+    labels = draw(st.none() | arrays(np.int64, n, elements=st.integers(0, 10**6)))
+    names = draw(st.none() | st.lists(NAMES, min_size=d, max_size=d))
+    return LabeledDataset(X=X, labels=labels, feature_names=names)
+
+
+class TestSaveBytes:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ds=datasets())
+    def test_bytes_equal_per_cell_writer_and_values_read_back(self, tmp_path, ds):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        save_dataset(ds, new)
+        save_dataset_oracle(ds, old)
+        assert new.read_bytes() == old.read_bytes()
+        back = load_csv(new, label_column=None if ds.labels is None else "label")
+        assert np.array_equal(back.X.view(np.int64), np.ascontiguousarray(ds.X).view(np.int64))
+
+    def test_rows_span_several_write_blocks(self, tmp_path):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(3 * dckm.data.WRITE_BLOCK_CELLS // 7 + 5, 7)).round(2)
+        X[::3, 1] = -0.0
+        ds = LabeledDataset(X=X, labels=rng.integers(0, 3, X.shape[0]))
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        save_dataset(ds, new)
+        save_dataset_oracle(ds, old)
+        assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("name", ["label", " label "])
+    def test_feature_named_label_rejected_with_labels(self, tmp_path, name):
+        p = tmp_path / "clash.csv"
+        ds = LabeledDataset(X=np.eye(3)[:, :2], labels=[0, 1, 2], feature_names=["a", name])
+        with pytest.raises(ValueError, match="feature named 'label'"):
+            save_dataset(ds, p)
+        assert not p.exists()
+
+    def test_feature_named_label_allowed_without_labels(self, tmp_path):
+        p = tmp_path / "plain.csv"
+        save_dataset(LabeledDataset(X=np.eye(2), feature_names=["a", "label"]), p)
+        assert p.read_text(encoding="utf-8") == "a,label\n1.0,0.0\n0.0,1.0\n"
 
 
 class TestBinarize:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -436,3 +438,20 @@ def kmeans_loss_for_labels(X, labels, n_clusters):
         centroid = members.mean(axis=0)
         loss += float(np.sum((members - centroid) ** 2))
     return loss
+
+
+def save_dataset_oracle(dataset, path) -> None:
+    """``dckm.data.save_dataset`` as a per-cell writer: one ``csv.writer``
+    row per sample, ``repr(float(v))`` for each cell."""
+    path = Path(path)
+    d = dataset.X.shape[1]
+    names = dataset.feature_names or [f"f{j}" for j in range(d)]
+    header = list(names) + (["label"] if dataset.labels is not None else [])
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(dataset.X.shape[0]):
+            row = [repr(float(v)) for v in dataset.X[i]]
+            if dataset.labels is not None:
+                row.append(str(int(dataset.labels[i])))
+            writer.writerow(row)
