@@ -160,16 +160,13 @@ def summarise(name, l1, l2, rows, counts):
 
 
 def protocol(cells):
-    """C07's choice per dataset: the first cell with the highest mean NMI,
-    among cells where every fit finished."""
-    best = {}
-    for cell in cells:
-        if cell["fits"] != len(RESTART_SEEDS):
-            continue
-        current = best.get(cell["data"])
-        if current is None or cell["nmi"] > current["nmi"]:
-            best[cell["data"]] = cell
-    return best
+    """C07's choice per dataset, as ``dckm bench`` makes it: the first cell
+    with the highest mean NMI, among cells where every fit finished."""
+    complete = [c for c in cells if c["fits"] == len(RESTART_SEEDS)]
+    return {
+        name: max((c for c in complete if c["data"] == name), key=lambda c: c["nmi"])
+        for name in dict.fromkeys(c["data"] for c in complete)
+    }
 
 
 def report_run(cells, fits):

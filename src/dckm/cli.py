@@ -4,7 +4,8 @@ and correlation diagnostics.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 solver failure. Every
 flag, and the DCKM_SEED environment variable that --seed defaults to, is
 checked before any data is read; a failure prints one line,
-"dckm <command>: <message>", to stderr.
+"dckm <command>: <message>", to stderr, and each warning one line,
+"dckm <command>: warning: <message>", without changing the exit code.
 Result files are line-oriented ``key=value`` text with a versioned header
 (see README for the schema); they contain no timing, so identical flags
 produce byte-identical files.
@@ -16,6 +17,7 @@ import argparse
 import os
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -186,26 +188,25 @@ def _params(cls, args):
 
 @dataclass
 class RunRecord:
-    """Aggregated outcome of one method on one dataset."""
+    """Aggregated outcome of one method on one dataset; ``best`` is the
+    restart that the solver's restart loop chose (FitResult or KMeansResult)."""
 
     method: str
     params: dict
     seed: int
     restarts: int
+    best: object
     per_restart_objective: list
-    best_iterations: int
-    best_converged: bool
     correlation_unweighted: float
     correlation_weighted: float | None = None
     per_restart_nmi: list | None = None
     per_restart_ari: list | None = None
-    skipped_features: int | None = None
     kept_features: list | None = None
     weights: np.ndarray | None = None
 
     @property
     def best_objective(self) -> float:
-        return min(self.per_restart_objective)
+        return self.best.objective
 
     def mean(self, metric: str) -> float:
         """Mean over restarts of ``metric`` ("nmi" or "ari")."""
@@ -226,8 +227,8 @@ class RunRecord:
         out.append(f"seed={self.seed}")
         out.append(f"restarts={self.restarts}")
         out.append(f"best_objective={_fmt(self.best_objective)}")
-        out.append(f"best_iterations={self.best_iterations}")
-        out.append(f"best_converged={_fmt(self.best_converged)}")
+        out.append(f"best_iterations={self.best.iterations}")
+        out.append(f"best_converged={_fmt(self.best.converged)}")
         out.append(f"restart_objective={_fmt(self.per_restart_objective)}")
         if self.per_restart_nmi is not None:
             out += self.score_fields()
@@ -236,8 +237,8 @@ class RunRecord:
         out.append(f"correlation_unweighted={_fmt(self.correlation_unweighted)}")
         if self.correlation_weighted is not None:
             out.append(f"correlation_weighted={_fmt(self.correlation_weighted)}")
-        if self.skipped_features is not None:
-            out.append(f"skipped_features={self.skipped_features}")
+        if self.method == "dckm":
+            out.append(f"skipped_features={self.best.skipped_features_last}")
         if self.kept_features is not None:
             out.append(f"kept_feature_count={len(self.kept_features)}")
             out.append(f"kept_features={_fmt(self.kept_features)}")
@@ -266,9 +267,9 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
     Each method is one pipeline of :mod:`dckm.baselines` blocks (or the
     joint solver for dckm): its data-dependent preparation runs once, then
     one clustering per restart seed ``hp.seed + i``, through the solver's
-    one restart loop. The best restart (lowest objective, first on ties)
-    supplies the iteration count, the converged flag and, for dckm, the
-    learned weights; every restart's objective, NMI and ARI are reported.
+    one restart loop, whose choice (lowest objective, first on ties) is the
+    record's ``best``. pcakm's ``pca_dims`` is the number of components used
+    (fewer than asked on rank-deficient data).
     """
     params = asdict(hp)
     del params["seed"], params["restarts"]
@@ -276,12 +277,10 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
     params.update(_method_params(method, hp, drop_threshold, pca_dims))
 
     weights = None
-    skipped = None
     kept = None
     if method == "dckm":
         best, runs = fit_restarts(X, hp)
         weights = best.weights.w
-        skipped = best.skipped_features_last
     else:
         if method == "deckm":
             sw, history = balance_only_weights(X, hp)
@@ -297,7 +296,8 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
             if method == "kmeans":
                 Z = X
             elif method == "pcakm":
-                Z, _ = pca_project(X, params["pca_dims"])
+                Z, basis = pca_project(X, params["pca_dims"])
+                params["pca_dims"] = basis.shape[1]
             elif method == "dropkm":
                 kept = select_uncorrelated_features(X, drop_threshold)
                 Z = X[:, kept]
@@ -314,12 +314,10 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
         params=params,
         seed=hp.seed,
         restarts=hp.restarts,
+        best=best,
         per_restart_objective=[r.objective for r in runs],
-        best_iterations=best.iterations,
-        best_converged=best.converged,
         correlation_unweighted=correlation_amount(X),
         correlation_weighted=None if weights is None else correlation_amount(X, weights),
-        skipped_features=skipped,
         kept_features=kept,
         weights=weights,
     )
@@ -391,16 +389,16 @@ def _cmd_bench(args) -> None:
     lines.append(f"grid={_fmt(list(grid))}")
     lines.append(f"restarts={args.restarts}")
     lines.append(f"seed={plain.seed}")
-    table: dict[tuple[str, str], RunRecord] = {}
 
     datasets = [(path, _read_dataset(path, args.labels)) for path in args.data]
     for data_path, dataset in datasets:
         if dataset.labels is None:
             raise _Exit(EXIT_DATA, f"{data_path}: ground-truth labels required")
     for data_path, dataset in datasets:
+        chosen: dict[str, RunRecord] = {}
         for method in methods:
             uses_lambdas = method in ("dckm", "deckm")
-            best_record = None
+            records = []
             for hp in lambda_cells if uses_lambdas else [plain]:
                 cell = (
                     f"[cell] dataset={data_path} method={method} "
@@ -415,19 +413,15 @@ def _cmd_bench(args) -> None:
                     lines.append(f"{cell} error={exc}")
                     continue
                 lines.append(" ".join([cell] + record.score_fields()))
-                if best_record is None or record.mean("nmi") > best_record.mean("nmi"):
-                    best_record = record
-            if best_record is not None:
-                table[(data_path, method)] = best_record
+                records.append(record)
+            if records:  # C07's choice: the first cell with the highest mean NMI
+                chosen[method] = max(records, key=lambda r: r.mean("nmi"))
 
-        row = table.get((data_path, "dckm"))
-        baselines = [
-            (m, table[(data_path, m)]) for m in methods if m != "dckm" and (data_path, m) in table
-        ]
-        if row is not None and baselines:
+        row = chosen.pop("dckm", None)
+        if row is not None and chosen:
             row_fields = [f"[row] dataset={data_path}"]
             for metric in ("nmi", "ari"):
-                best_method, best = max(baselines, key=lambda kv: kv[1].mean(metric))
+                best_method, best = max(chosen.items(), key=lambda kv: kv[1].mean(metric))
                 ours, theirs = row.mean(metric), best.mean(metric)
                 gain = (ours - theirs) / theirs * 100.0 if theirs else float("nan")
                 row_fields += [
@@ -474,11 +468,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        _HANDLERS[args.command](args)
-    except _Exit as exc:
-        print(f"dckm {args.command}: {exc}", file=sys.stderr)
-        return exc.code
+    # Restores the caller's warning state: main also runs in-process.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            _HANDLERS[args.command](args)
+        except _Exit as exc:
+            print(f"dckm {args.command}: {exc}", file=sys.stderr)
+            return exc.code
+        finally:
+            for warning in caught:
+                print(f"dckm {args.command}: warning: {warning.message}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -65,15 +65,14 @@ def validate_data(X) -> ValidationReport:
     if n < 2 or d < 2:
         raise ValueError(f"need at least 2 samples and 2 features, got {n}x{d}")
 
-    errors: list[str] = []
-    bad = ~np.isfinite(X)
-    for i, j in _first_positions(bad):
-        errors.append(f"non-finite entry at ({i}, {j})")
-    nonbinary = np.isfinite(X) & (X != 0.0) & (X != 1.0)
-    for i, j in _first_positions(nonbinary):
-        errors.append(f"entry ({i}, {j}) non-binary: {float(X[i, j])!r}")
+    finite = np.isfinite(X)
+    errors = [f"non-finite entry at ({i}, {j})" for i, j in _first_positions(~finite)]
+    nonbinary = finite & (X != 0.0) & (X != 1.0)
+    errors += [
+        f"entry ({i}, {j}) non-binary: {float(X[i, j])!r}" for i, j in _first_positions(nonbinary)
+    ]
 
-    constant = [j for j in range(d) if np.all(X[:, j] == X[0, j])]
+    constant = np.flatnonzero(np.all(X == X[0], axis=0)).tolist()
     warnings = [f"column {j} constant" for j in constant]
     return ValidationReport(
         ok=not errors, errors=errors, warnings=warnings, constant_columns=constant

@@ -41,3 +41,17 @@ def test_run_grid_and_compare(c07_grid, tmp_path, capsys):
     capsys.readouterr()
     c07_grid.compare(*paths)
     assert "label vectors moved: 0 of 2" in capsys.readouterr().out
+
+
+def test_protocol_takes_the_first_best_complete_cell(c07_grid):
+    cells = [
+        {"data": "a", "fits": 2, "nmi": 0.5, "id": 0},
+        {"data": "b", "fits": 1, "nmi": 0.9, "id": 1},  # a fit failed
+        {"data": "a", "fits": 1, "nmi": 0.9, "id": 2},  # a fit failed
+        {"data": "a", "fits": 2, "nmi": 0.7, "id": 3},
+        {"data": "b", "fits": 2, "nmi": 0.6, "id": 4},
+        {"data": "a", "fits": 2, "nmi": 0.7, "id": 5},
+    ]
+    chosen = c07_grid.protocol(cells)
+    assert list(chosen) == ["a", "b"]
+    assert chosen["a"]["id"] == 3 and chosen["b"]["id"] == 4

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,3 +423,100 @@ def test_duplicate_label_column_is_data_error(tmp_path, command, capsys):
     assert capsys.readouterr().err == (
         f"dckm {command}: {dup}: label column 'label' appears 2 times in the header\n"
     )
+
+
+# sha256 of result files at fixed flags, on C07-family data written by
+# dckm gen. They pin every written byte, so a refactor of the CLI cannot
+# move one; a change that adds result keys updates them on purpose.
+FIT_DIGESTS = {
+    "dckm": "f2287bfb064bf9ef3d1688a628efd78a175eddc3d67a6221f2bd18cda90313b8",
+    "kmeans": "191788b85b0bba910b074bff3d69f9929b2ff79abb2024b03af3c567d1523d26",
+    "deckm": "c0a3eb5df396fdc99d4bdbf4bfa76db072093b5b243c23356914da57d24e067e",
+    "pcakm": "00e520e3414ffea3f25f63d9d107be43a46810a52a592e4b347e1abf9abc4aa5",
+    "dropkm": "4e9608f46e1205b8bf0664565c999d931308786fe6cbbbd96951b79115ebf5fc",
+}
+WEIGHTS_DIGESTS = {
+    "dckm": "4df3060df421af4a36c4eb6b76711bb75a00120ba0377a24addce361f548d874",
+    "deckm": "6f8df4bf394479a3f7630f301a9e9c3ed34cbecb379dd98c0cf6e54184159830",
+}
+BENCH_DIGEST = "e5af6dba590625cf2aa9b3796f53242d5144468aff43d8f728e635b0fbc2826f"
+
+
+@pytest.fixture
+def c07_files(tmp_path, monkeypatch):
+    """The biased (0.9) and unbiased (0.5) C07-family datasets at seed 5,
+    under relative names in the working directory: result files name their
+    data, so their bytes must not depend on tmp_path."""
+    monkeypatch.chdir(tmp_path)
+    names = []
+    for name, bias in (("biased.csv", "0.9"), ("unbiased.csv", "0.5")):
+        assert main(["gen", "--n", "500", "--d", "24", "--k", "3", "--core-per-cluster", "1",
+                     "--bias-features", "5", "--bias", bias, "--noise", "0.005",
+                     "--seed", "5", "--out", name]) == 0
+        names.append(name)
+    return names
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fit_files_pinned(self, c07_files, method):
+        extra = {"weights_out": "w.txt"} if method in WEIGHTS_DIGESTS else {}
+        assert main(fit_args(c07_files[0], method, out="result.txt", **extra)) == 0
+        assert sha256("result.txt") == FIT_DIGESTS[method]
+        if extra:
+            assert sha256("w.txt") == WEIGHTS_DIGESTS[method]
+
+    def test_bench_file_pinned(self, c07_files):
+        args = ["bench", "--methods", "kmeans,dropkm,pcakm,deckm,dckm", "--k", "3",
+                "--grid", "0.01,1000", "--restarts", "2", "--seed", "100", "--max-outer", "10",
+                "--out", "bench.txt"]
+        for name in c07_files:
+            args += ["--data", name]
+        assert main(args) == 0
+        assert sha256("bench.txt") == BENCH_DIGEST
+
+
+def test_bench_ties_go_to_the_first_cell(small_data, tmp_path, monkeypatch):
+    # Every cell ties on NMI, and each later ARI call scores higher, so
+    # only the first-cell rule reports the first dckm cell's ARI.
+    counter = itertools.count()
+    monkeypatch.setattr("dckm.cli.nmi", lambda truth, labels: 0.5)
+    monkeypatch.setattr("dckm.cli.ari", lambda truth, labels: float(next(counter)))
+    out = tmp_path / "bench.txt"
+    assert main(["bench", "--data", str(small_data), "--methods", "kmeans,dckm", "--k", "3",
+                 "--grid", "1,100", "--restarts", "2", "--seed", "4", "--max-outer", "5",
+                 "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+
+    def fields(line):
+        return dict(f.split("=", 1) for f in line.split()[1:])
+
+    cells = [fields(l) for l in lines if l.startswith("[cell]") and "method=dckm" in l]
+    (row,) = [fields(l) for l in lines if l.startswith("[row]")]
+    assert len(cells) == 4 and len({c["mean_ari"] for c in cells}) == 4
+    assert row["dckm_ari"] == cells[0]["mean_ari"]
+
+
+class TestWarnings:
+    def test_rank_deficient_pcakm_warns_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "flat.csv"
+        rows = ["f0,f1,f2,f3,label"]
+        rows += [f"{int(i >= 5)},1,1,1,{int(i >= 5)}" for i in range(10)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["fit", "--data", str(path), "--labels", "label", "--method", "pcakm",
+                     "--k", "2", "--restarts", "1", "--pca-dims", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "dckm fit: warning: rank-deficient data: using 1 of 3 requested components\n"
+        )
+        assert "pca_dims=1\n" in captured.out
+
+    def test_full_rank_pcakm_prints_nothing_to_stderr(self, small_data, capsys):
+        assert main(fit_args(small_data, "pcakm")) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "pca_dims=2\n" in captured.out

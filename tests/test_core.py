@@ -4,6 +4,8 @@ from hypothesis import given, strategies as st
 
 from dckm.core import HyperParams, SampleWeights, _distinct_rows, one_hot_rows, validate_data
 
+from util import validate_data_oracle
+
 
 class TestValidateData:
     def test_clean_binary_matrix_ok(self):
@@ -48,6 +50,22 @@ class TestValidateData:
         second = validate_data(X)
         assert np.array_equal(X, before)
         assert first == second
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 7), (40, 5), (2000, 100)])
+    def test_matches_per_column_reference(self, shape):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        for trial in range(10):
+            X = rng.integers(0, 2, size=shape).astype(np.float64)
+            X[:, rng.random(shape[1]) < 0.3] = rng.integers(0, 2)  # constant columns
+            for bad in (np.nan, np.inf, -np.inf, 0.5, 2.0, -0.0)[: trial % 7]:
+                X[rng.integers(shape[0]), rng.integers(shape[1])] = bad
+            assert validate_data(X) == validate_data_oracle(X)
+
+    def test_nan_column_is_not_constant(self):
+        X = np.array([[np.nan, 1.0, 0.0], [np.nan, 1.0, 1.0]])
+        report = validate_data(X)
+        assert report == validate_data_oracle(X)
+        assert report.constant_columns == [1]
 
 
 class TestDistinctRows:

@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 import dckm.solver
-from dckm.core import SampleWeights, _weight_vector, as_data_matrix
+from dckm.core import SampleWeights, ValidationReport, _weight_vector, as_data_matrix
 from dckm.data import BiasSpec, generate_biased
 from dckm.decorrelation import GROUP_MASS_EPS, balance_loss
 from dckm.solver import (
@@ -455,3 +455,20 @@ def save_dataset_oracle(dataset, path) -> None:
             if dataset.labels is not None:
                 row.append(str(int(dataset.labels[i])))
             writer.writerow(row)
+
+
+def validate_data_oracle(X) -> ValidationReport:
+    """``dckm.core.validate_data`` with one check per column for the
+    constant columns and one per error kind for the first bad entries."""
+    X = as_data_matrix(X)
+    errors = []
+    for i, j in list(zip(*np.nonzero(~np.isfinite(X))))[:5]:
+        errors.append(f"non-finite entry at ({i}, {j})")
+    nonbinary = np.isfinite(X) & (X != 0.0) & (X != 1.0)
+    for i, j in list(zip(*np.nonzero(nonbinary)))[:5]:
+        errors.append(f"entry ({i}, {j}) non-binary: {float(X[i, j])!r}")
+    constant = [j for j in range(X.shape[1]) if np.all(X[:, j] == X[0, j])]
+    return ValidationReport(
+        ok=not errors, errors=errors, warnings=[f"column {j} constant" for j in constant],
+        constant_columns=constant,
+    )
