@@ -8,7 +8,8 @@ checked before any data is read; a failure prints one line,
 "dckm <command>: warning: <message>", without changing the exit code.
 Result files are line-oriented ``key=value`` text with a versioned header
 (see README for the schema); they contain no timing, so identical flags
-produce byte-identical files.
+produce byte-identical files on one numpy build at one BLAS thread count
+(large fits' BLAS products round differently across thread counts).
 """
 
 from __future__ import annotations
@@ -376,6 +377,8 @@ def _cmd_bench(args) -> None:
     for m in methods:
         if m not in METHODS:
             raise _Exit(EXIT_USAGE, f"unknown method {m!r}")
+        if methods.count(m) > 1:
+            raise _Exit(EXIT_USAGE, f"method {m!r} given more than once")
     with _flag_check():
         grid = DEFAULT_GRID if args.grid is None else tuple(float(v) for v in args.grid.split(","))
         plain = _params(HyperParams, args)

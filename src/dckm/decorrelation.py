@@ -59,9 +59,11 @@ def _residuals(gram: np.ndarray, col_mass: np.ndarray, total: float):
     ``gram[:, j] / alpha_j - (col_mass - gram[:, j]) / beta_j``, written as
     ``gram[:, j] * (inv_a + inv_b)_j - col_mass * inv_b_j``, with the
     diagonal forced to zero to match the per-feature definition with the
-    target column removed. Returns ``(R, inv_a, inv_b, valid)``: inv_a and
-    inv_b are the reciprocal treated and control masses alpha and beta, 0
-    for skipped features (``valid`` False), so their columns of R vanish.
+    target column removed. Returns the :class:`BalanceLoss` and the
+    ``parts = (gram, col_mass, R, inv_a, inv_b)`` that
+    :func:`balance_gradient` takes: inv_a and inv_b are the reciprocal
+    treated and control masses alpha and beta, 0 for skipped features, so
+    their columns of R vanish.
     """
     beta = total - col_mass
     valid = (col_mass > GROUP_MASS_EPS) & (beta > GROUP_MASS_EPS * max(1.0, total))
@@ -69,13 +71,8 @@ def _residuals(gram: np.ndarray, col_mass: np.ndarray, total: float):
     inv_b = np.divide(1.0, beta, out=np.zeros_like(beta), where=valid)
     R = gram * (inv_a + inv_b) - np.outer(col_mass, inv_b)
     np.fill_diagonal(R, 0.0)
-    return R, inv_a, inv_b, valid
-
-
-def _loss_from_gram(gram: np.ndarray, col_mass: np.ndarray, total: float) -> BalanceLoss:
-    """:func:`balance_loss` from the arguments of :func:`_residuals`."""
-    R, _, _, valid = _residuals(gram, col_mass, total)
-    return BalanceLoss(float(np.vdot(R, R)), valid.size - int(np.count_nonzero(valid)))
+    loss = BalanceLoss(float(np.vdot(R, R)), valid.size - int(np.count_nonzero(valid)))
+    return loss, (gram, col_mass, R, inv_a, inv_b)
 
 
 def balance_loss(X, w) -> BalanceLoss:
@@ -88,10 +85,10 @@ def balance_loss(X, w) -> BalanceLoss:
     """
     X = as_data_matrix(X)
     w = _weight_vector(w, X.shape[0])
-    return _loss_from_gram(_weighted_gram(X, np.sqrt(w)), X.T @ w, float(w.sum()))
+    return _residuals(_weighted_gram(X, np.sqrt(w)), X.T @ w, float(w.sum()))[0]
 
 
-def balance_gradient(X, omega, gram=None) -> np.ndarray:
+def balance_gradient(X, omega, parts=None) -> np.ndarray:
     """Gradient of ``balance_loss(X, omega**2)`` with respect to ``omega``.
 
     By the quotient rule per target feature j, with s/c the treated and
@@ -109,18 +106,17 @@ def balance_gradient(X, omega, gram=None) -> np.ndarray:
     through w = omega**2. Skipped features have inv_a = inv_b = 0 and so
     contribute zero, consistently with :func:`balance_loss`.
 
-    ``gram``, when given, is the weighted Gram ``X^T diag(omega**2) X`` the
-    caller has already built; it is used as is.
+    ``parts``, when given, is what :func:`_residuals` returned at this omega
+    for a caller that has already scored it; it is used as is.
     """
     X = as_data_matrix(X)
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape != (X.shape[0],):
         raise ValueError(f"omega must have shape ({X.shape[0]},), got {omega.shape}")
-    w = omega * omega
-    if gram is None:
-        gram = _weighted_gram(X, omega)
-    col_mass = X.T @ w
-    R, inv_a, inv_b, _ = _residuals(gram, col_mass, float(w.sum()))
+    if parts is None:
+        w = omega * omega
+        parts = _residuals(_weighted_gram(X, omega), X.T @ w, float(w.sum()))[1]
+    gram, col_mass, R, inv_a, inv_b = parts
     rg = np.einsum("fj,fj->j", R, gram)
     ta = rg * inv_a
     tb = (col_mass @ R - rg) * inv_b

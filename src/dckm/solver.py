@@ -11,11 +11,11 @@ minimized by block descent: a closed-form centroid update (per-cluster
 weighted means), an exhaustive per-row assignment search, and backtracking
 gradient descent on the square-root weight parameterization, each line search
 starting at the Barzilai-Borwein step of the previous one. Each trial scores
-the objective directly, with one weighted Gram, and the accepted trial hands
-its Gram to the next step's gradient. Every block is
-non-increasing in the objective, so the recorded per-sweep objective values
-form a monotone sequence. :mod:`dckm.baselines` composes the one weight
-descent (:func:`_descend`) and the one Lloyd loop (:func:`_lloyd`).
+the objective directly, with one weighted Gram and one set of balance
+residuals, and the accepted trial hands both to the next step's gradient.
+Every block is non-increasing in the objective, so the recorded per-sweep
+objective values form a monotone sequence. :mod:`dckm.baselines` composes the
+one weight descent (:func:`_descend`) and the one Lloyd loop (:func:`_lloyd`).
 
 The objective sees the data only through each row's value, and identical
 rows share their label and, from uniform weights, their weight. So
@@ -45,7 +45,7 @@ from .core import (
 )
 from .decorrelation import (
     GROUP_MASS_EPS,
-    _loss_from_gram,
+    _residuals,
     _weighted_gram,
     balance_gradient,
 )
@@ -81,20 +81,21 @@ def _row_sq_norms(A: np.ndarray) -> np.ndarray:
     return np.sum(A * A, axis=1)
 
 
-def _weight_gradient(X, omega, resid_sq, params: HyperParams, gram=None, m=1.0) -> np.ndarray:
+def _weight_gradient(X, omega, resid_sq, params: HyperParams, parts=None, m=1.0) -> np.ndarray:
     """Gradient in omega of the joint objective at ``w = omega**2``.
 
     Per coordinate: 2*omega_i times the sample's squared reconstruction
     residual, plus the balancing gradient scaled by lambda1, plus
     4*lambda2*omega_i^3/m_i and 4*lambda3*(sum(omega^2)-1)*omega_i from the
     two penalty terms, for rows that stand for ``m`` copies each (see the
-    module docstring). ``gram`` is passed on to :func:`balance_gradient`.
+    module docstring). ``parts``, from :func:`_weight_point` at this omega,
+    is passed on to :func:`balance_gradient`, which builds it when None.
     """
     grad = 2.0 * omega * resid_sq
     grad += 4.0 * params.lambda2 * omega**3 / m
     grad += 4.0 * params.lambda3 * (float(omega @ omega) - 1.0) * omega
     if params.lambda1 != 0.0:
-        grad += params.lambda1 * balance_gradient(X, omega, gram)
+        grad += params.lambda1 * balance_gradient(X, omega, parts)
     return grad
 
 
@@ -103,10 +104,10 @@ def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0):
     reconstruction residual ``resid_sq`` fixed; the ||w||^2 term is
     ``sum(w**2 / m)``, for rows that stand for ``m`` copies each.
 
-    Returns ``(value, skipped_features, gram)``: ``gram`` is the weighted Gram
-    ``X^T diag(w) X`` of the balance term, which :func:`_weight_gradient` at
-    the same omega reuses, or None when lambda1 is 0. The value is bit for bit
-    the direct evaluation ``tests/util.py::weight_objective(X, omega**2, ...)``,
+    Returns ``(value, skipped_features, parts)``: ``parts``, the balance term's
+    Gram and residuals from :func:`_residuals`, is for :func:`_weight_gradient`
+    at the same omega, or None when lambda1 is 0. The value is bit for bit the
+    direct evaluation ``tests/util.py::weight_objective(X, omega**2, ...)``,
     except at all-zero weights, which no :class:`SampleWeights` holds: there it
     is +inf, so that a line search never accepts them.
     """
@@ -119,9 +120,8 @@ def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0):
     value += params.lambda3 * (total - 1.0) ** 2
     if params.lambda1 == 0.0:
         return value, 0, None
-    gram = _weighted_gram(X, omega)
-    bal = _loss_from_gram(gram, X.T @ w, total)
-    return value + params.lambda1 * bal.value, bal.skipped_features, gram
+    bal, parts = _residuals(_weighted_gram(X, omega), X.T @ w, total)
+    return value + params.lambda1 * bal.value, bal.skipped_features, parts
 
 
 def _weighted_means(X, w, G, m):
@@ -268,22 +268,22 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
     """Up to ``max_steps`` (>= 1) backtracking gradient steps on omega, each
     search starting at :func:`_first_trial` of the last accepted step, carried
     in from ``descent`` when given. Every trial scores ``omega - t*g`` with
-    :func:`_weight_point`, one weighted Gram each, and the accepted trial's
-    omega, value and Gram become the next step's start, so no step rebuilds
-    its starting point. A trial whose weights are all zero scores +inf, so
-    the search shrinks past it: when every row has the same residual the
-    gradient is parallel to omega, and a step can land on omega = 0. Stops
-    early at a zero gradient, at a stall (no non-increasing step), or after a
-    step whose relative objective change is at most ``tol``. Row i of X
-    stands for ``m[i]`` copies. Returns the :class:`WeightUpdate` at the
-    final omega and the objective history: the start value, then the value
-    after each accepted step.
+    :func:`_weight_point`, one weighted Gram and one set of balance residuals
+    each, and the accepted trial's omega, value, Gram and residuals become the
+    next step's start, so no step rebuilds its starting point. A trial whose
+    weights are all zero scores +inf, so the search shrinks past it: when
+    every row has the same residual the gradient is parallel to omega, and a
+    step can land on omega = 0. Stops early at a zero gradient, at a stall (no
+    non-increasing step), or after a step whose relative objective change is
+    at most ``tol``. Row i of X stands for ``m[i]`` copies. Returns the
+    :class:`WeightUpdate` at the final omega and the objective history: the
+    start value, then the value after each accepted step.
     """
-    value, skipped, gram = _weight_point(X, omega, resid_sq, params, m)
+    value, skipped, parts = _weight_point(X, omega, resid_sq, params, m)
     history = [value]
     stalled = False
     for _ in range(max_steps):
-        g = _weight_gradient(X, omega, resid_sq, params, gram, m)
+        g = _weight_gradient(X, omega, resid_sq, params, parts, m)
         if not np.any(g):
             break
 
@@ -296,7 +296,7 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
             stalled = True
             break
         previous = value
-        value, skipped, gram, omega = trial
+        value, skipped, parts, omega = trial
         descent = (t, g)
         history.append(value)
         if tol is not None and abs(value - previous) <= tol * max(1.0, abs(previous)):

@@ -69,3 +69,14 @@ def test_baselines_reach_only_the_solver_loops():
         if getattr(value, "__module__", None) == "dckm.solver" and value.__name__.startswith("_")
     )
     assert private == ["_descend", "_lloyd"]
+
+
+def test_solver_scores_through_one_residual_path():
+    solver = importlib.import_module("dckm.solver")
+    private = sorted(
+        value.__name__
+        for value in vars(solver).values()
+        if getattr(value, "__module__", None) == "dckm.decorrelation"
+        and value.__name__.startswith("_")
+    )
+    assert private == ["_residuals", "_weighted_gram"]

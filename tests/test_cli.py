@@ -305,6 +305,12 @@ class TestBench:
         assert main(["bench", "--data", str(small_data), "--methods", " ",
                      "--k", "3"]) == 1
 
+    def test_repeated_method_is_usage_error(self, tmp_path, capsys):
+        # Checked before any data is read: the data file does not exist.
+        assert main(["bench", "--data", str(tmp_path / "missing.csv"),
+                     "--methods", "kmeans,kmeans,dckm", "--k", "3"]) == 1
+        assert capsys.readouterr().err == "dckm bench: method 'kmeans' given more than once\n"
+
     @pytest.mark.parametrize(
         "flags",
         [

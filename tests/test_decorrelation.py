@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from dckm.core import SampleWeights
-from dckm.decorrelation import _weighted_gram, balance_gradient, balance_loss
+from dckm.core import SampleWeights, _distinct_rows
+from dckm.decorrelation import (
+    _residuals,
+    _weighted_gram,
+    balance_gradient,
+    balance_loss,
+)
 
 from util import (
     DegenerateGroupError,
@@ -234,6 +239,26 @@ class TestBalanceGradient:
         omega = rng.uniform(0.5, 1.5, 12)
         assert balance_loss(X, omega * omega).value == balance_loss(X, (-omega) ** 2).value
         assert np.allclose(balance_gradient(X, -omega), -balance_gradient(X, omega))
+
+    def test_handed_parts_give_the_same_gradient(self):
+        """``parts`` from :func:`_residuals` at omega, as the solver's scored
+        point hands them on, give the gradient bit for bit."""
+        rng = np.random.default_rng(59)
+        cases = []
+        for i in range(12):
+            X = random_binary(rng, int(rng.integers(5, 31)), int(rng.integers(2, 9)))
+            if i % 3 == 1:
+                X[:, 0] = 1.0  # no control group: skipped
+                X[:, -1] = 0.0  # no treated group: skipped
+            cases.append((X, rng.uniform(0.5, 1.5, X.shape[0]) / np.sqrt(X.shape[0])))
+        for _ in range(4):
+            U, _, m = _distinct_rows(random_binary(rng, 40, 4))
+            cases.append((U, np.sqrt(m) * rng.uniform(0.5, 1.5, U.shape[0]) / np.sqrt(40)))
+        for X, omega in cases:
+            w = omega * omega
+            loss, parts = _residuals(_weighted_gram(X, omega), X.T @ w, float(w.sum()))
+            assert loss == balance_loss(X, w)
+            assert np.array_equal(balance_gradient(X, omega, parts), balance_gradient(X, omega))
 
     def test_perfectly_balanced_gives_zero_gradient(self):
         X = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])

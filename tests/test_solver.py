@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import dckm.decorrelation
 import dckm.solver
 from dckm.baselines import kmeans
 from dckm.core import HyperParams, SampleWeights, one_hot_rows
@@ -390,6 +391,26 @@ class TestWeightRay:
         assert not update.stalled and trials > 8
         # The start, then one per trial; the gradients reuse them.
         assert grams == 1 + trials
+
+    def test_one_residual_evaluation_per_scored_point(self, monkeypatch):
+        calls = 0
+        original = dckm.decorrelation._residuals
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(dckm.solver, "_residuals", counting)
+        monkeypatch.setattr(dckm.decorrelation, "_residuals", counting)
+        searches = record_line_searches(monkeypatch)
+        X, F, G, omega = ray_case(np.random.default_rng(49), 40, 8, 3)
+        hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=1e-2, lambda3=1.0, max_w_iters=8)
+        update = update_weights(X, F, G, omega, hp)
+        trials = sum(s.trials for s in searches)
+        assert not update.stalled and trials > 8
+        # As for the Grams: the start, then one per trial, none per gradient.
+        assert calls == 1 + trials
 
 
 class TestFirstTrial:
