@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 
+from . import solver
 from .core import (
     HyperParams,
     SampleWeights,
@@ -60,18 +61,18 @@ def balance_only_weights(X, params: HyperParams):
     Minimizes lambda1*balance_loss + lambda2*||w||^2 + lambda3*(sum w - 1)^2
     over the square-root parameterization by backtracking gradient descent
     from uniform weights (deterministic: the start point is fixed), for at
-    most ``max_outer_iters * max_w_iters`` steps or until the relative change
-    is at most ``outer_tol``. Runs on the distinct rows with their counts, as
-    :func:`dckm.fit` does. Returns ``(weights, objective_history)``.
+    most ``max_outer_iters * WEIGHT_STEPS`` steps (see :mod:`dckm.solver`) or
+    until the relative change is at most ``outer_tol``. Runs on the distinct
+    rows with their counts, as :func:`dckm.fit` does. Returns ``(weights, objective_history)``.
     Raises ValueError on non-binary or non-finite data, as :func:`dckm.fit` does.
     """
     X = _binary_data(X)
     U, inverse, m = _distinct_rows(X)
-    steps = params.max_outer_iters * params.max_w_iters
+    steps = params.max_outer_iters * solver.WEIGHT_STEPS
     # No k-means term: the joint objective with zero residuals.
-    update, history = _descend(U, np.sqrt(m / X.shape[0]), np.zeros(m.size), params, steps,
-                               params.outer_tol, m=m)
-    return SampleWeights((update.weights.omega / np.sqrt(m))[inverse]), history
+    update = _descend(U, np.sqrt(m / X.shape[0]), np.zeros(m.size), params, steps,
+                      params.outer_tol, m=m)
+    return SampleWeights((update.weights.omega / np.sqrt(m))[inverse]), update.history
 
 
 def pca_project(X, n_components):

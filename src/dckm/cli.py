@@ -105,7 +105,6 @@ def _build_parser() -> _Parser:
     fit.add_argument("--method", required=True, choices=METHODS)
     fit.add_argument("--l1", dest="lambda1", metavar="L1", type=float, default=1.0)
     fit.add_argument("--l2", dest="lambda2", metavar="L2", type=float, default=1.0)
-    fit.add_argument("--max-w-iters", type=int, default=5)
     fit.add_argument("--tol", dest="outer_tol", metavar="TOL", type=float, default=1e-6,
                      help="relative objective change that ends a fit (in a sweep with no "
                           "label change) or deckm's weight descent")
@@ -379,8 +378,14 @@ def _cmd_bench(args) -> None:
             raise _Exit(EXIT_USAGE, f"unknown method {m!r}")
         if methods.count(m) > 1:
             raise _Exit(EXIT_USAGE, f"method {m!r} given more than once")
+    for path in args.data:
+        if args.data.count(path) > 1:
+            raise _Exit(EXIT_USAGE, f"--data {path} given more than once")
     with _flag_check():
         grid = DEFAULT_GRID if args.grid is None else tuple(float(v) for v in args.grid.split(","))
+        for value in grid:
+            if grid.count(value) > 1:
+                raise _Exit(EXIT_USAGE, f"grid value {_fmt(value)} given more than once")
         plain = _params(HyperParams, args)
         lambda_cells = [replace(plain, lambda1=l1, lambda2=l2) for l1 in grid for l2 in grid]
         for method in methods:

@@ -170,11 +170,11 @@ class HyperParams:
 
     lambda1 scales the moment-balancing loss, lambda2 the squared norm of the
     weights, lambda3 the (sum-to-one) penalty keeping weights from collapsing
-    to zero. max_outer_iters caps a fit's sweeps and max_w_iters the gradient
-    steps per sweep; a fit converges when a sweep changes no label and moves
-    the objective by at most outer_tol (relative). How each weight line
-    search picks its trial steps is fixed in :mod:`dckm.solver`
-    (FIRST_TRIAL_STEP, BACKTRACK_SHRINK).
+    to zero. max_outer_iters caps a fit's sweeps; a fit converges when a
+    sweep changes no label and moves the objective by at most outer_tol
+    (relative). How many gradient steps each sweep's weight update takes and
+    how each weight line search picks its trial steps are fixed in
+    :mod:`dckm.solver` (WEIGHT_STEPS, FIRST_TRIAL_STEP, BACKTRACK_SHRINK).
     """
 
     n_clusters: int
@@ -182,7 +182,6 @@ class HyperParams:
     lambda2: float = 1.0
     lambda3: float = 1.0
     max_outer_iters: int = 100
-    max_w_iters: int = 5
     outer_tol: float = 1e-6
     seed: int = 0
     restarts: int = 1
@@ -193,8 +192,8 @@ class HyperParams:
         for name in ("lambda1", "lambda2", "lambda3"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be finite and non-negative")
-        if self.max_outer_iters < 1 or self.max_w_iters < 1:
-            raise ValueError("iteration caps must be positive")
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be positive")
         if not (math.isfinite(self.outer_tol) and self.outer_tol > 0):
             raise ValueError("outer_tol must be finite and positive")
         if self.seed < 0:

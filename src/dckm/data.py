@@ -75,7 +75,9 @@ def load_csv(path, label_column=None) -> LabeledDataset:
     ``float``, in one pass over all cells. Every failure raises ``ValueError``
     naming the file and a line: a malformed CSV (such as a field over the
     ``csv`` module's size limit), a ragged row, or else the first feature cell
-    in row-major order that is not a finite number.
+    in row-major order that is not a finite number. The line is the file line
+    on which the failing record starts, counting blank lines and the lines of
+    multi-line quoted cells.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
@@ -88,11 +90,10 @@ def load_csv(path, label_column=None) -> LabeledDataset:
         raise ValueError(f"{path}: empty file")
 
     width = len(rows[0])
-    for lineno, row in enumerate(rows, start=1):
+    for record, row in enumerate(rows):
         if len(row) != width:
-            raise ValueError(
-                f"{path}: ragged row at line {lineno} ({len(row)} cells, expected {width})"
-            )
+            raise ValueError(f"{path}: ragged row at line {_record_line(path, record)} "
+                             f"({len(row)} cells, expected {width})")
 
     has_header = not all(_is_number(cell) for cell in rows[0])
     header = [cell.strip() for cell in rows[0]] if has_header else None
@@ -117,7 +118,7 @@ def load_csv(path, label_column=None) -> LabeledDataset:
                 raise ValueError(f"{path}: label column index {label_idx} out of range")
 
     feature_cols = [j for j in range(width) if j != label_idx]
-    X = _feature_matrix(path, body, feature_cols, first_line=2 if has_header else 1)
+    X = _feature_matrix(path, body, feature_cols, first_record=int(has_header))
 
     labels = None
     if label_idx is not None:
@@ -140,11 +141,25 @@ def load_csv(path, label_column=None) -> LabeledDataset:
     )
 
 
-def _feature_matrix(path, body, feature_cols, first_line: int) -> np.ndarray:
+def _record_line(path, record: int) -> int:
+    """The file line on which non-blank CSV record ``record`` (0-based) of
+    ``path`` starts. Only error messages need it, so it reads the file again
+    rather than tracking lines while :func:`load_csv` parses."""
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        starts, start = [], 1
+        for row in reader:
+            if row:
+                starts.append(start)
+            start = reader.line_num + 1
+    return starts[record]
+
+
+def _feature_matrix(path, body, feature_cols, first_record: int) -> np.ndarray:
     """The feature cells of ``body`` as an n x d float64 matrix, converted in
     one ``np.fromiter`` pass. When a cell is not a finite number, a loop over
     the cells finds the first one in row-major order and raises the error
-    that names it (``first_line`` is the file line of ``body[0]``)."""
+    that names it (``first_record`` is the file record of ``body[0]``)."""
     n, d = len(body), len(feature_cols)
     if d == 0:
         return np.empty((n, 0))
@@ -169,7 +184,8 @@ def _feature_matrix(path, body, feature_cols, first_line: int) -> np.ndarray:
                 value = None
             if value is None or not math.isfinite(value):
                 kind = "non-numeric" if value is None else "non-finite"
-                raise ValueError(f"{path}: {kind} cell {cell!r} at line {i + first_line}, column {j}")
+                line = _record_line(path, i + first_record)
+                raise ValueError(f"{path}: {kind} cell {cell!r} at line {line}, column {j}")
 
 
 def save_dataset(dataset: LabeledDataset, path) -> None:

@@ -60,9 +60,10 @@ __all__ = [
     "update_weights",
 ]
 
-# The weight line search: the first trial step of a descent with no earlier
-# step, the factor each rejected trial step is multiplied by, and the
-# smallest step tried.
+# The weight descent: the gradient steps of each sweep's weight update; its
+# line search's first trial step with no earlier step, the factor each
+# rejected trial step is multiplied by, and the smallest step tried.
+WEIGHT_STEPS = 5
 FIRST_TRIAL_STEP = 0.1
 BACKTRACK_SHRINK = 0.5
 LINE_SEARCH_MIN_STEP = 1e-16
@@ -230,15 +231,15 @@ def _backtrack(fun, f0, step):
 
 
 class WeightUpdate(NamedTuple):
-    """Outcome of a weight descent: the new weights, whether the line search
-    stalled, the objective ``value`` and the balance term's
-    ``skipped_features`` at the returned weights, and the ``descent`` state
-    ``(step, gradient)`` of the last accepted step (None if no step was
-    accepted yet), from which the next descent's first trial step follows."""
+    """Outcome of a weight descent: the new weights, whether a line search
+    stalled, the objective ``history`` (the start value, then one per accepted
+    step), the balance term's ``skipped_features`` at the new weights, and the
+    ``descent`` state ``(step, gradient)`` of the last accepted step (None if
+    none yet), from which the next descent's first trial step follows."""
 
     weights: SampleWeights
     stalled: bool
-    value: float
+    history: list[float]
     skipped_features: int
     descent: tuple[float, np.ndarray] | None
 
@@ -276,8 +277,7 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
     step can land on omega = 0. Stops early at a zero gradient, at a stall (no
     non-increasing step), or after a step whose relative objective change is
     at most ``tol``. Row i of X stands for ``m[i]`` copies. Returns the
-    :class:`WeightUpdate` at the final omega and the objective history: the
-    start value, then the value after each accepted step.
+    :class:`WeightUpdate` at the final omega.
     """
     value, skipped, parts = _weight_point(X, omega, resid_sq, params, m)
     history = [value]
@@ -301,11 +301,11 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
         history.append(value)
         if tol is not None and abs(value - previous) <= tol * max(1.0, abs(previous)):
             break
-    return WeightUpdate(SampleWeights(omega), stalled, value, skipped, descent), history
+    return WeightUpdate(SampleWeights(omega), stalled, history, skipped, descent)
 
 
 def update_weights(X, F, G, omega, params: HyperParams, descent=None, counts=1.0) -> WeightUpdate:
-    """Run up to ``max_w_iters`` backtracking gradient steps on omega with
+    """Run up to WEIGHT_STEPS backtracking gradient steps on omega with
     centroids F and assignments G fixed; ``stalled`` in the returned
     :class:`WeightUpdate` means a line search found no non-increasing step.
     ``descent`` is the state a previous call returned: without it the first
@@ -317,7 +317,7 @@ def update_weights(X, F, G, omega, params: HyperParams, descent=None, counts=1.0
     omega = np.asarray(omega, dtype=np.float64).copy()
     resid_sq = _row_sq_norms(X - G @ F.T)
     m = np.asarray(counts, dtype=np.float64)
-    return _descend(X, omega, resid_sq, params, params.max_w_iters, descent=descent, m=m)[0]
+    return _descend(X, omega, resid_sq, params, WEIGHT_STEPS, descent=descent, m=m)
 
 
 @dataclass
@@ -387,7 +387,7 @@ def fit(X, params: HyperParams) -> FitResult:
             F, G = _centroids_with_recovery(U, omega * omega, G, m)
         G = update_assignments(U, F, row_sq)
         update = update_weights(U, F, G, omega, params, descent, m)
-        omega, value, skipped = update.weights.omega, update.value, update.skipped_features
+        omega, value, skipped = update.weights.omega, update.history[-1], update.skipped_features
         descent = update.descent
         history.append(value)
         if (

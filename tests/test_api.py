@@ -1,16 +1,20 @@
 """The public names of every module resolve, the package's, the baselines'
-and the solver's public names are pinned, the baselines reach into the solver only
-through its two loops, and every function the benchmark's tracer wraps by
-name exists."""
+and the solver's public names are pinned, the settable values (HyperParams
+fields and each subcommand's flags) are pinned, the baselines reach into the
+solver only through its two loops, and every function the benchmark's tracer
+wraps by name exists."""
 
+import argparse
 import importlib
 import importlib.util
 import pkgutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import dckm
+from dckm.cli import _build_parser
 
 MODULES = ["dckm"] + [f"dckm.{m.name}" for m in pkgutil.iter_modules(dckm.__path__)]
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -59,6 +63,39 @@ PINNED = {
 @pytest.mark.parametrize("module_name", sorted(PINNED))
 def test_public_names_pinned(module_name):
     assert sorted(importlib.import_module(module_name).__all__) == PINNED[module_name]
+
+
+# Every settable value is a deliberate edit here, as every public name is
+# above: a new field or flag is a knob that each user can get wrong.
+HYPERPARAMS = [
+    "lambda1", "lambda2", "lambda3", "max_outer_iters", "n_clusters", "outer_tol",
+    "restarts", "seed",
+]
+FLAGS = {
+    "gen": ["--bias", "--bias-features", "--core-per-cluster", "--d", "--k", "--n", "--noise",
+            "--out", "--seed"],
+    "fit": ["--data", "--k", "--l1", "--l2", "--l3", "--labels", "--max-outer", "--method",
+            "--out", "--pca-dims", "--restarts", "--seed", "--threshold", "--tol",
+            "--weights-out"],
+    "bench": ["--data", "--grid", "--k", "--l3", "--labels", "--max-outer", "--methods",
+              "--out", "--restarts", "--seed", "--threshold"],
+    "corr": ["--data", "--labels", "--weights"],
+}
+
+
+def test_hyperparameters_pinned():
+    assert sorted(f.name for f in fields(dckm.HyperParams)) == HYPERPARAMS
+
+
+def test_flags_pinned():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: sorted(option for action in sub._actions for option in action.option_strings
+                     if option not in ("-h", "--help"))
+        for name, sub in commands.choices.items()
+    }
+    assert flags == FLAGS
 
 
 def test_baselines_reach_only_the_solver_loops():

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dckm.solver
 from dckm.baselines import (
     balance_only_weights,
     kmeans,
@@ -154,15 +155,17 @@ class TestDecKM:
         assert balance_loss(ds.X, weights.w).value < balance_loss(ds.X, uniform).value
         assert all(b <= a + 1e-10 for a, b in zip(history, history[1:]))
 
-    def test_step_cap_and_relative_change_stop(self):
+    def test_step_cap_and_relative_change_stop(self, monkeypatch):
         ds = generate_biased(BiasSpec(n=120, d=16, n_clusters=3, core_per_cluster=2,
                                       bias_features=9, bias_strength=0.9,
                                       noise_flip=0.02, seed=8))
         hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=1000.0, lambda3=1.0)
-        _, capped = balance_only_weights(ds.X, replace(hp, max_outer_iters=1, max_w_iters=3))
+        with monkeypatch.context() as patch:
+            patch.setattr(dckm.solver, "WEIGHT_STEPS", 3)
+            _, capped = balance_only_weights(ds.X, replace(hp, max_outer_iters=1))
         assert len(capped) == 4  # the start value and the 3 capped steps
         _, history = balance_only_weights(ds.X, hp)
-        assert len(history) - 1 < hp.max_outer_iters * hp.max_w_iters
+        assert len(history) - 1 < hp.max_outer_iters * dckm.solver.WEIGHT_STEPS
         small = [abs(b - a) <= hp.outer_tol * max(1.0, abs(a))
                  for a, b in zip(history, history[1:])]
         assert small[-1] and not any(small[:-1])

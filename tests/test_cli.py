@@ -158,7 +158,7 @@ class TestFit:
         flags = {
             "--k": ("k", "2"), "--l1": ("lambda1", "0.5"), "--l2": ("lambda2", "2.5"),
             "--l3": ("lambda3", "0.25"), "--max-outer": ("max_outer_iters", "7"),
-            "--max-w-iters": ("max_w_iters", "3"), "--tol": ("outer_tol", "0.001"),
+            "--tol": ("outer_tol", "0.001"),
             "--restarts": ("restarts", "2"), "--seed": ("seed", "9"),
         }
         keys = {"n_clusters" if key == "k" else key for key, _ in flags.values()}
@@ -311,6 +311,39 @@ class TestBench:
                      "--methods", "kmeans,kmeans,dckm", "--k", "3"]) == 1
         assert capsys.readouterr().err == "dckm bench: method 'kmeans' given more than once\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--data", "{missing}"], "--data {missing} given more than once"),
+        (["--grid", "1,100,1.0"], "grid value 1 given more than once"),
+    ])
+    def test_repeated_dataset_or_grid_value_is_usage_error(self, tmp_path, capsys, flags,
+                                                           message):
+        # Checked before any data is read: the data file does not exist.
+        missing = str(tmp_path / "missing.csv")
+        args = ["bench", "--data", missing, "--methods", "kmeans,dckm", "--k", "3"]
+        assert main(args + [f.format(missing=missing) for f in flags]) == 1
+        assert capsys.readouterr().err == f"dckm bench: {message.format(missing=missing)}\n"
+
+    def test_failed_cells_are_reported_and_the_sweep_goes_on(self, tmp_path, capsys):
+        # Two distinct rows cannot fill three clusters: every cell on the
+        # first dataset fails, and the second dataset is still benchmarked.
+        two = tmp_path / "two.csv"
+        two.write_text("a,b,label\n" + "1,0,0\n" * 3 + "0,1,1\n" * 3, encoding="utf-8")
+        three = tmp_path / "three.csv"
+        three.write_text("a,b,label\n" + "1,0,0\n1,1,1\n0,1,2\n" * 2, encoding="utf-8")
+        code = main(["bench", "--data", str(two), "--data", str(three),
+                     "--methods", "kmeans,dckm", "--k", "3", "--grid", "1",
+                     "--restarts", "2", "--max-outer", "5"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        error = "error=empty cluster(s) [2] could not be re-seeded"
+        assert [line for line in lines if f"dataset={two} " in line] == [
+            f"[cell] dataset={two} method=kmeans lambda1=- lambda2=- {error}",
+            f"[cell] dataset={two} method=dckm lambda1=1 lambda2=1 {error}",
+        ]
+        rest = [line for line in lines if f"dataset={three} " in line]
+        assert [line.split()[0] for line in rest] == ["[cell]", "[cell]", "[row]"]
+        assert not any("error=" in line for line in rest)
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -435,11 +468,11 @@ def test_duplicate_label_column_is_data_error(tmp_path, command, capsys):
 # dckm gen. They pin every written byte, so a refactor of the CLI cannot
 # move one; a change that adds result keys updates them on purpose.
 FIT_DIGESTS = {
-    "dckm": "f2287bfb064bf9ef3d1688a628efd78a175eddc3d67a6221f2bd18cda90313b8",
-    "kmeans": "191788b85b0bba910b074bff3d69f9929b2ff79abb2024b03af3c567d1523d26",
-    "deckm": "c0a3eb5df396fdc99d4bdbf4bfa76db072093b5b243c23356914da57d24e067e",
-    "pcakm": "00e520e3414ffea3f25f63d9d107be43a46810a52a592e4b347e1abf9abc4aa5",
-    "dropkm": "4e9608f46e1205b8bf0664565c999d931308786fe6cbbbd96951b79115ebf5fc",
+    "dckm": "0e8ca45de3d001ba068e91bedeb3ed3a793bd720864ac6b7c47dc7bf4d57e8b0",
+    "kmeans": "fa7f1403ea08efc8469a087ab59dd78d79513d15a0d0c78649b0aa25a14f743f",
+    "deckm": "0f783f126cdf262ffb7e7369c8d3a2f50d423c8549bb2f0f36d8ee74203ab50f",
+    "pcakm": "97e3741e3781855322d04e999d22fbc17cf0521cf1b91d5f70a4f6d4f3c41556",
+    "dropkm": "1105ab5ff679b82f1455a69feff01246ea6287c2bcb6dcd524c1637a5daab72e",
 }
 WEIGHTS_DIGESTS = {
     "dckm": "4df3060df421af4a36c4eb6b76711bb75a00120ba0377a24addce361f548d874",

@@ -138,7 +138,6 @@ class TestHyperParams:
     def test_defaults_valid(self):
         hp = HyperParams(n_clusters=3)
         assert hp.lambda3 == 1.0
-        assert hp.max_w_iters == 5
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -147,7 +146,6 @@ class TestHyperParams:
             {"lambda2": -1.0},
             {"outer_tol": 0.0},
             {"max_outer_iters": 0},
-            {"max_w_iters": 0},
             {"restarts": 0},
             {"n_clusters": 0},
             {"seed": -1},

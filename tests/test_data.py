@@ -139,6 +139,18 @@ class TestLoadCsvCells:
         with pytest.raises(ValueError, match=message):
             self.read(tmp_path, text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,0\n\n1,x\n", "non-numeric cell 'x' at line 4, column 1"),
+        ("a,b\n1,0\n\n1\n", r"ragged row at line 4 \(1 cells"),
+        ('a,b\n"1\n",0\n1,x\n', "non-numeric cell 'x' at line 4, column 1"),
+        ('\n"a\nb",c\n\n1,0\n\n"2\n\n",x\n', "non-numeric cell 'x' at line 7, column 1"),
+    ])
+    def test_error_names_the_file_line(self, tmp_path, text, message):
+        # Blank lines and multi-line quoted cells count: the message names
+        # the file line on which the failing record starts.
+        with pytest.raises(ValueError, match=message):
+            self.read(tmp_path, text)
+
     def test_bad_cell_in_label_column_position_named(self, tmp_path):
         with pytest.raises(ValueError, match="non-numeric cell 'z' at line 3, column 2"):
             self.read(tmp_path, "label,f1,f2\n0,1,0\n1,0,z\n", label_column="label")

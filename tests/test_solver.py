@@ -187,14 +187,13 @@ class TestUpdateWeights:
         assert not update.stalled
         assert np.array_equal(update.weights.omega, omega)
 
-    def test_sum_penalty_drives_weights_toward_one(self):
+    def test_sum_penalty_drives_weights_toward_one(self, monkeypatch):
+        monkeypatch.setattr(dckm.solver, "WEIGHT_STEPS", 100)
         X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         G = one_hot_rows([0, 0, 1, 1], 2)
         F = update_centroids(X, np.ones(4), G)  # perfect reconstruction
         omega = np.full(4, np.sqrt(0.5))  # weights sum to 2
-        hp = HyperParams(
-            n_clusters=2, lambda1=0.0, lambda2=0.0, lambda3=50.0, max_w_iters=100
-        )
+        hp = HyperParams(n_clusters=2, lambda1=0.0, lambda2=0.0, lambda3=50.0)
         update = update_weights(X, F, G, omega, hp)
         assert abs(float(update.weights.w.sum()) - 1.0) < 0.01
 
@@ -327,10 +326,11 @@ class TestWeightRay:
 
     @pytest.mark.parametrize("lambdas", STEP_LAMBDAS)
     def test_update_weights_matches_direct_backtracking(self, lambdas, monkeypatch):
+        monkeypatch.setattr(dckm.solver, "WEIGHT_STEPS", 8)
         searches = record_line_searches(monkeypatch)
         rng = np.random.default_rng(47)
         hp = HyperParams(n_clusters=3, lambda1=lambdas[0], lambda2=lambdas[1],
-                         lambda3=lambdas[2], max_w_iters=8)
+                         lambda3=lambdas[2])
         for constant_columns in (False, True):
             for _ in range(3):
                 X, F, G, omega = ray_case(rng, 40, 8, 3, constant_columns)
@@ -347,7 +347,7 @@ class TestWeightRay:
                 direct = weight_objective(
                     X, update.weights.w, _row_sq_norms(X - G @ F.T), hp
                 )
-                assert update.value == pytest.approx(direct[0], rel=1e-12, abs=0.0)
+                assert update.history[-1] == pytest.approx(direct[0], rel=1e-12, abs=0.0)
                 assert update.skipped_features == direct[1]
 
     @pytest.mark.parametrize("lambdas", [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
@@ -363,10 +363,11 @@ class TestWeightRay:
             return original(X, omega, *rest)
 
         monkeypatch.setattr(dckm.solver, "_weight_point", counting)
+        monkeypatch.setattr(dckm.solver, "WEIGHT_STEPS", 8)
         X = np.vstack([np.eye(4)] * 2)
         F, G, omega = X.mean(axis=0)[:, None], np.ones((8, 1)), np.full(8, np.sqrt(1 / 8))
         hp = HyperParams(n_clusters=1, lambda1=lambdas[0], lambda2=lambdas[1],
-                         lambda3=lambdas[2], max_w_iters=8)
+                         lambda3=lambdas[2])
         update = update_weights(X, F, G, omega, hp)
         expected_omega, _, expected_stalled = direct_backtracking_oracle(X, F, G, omega, hp)
         assert zero_trials > 0
@@ -385,7 +386,8 @@ class TestWeightRay:
         monkeypatch.setattr(dckm.solver, "_weighted_gram", counting_gram)
         searches = record_line_searches(monkeypatch)
         X, F, G, omega = ray_case(np.random.default_rng(49), 40, 8, 3)
-        hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=1e-2, lambda3=1.0, max_w_iters=8)
+        monkeypatch.setattr(dckm.solver, "WEIGHT_STEPS", 8)
+        hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=1e-2, lambda3=1.0)
         update = update_weights(X, F, G, omega, hp)
         trials = sum(s.trials for s in searches)
         assert not update.stalled and trials > 8
@@ -405,12 +407,35 @@ class TestWeightRay:
         monkeypatch.setattr(dckm.decorrelation, "_residuals", counting)
         searches = record_line_searches(monkeypatch)
         X, F, G, omega = ray_case(np.random.default_rng(49), 40, 8, 3)
-        hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=1e-2, lambda3=1.0, max_w_iters=8)
+        monkeypatch.setattr(dckm.solver, "WEIGHT_STEPS", 8)
+        hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=1e-2, lambda3=1.0)
         update = update_weights(X, F, G, omega, hp)
         trials = sum(s.trials for s in searches)
         assert not update.stalled and trials > 8
         # As for the Grams: the start, then one per trial, none per gradient.
         assert calls == 1 + trials
+
+    def test_stall_returns_the_start(self, monkeypatch):
+        X, F, G, omega = ray_case(np.random.default_rng(50), 40, 8, 3)
+        hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=1e-2, lambda3=1.0)
+        original = dckm.solver._weight_point
+        start = original(X, omega, _row_sq_norms(X - G @ F.T), hp)[0]
+
+        def uphill(X, point, *rest):
+            value, skipped, parts = original(X, point, *rest)
+            return (value if np.array_equal(point, omega) else start + 1.0), skipped, parts
+
+        monkeypatch.setattr(dckm.solver, "_weight_point", uphill)
+        searches = record_line_searches(monkeypatch)
+        descent = (1e-3, np.ones(40))
+        update = update_weights(X, F, G, omega, hp, descent)
+        assert update.stalled
+        assert np.array_equal(update.weights.omega, omega)
+        assert update.history == [start]
+        assert update.descent is descent
+        # One search, shrunk from its first trial to below the smallest step.
+        assert len(searches) == 1 and searches[0].step is None
+        assert searches[0].trials > 1
 
 
 class TestFirstTrial:
@@ -456,10 +481,11 @@ class TestFirstTrial:
         g_prev = {"non-positive curvature": 0.5 * g, "not finite": np.full(40, np.nan),
                   "below minimum": -1e-20 * g}[case]
         step = 1e-3
-        update = update_weights(X, F, G, omega, replace(self.hp, max_w_iters=1), (step, g_prev))
+        monkeypatch.setattr(dckm.solver, "WEIGHT_STEPS", 1)
+        update = update_weights(X, F, G, omega, self.hp, (step, g_prev))
         assert [s.first for s in searches] == [step]
         assert not update.stalled
-        assert update.value < weight_objective(X, omega * omega, resid_sq, self.hp)[0]
+        assert update.history[-1] < weight_objective(X, omega * omega, resid_sq, self.hp)[0]
         assert LINE_SEARCH_MIN_STEP <= update.descent[0] <= step
 
 
@@ -472,14 +498,15 @@ class TestStepSize:
     a search that always started at FIRST_TRIAL_STEP took 7.5 and 19.8 trials
     per step at these two grid points."""
 
-    @pytest.mark.parametrize("max_w_iters", [5, 1])
-    def test_few_trials_per_step(self, max_w_iters, monkeypatch):
+    @pytest.mark.parametrize("weight_steps", [5, 1])
+    def test_few_trials_per_step(self, weight_steps, monkeypatch):
+        monkeypatch.setattr(dckm.solver, "WEIGHT_STEPS", weight_steps)
         searches = record_line_searches(monkeypatch)
         X = generate_biased(BiasSpec(bias_strength=0.9, seed=5, **FAMILY)).X
         for lambda1 in (1e-2, 1e3):
             searches.clear()
             hp = HyperParams(n_clusters=3, lambda1=lambda1, lambda2=1e3, lambda3=1.0,
-                             max_outer_iters=40, max_w_iters=max_w_iters, seed=100)
+                             max_outer_iters=40, seed=100)
             hist = np.array(fit(X, hp).objective_history)
             assert np.all(np.diff(hist) <= 0.0)
             assert sum(s.trials for s in searches) <= 3 * len(searches)

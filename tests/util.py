@@ -247,7 +247,7 @@ def direct_backtracking_oracle(X, F, G, omega, params):
     value = omega_objective(X, F, G, omega, params)
     steps = []
     g_prev = None
-    for _ in range(params.max_w_iters):
+    for _ in range(dckm.solver.WEIGHT_STEPS):
         g = omega_gradient(X, F, G, omega, params)
         if not np.any(g):
             break
@@ -297,7 +297,7 @@ def full_row_fit(X, params):
         G = update_assignments(X, F)
         update = update_weights(X, F, G, weights.omega, params, descent)
         weights, descent = update.weights, update.descent
-        history.append(update.value)
+        history.append(update.history[-1])
         if (
             len(history) > 1
             and abs(history[-1] - history[-2]) <= params.outer_tol * max(1.0, abs(history[-2]))
@@ -313,10 +313,10 @@ def full_row_balance_only_weights(X, params):
     Returns ``(omega, history)``."""
     X = as_data_matrix(X)
     n = X.shape[0]
-    steps = params.max_outer_iters * params.max_w_iters
-    update, history = _descend(X, SampleWeights.uniform(n).omega, np.zeros(n), params, steps,
-                               params.outer_tol)
-    return update.weights.omega, history
+    steps = params.max_outer_iters * dckm.solver.WEIGHT_STEPS
+    update = _descend(X, SampleWeights.uniform(n).omega, np.zeros(n), params, steps,
+                      params.outer_tol)
+    return update.weights.omega, update.history
 
 
 def record_assignments(monkeypatch):
