@@ -1,15 +1,13 @@
 """Acceptance test C07's protocol, fit by fit, summarised per lambda cell.
 
-Runs ``solver.fit`` once per (dataset, cell, restart seed): the biased (bias
-0.9) and unbiased (bias 0.5) datasets of the C07 family (``BiasSpec``'s
-defaults) at data seed 5, lambda3 = 1, the 36 (lambda1, lambda2) cells of
-``dckm bench``'s default grid ({1e-2..1e3}) and restart seeds 100-119, so
-1,440 fits per run. The fits come from this script's own loop over the
-restart seeds, not from ``solver.fit_restarts``, so ``--compare`` measures
-what C07, ``dckm bench`` and the benchmark run only while ``fit_restarts``
-calls ``fit`` once per restart; a batched ``fit_restarts`` needs this script
-moved onto it. It measures the ``dckm`` that
-Python imports, so the same script can run against another checkout:
+Runs ``solver.fit_restarts`` once per (dataset, cell), as C07 and ``dckm
+bench`` do: the biased (bias 0.9) and unbiased (bias 0.5) datasets of the C07
+family (``BiasSpec``'s defaults) at data seed 5, lambda3 = 1, the 36
+(lambda1, lambda2) cells of ``dckm bench``'s default grid ({1e-2..1e3}) and
+restart seeds 100-119, so 1,440 fits per run. A cell in which a fit raises
+``EmptyClusterError`` is dropped whole, as in C07, and stands in ``--fits`` as
+one placeholder per restart seed. It measures the ``dckm`` that Python
+imports, so the same script can run against another checkout:
 
     PYTHONPATH=src python3 scripts/c07_grid.py --cap 40 --label NAME \\
         --fits NAME.npz [--bench BENCH_c07_grid.json]
@@ -24,8 +22,8 @@ and prints how many label vectors moved and the final-objective ratios.
 
 Per cell: medians over the 20 restarts (sweeps, ess, grad_norm_ratio,
 objective), means (nmi, ari), the converged share, trials per gradient step
-(all trials over all steps, counted by wrapping ``solver._backtrack``) and
-the stalled line searches. ess is (sum w)^2 / sum w^2 of n = 500;
+(all trials over all steps, from each fit's ``line_searches``) and the
+stalled line searches. ess is (sum w)^2 / sum w^2 of n = 500;
 grad_norm_ratio is the weight gradient's norm at the returned weights over
 its norm at uniform weights, for the same centroids and labels. Of the runs
 in ``BENCH_c07_grid.json``, ``direct_cap40`` and ``distinct_rows_cap40``
@@ -53,72 +51,45 @@ import numpy as np  # noqa: E402
 
 import dckm.solver as solver  # noqa: E402
 from dckm.cli import DEFAULT_GRID  # noqa: E402
-from dckm.core import HyperParams, SampleWeights  # noqa: E402
+from dckm.core import HyperParams, SampleWeights, _distinct_rows  # noqa: E402
 from dckm.data import BiasSpec, generate_biased  # noqa: E402
 from dckm.metrics import ari, nmi  # noqa: E402
 
 GRID = DEFAULT_GRID
 RESTART_SEEDS = range(100, 120)
 DATASETS = (("biased", 0.9), ("unbiased", 0.5))
+FIT_KEYS = ("labels", "objective", "sweeps", "converged", "trials", "steps")
 
 
 def run_grid(cap):
-    """Every fit of the protocol at ``cap`` sweeps; returns the per-cell
-    summaries and the per-fit arrays."""
-    counts = {"trials": 0, "steps": 0, "stalls": 0}
-    per_search = []  # each line search's trial count
-    original = solver._backtrack
-
-    def counting(fun, *rest):
-        before = counts["trials"]
-
-        def trial(t):
-            counts["trials"] += 1
-            return fun(t)
-
-        counts["steps"] += 1
-        result = original(trial, *rest)
-        counts["stalls"] += result[1] is None
-        per_search.append(counts["trials"] - before)
-        return result
-
-    solver._backtrack = counting
-    cells, fits = [], {k: [] for k in ("labels", "objective", "sweeps", "converged",
-                                       "trials", "steps")}
-    try:
-        for name, bias in DATASETS:
-            ds = generate_biased(BiasSpec(bias_strength=bias, seed=5))
-            X = ds.X
-            n = X.shape[0]
-            print(f"{name}: {np.unique(X, axis=0).shape[0]} distinct rows of {n}")
-            uniform = SampleWeights.uniform(n).omega
-            for l1 in GRID:
-                for l2 in GRID:
-                    counts.update(trials=0, steps=0, stalls=0)
-                    rows = []
-                    for seed in RESTART_SEEDS:
-                        hp = HyperParams(n_clusters=3, lambda1=l1, lambda2=l2, lambda3=1.0,
-                                         seed=seed, max_outer_iters=cap)
-                        trials, steps = counts["trials"], counts["steps"]
-                        try:
-                            result = solver.fit(X, hp)
-                        except solver.EmptyClusterError:
-                            result = None
-                        if result is None:
-                            rows.append(None)
-                            record = dict(labels=np.full(n, -1), objective=np.nan, sweeps=0,
-                                          converged=False)
-                        else:
-                            rows.append(describe(X, ds.labels, uniform, hp, result))
-                            record = dict(labels=result.labels, objective=result.objective,
-                                          sweeps=result.iterations, converged=result.converged)
-                        record.update(trials=counts["trials"] - trials,
-                                      steps=counts["steps"] - steps)
-                        for key, value in record.items():
-                            fits[key].append(value)
-                    cells.append(summarise(name, l1, l2, rows, counts))
-    finally:
-        solver._backtrack = original
+    """Every fit of the protocol at ``cap`` sweeps, one ``solver.fit_restarts``
+    call per (dataset, cell); returns the per-cell summaries and the per-fit
+    arrays."""
+    cells, fits, per_search = [], {key: [] for key in FIT_KEYS}, []
+    for name, bias in DATASETS:
+        ds = generate_biased(BiasSpec(bias_strength=bias, seed=5))
+        X = ds.X
+        n = X.shape[0]
+        print(f"{name}: {_distinct_rows(X)[0].shape[0]} distinct rows of {n}")
+        uniform = SampleWeights.uniform(n).omega
+        dropped = dict(labels=np.full(n, -1), objective=np.nan, sweeps=0, converged=False,
+                       trials=0, steps=0)
+        for l1 in GRID:
+            for l2 in GRID:
+                hp = HyperParams(n_clusters=3, lambda1=l1, lambda2=l2, lambda3=1.0,
+                                 seed=RESTART_SEEDS[0], max_outer_iters=cap,
+                                 restarts=len(RESTART_SEEDS))
+                try:
+                    runs = solver.fit_restarts(X, hp)[1]
+                except solver.EmptyClusterError:  # C07 drops the whole cell
+                    runs = []
+                rows = [describe(X, ds.labels, uniform, hp, result) for result in runs]
+                for row in rows or [dropped] * len(RESTART_SEEDS):
+                    for key in FIT_KEYS:
+                        fits[key].append(row[key])
+                for result in runs:
+                    per_search += result.line_searches
+                cells.append(summarise(name, l1, l2, rows))
     fits = {k: np.asarray(v) for k, v in fits.items()}
     fits["labels"] = fits["labels"].astype(np.int8)
     fits["per_search"] = np.bincount(per_search)
@@ -126,15 +97,20 @@ def run_grid(cap):
 
 
 def describe(X, truth, uniform, hp, result):
-    """One fit's row of the per-cell summary."""
+    """One fit's entries in the per-fit arrays and its row of the per-cell
+    summary."""
     w = result.weights.w
     G, F = result.assignments, result.centroids
     resid_sq = solver._row_sq_norms(X - G @ F.T)
     grad = solver._weight_gradient(X, result.weights.omega, resid_sq, hp)
     grad0 = solver._weight_gradient(X, uniform, resid_sq, hp)
     return dict(
+        labels=result.labels,
         sweeps=result.iterations,
         converged=result.converged,
+        trials=sum(result.line_searches),
+        steps=len(result.line_searches),
+        stalls=result.stalled_sweeps,
         nmi=nmi(truth, result.labels),
         ari=ari(truth, result.labels),
         ess=float(w.sum()) ** 2 / float(w @ w),
@@ -143,23 +119,26 @@ def describe(X, truth, uniform, hp, result):
     )
 
 
-def summarise(name, l1, l2, rows, counts):
-    ok = [r for r in rows if r is not None]
+def summarise(name, l1, l2, rows):
+    """One cell's summary; ``rows`` is empty for a dropped cell."""
 
     def median(key):
-        return round(statistics.median(r[key] for r in ok), 4) if ok else None
+        return round(statistics.median(r[key] for r in rows), 4) if rows else None
 
     def mean(key):
-        return round(float(np.mean([r[key] for r in ok])), 4) if ok else None
+        return round(float(np.mean([r[key] for r in rows])), 4) if rows else None
+
+    def total(key):
+        return sum(r[key] for r in rows)
 
     return {
-        "data": name, "lambda1": l1, "lambda2": l2, "fits": len(ok),
-        "converged_frac": round(sum(r["converged"] for r in ok) / len(rows), 4),
+        "data": name, "lambda1": l1, "lambda2": l2, "fits": len(rows),
+        "converged_frac": round(total("converged") / len(RESTART_SEEDS), 4),
         "sweeps_median": median("sweeps"),
-        "trials_per_step": round(counts["trials"] / max(counts["steps"], 1), 4),
+        "trials_per_step": round(total("trials") / max(total("steps"), 1), 4),
         "nmi": mean("nmi"), "ari": mean("ari"), "ess_median": median("ess"),
         "grad_norm_ratio_median": median("ratio"),
-        "objective_median": median("objective"), "stalls": counts["stalls"],
+        "objective_median": median("objective"), "stalls": total("stalls"),
     }
 
 

@@ -70,20 +70,23 @@ class _Exit(Exception):
 
 def _build_parser() -> _Parser:
     # A flag's dest is the HyperParams or BiasSpec field it sets (see
-    # _params); metavar keeps the usage text naming the flag.
+    # _params); metavar keeps the usage text naming the flag. Such a flag is
+    # left out of the parsed flags unless given, so that the field keeps its
+    # dataclass default; --restarts defaults to the protocol's 20 instead.
+    unset = argparse.SUPPRESS
     parser = _Parser(prog="dckm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic biased dataset")
-    gen.add_argument("--n", type=int, default=500, help="number of samples")
-    gen.add_argument("--d", type=int, default=24, help="number of features")
-    gen.add_argument("--k", dest="n_clusters", metavar="K", type=int, default=3,
+    gen.add_argument("--n", type=int, default=unset, help="number of samples")
+    gen.add_argument("--d", type=int, default=unset, help="number of features")
+    gen.add_argument("--k", dest="n_clusters", metavar="K", type=int, default=unset,
                      help="number of clusters")
-    gen.add_argument("--core-per-cluster", type=int, default=1)
-    gen.add_argument("--bias-features", type=int, default=5)
-    gen.add_argument("--bias", dest="bias_strength", metavar="BIAS", type=float, default=0.9,
+    gen.add_argument("--core-per-cluster", type=int, default=unset)
+    gen.add_argument("--bias-features", type=int, default=unset)
+    gen.add_argument("--bias", dest="bias_strength", metavar="BIAS", type=float, default=unset,
                      help="bias strength in [0.5, 1)")
-    gen.add_argument("--noise", dest="noise_flip", metavar="NOISE", type=float, default=0.005,
+    gen.add_argument("--noise", dest="noise_flip", metavar="NOISE", type=float, default=unset,
                      help="bit-flip probability")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True, help="output CSV path")
@@ -91,11 +94,11 @@ def _build_parser() -> _Parser:
     # The flags fit and bench share.
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--k", dest="n_clusters", metavar="K", type=int, required=True)
-    shared.add_argument("--l3", dest="lambda3", metavar="L3", type=float, default=1.0)
+    shared.add_argument("--l3", dest="lambda3", metavar="L3", type=float, default=unset)
     shared.add_argument("--restarts", type=int, default=20)
     shared.add_argument("--seed", type=int, default=None)
     shared.add_argument("--max-outer", dest="max_outer_iters", metavar="MAX_OUTER", type=int,
-                        default=100)
+                        default=unset)
     shared.add_argument("--threshold", type=float, default=0.7,
                         help="dropkm correlation threshold")
 
@@ -103,9 +106,9 @@ def _build_parser() -> _Parser:
     fit.add_argument("--data", required=True, help="input CSV path")
     fit.add_argument("--labels", default=None, help="label column name or index")
     fit.add_argument("--method", required=True, choices=METHODS)
-    fit.add_argument("--l1", dest="lambda1", metavar="L1", type=float, default=1.0)
-    fit.add_argument("--l2", dest="lambda2", metavar="L2", type=float, default=1.0)
-    fit.add_argument("--tol", dest="outer_tol", metavar="TOL", type=float, default=1e-6,
+    fit.add_argument("--l1", dest="lambda1", metavar="L1", type=float, default=unset)
+    fit.add_argument("--l2", dest="lambda2", metavar="L2", type=float, default=unset)
+    fit.add_argument("--tol", dest="outer_tol", metavar="TOL", type=float, default=unset,
                      help="relative objective change that ends a fit (in a sweep with no "
                           "label change) or deckm's weight descent")
     fit.add_argument("--pca-dims", type=int, default=None, help="pcakm components (default k-1)")

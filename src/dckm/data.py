@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import as_data_matrix
+from .core import _require_integers, as_data_matrix
 
 # save_dataset formats and writes this many cells at a time, so the text of
 # one block, not of the whole matrix, is held in memory.
@@ -243,7 +243,10 @@ def binarize(X, bins: int = 2):
     Columns that are already 0/1-valued pass through unchanged. Columns with
     fewer distinct values than requested bins fall back to one bin per
     distinct value (with a warning); constant columns collapse to a single
-    all-ones indicator. Returns ``(binary_matrix, per-column metadata)``.
+    all-ones indicator. Ties can leave an equal-frequency bin empty; such bins
+    are dropped with their edges, so every indicator of a non-constant column
+    has a row, there are at least two, and ``searchsorted(edges, column)``
+    gives each row's bin. Returns ``(binary_matrix, per-column metadata)``.
     """
     X = as_data_matrix(X)
     if bins < 2:
@@ -264,8 +267,15 @@ def binarize(X, bins: int = 2):
             )
             edges = (distinct[:-1] + distinct[1:]) / 2.0
         else:
-            quantiles = np.arange(1, bins) / bins
-            edges = np.unique(np.quantile(col, quantiles))
+            edges = np.quantile(col, np.arange(1, bins) / bins)
+            # A row goes to the first edge at or above it, so an edge at the
+            # maximum would empty the top bin: move it to the midpoint below
+            # the maximum. Then drop each empty bin with its upper edge.
+            top = (distinct[-2] + distinct[-1]) / 2.0
+            edges = np.unique(np.where(edges >= distinct[-1], top, edges))
+            filled = np.bincount(np.searchsorted(edges, col, side="left"),
+                                 minlength=edges.size + 1)
+            edges = edges[filled[:-1] > 0]
         idx = np.searchsorted(edges, col, side="left")
         n_out = edges.size + 1
         block = np.zeros((col.size, n_out))
@@ -296,6 +306,9 @@ class BiasSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integers(
+            self, ("n", "d", "n_clusters", "core_per_cluster", "bias_features", "seed")
+        )
         if self.n < 2 or self.n_clusters < 1 or self.core_per_cluster < 1:
             raise ValueError("n, n_clusters and core_per_cluster must be positive (n >= 2)")
         if self.bias_features < 0:

@@ -233,15 +233,18 @@ def _backtrack(fun, f0, step):
 class WeightUpdate(NamedTuple):
     """Outcome of a weight descent: the new weights, whether a line search
     stalled, the objective ``history`` (the start value, then one per accepted
-    step), the balance term's ``skipped_features`` at the new weights, and the
+    step), the balance term's ``skipped_features`` at the new weights, the
     ``descent`` state ``(step, gradient)`` of the last accepted step (None if
-    none yet), from which the next descent's first trial step follows."""
+    none yet), from which the next descent's first trial step follows, and
+    ``line_searches``, each line search's number of trials in order (a
+    stalled search is the last one)."""
 
     weights: SampleWeights
     stalled: bool
     history: list[float]
     skipped_features: int
     descent: tuple[float, np.ndarray] | None
+    line_searches: list[int]
 
 
 def _first_trial(descent, g) -> float:
@@ -277,17 +280,20 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
     step can land on omega = 0. Stops early at a zero gradient, at a stall (no
     non-increasing step), or after a step whose relative objective change is
     at most ``tol``. Row i of X stands for ``m[i]`` copies. Returns the
-    :class:`WeightUpdate` at the final omega.
+    :class:`WeightUpdate` at the final omega, with each search's trial count.
     """
     value, skipped, parts = _weight_point(X, omega, resid_sq, params, m)
     history = [value]
+    line_searches = []
     stalled = False
     for _ in range(max_steps):
         g = _weight_gradient(X, omega, resid_sq, params, parts, m)
         if not np.any(g):
             break
+        line_searches.append(0)
 
         def score(t):
+            line_searches[-1] += 1
             point = omega - t * g
             return (*_weight_point(X, point, resid_sq, params, m), point)
 
@@ -301,7 +307,7 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
         history.append(value)
         if tol is not None and abs(value - previous) <= tol * max(1.0, abs(previous)):
             break
-    return WeightUpdate(SampleWeights(omega), stalled, history, skipped, descent)
+    return WeightUpdate(SampleWeights(omega), stalled, history, skipped, descent, line_searches)
 
 
 def update_weights(X, F, G, omega, params: HyperParams, descent=None, counts=1.0) -> WeightUpdate:
@@ -322,7 +328,9 @@ def update_weights(X, F, G, omega, params: HyperParams, descent=None, counts=1.0
 
 @dataclass
 class FitResult:
-    """State at exit plus the per-sweep objective trace."""
+    """State at exit plus the per-sweep objective trace; ``line_searches``
+    holds every weight line search's trial count, in order, and
+    ``stalled_sweeps`` counts the sweeps whose weight update stalled."""
 
     centroids: np.ndarray
     assignments: np.ndarray
@@ -331,6 +339,8 @@ class FitResult:
     converged: bool
     iterations: int
     skipped_features_last: int
+    line_searches: list[int]
+    stalled_sweeps: int
 
     @property
     def labels(self) -> np.ndarray:
@@ -377,6 +387,8 @@ def fit(X, params: HyperParams) -> FitResult:
     omega = np.sqrt(m / n)
 
     history: list[float] = []
+    line_searches: list[int] = []
+    stalled_sweeps = 0
     previous = None
     descent = None
     converged = False
@@ -390,6 +402,8 @@ def fit(X, params: HyperParams) -> FitResult:
         omega, value, skipped = update.weights.omega, update.history[-1], update.skipped_features
         descent = update.descent
         history.append(value)
+        line_searches += update.line_searches
+        stalled_sweeps += update.stalled
         if (
             previous is not None
             and abs(value - previous) <= params.outer_tol * max(1.0, abs(previous))
@@ -406,6 +420,8 @@ def fit(X, params: HyperParams) -> FitResult:
         converged=converged,
         iterations=len(history),
         skipped_features_last=skipped,
+        line_searches=line_searches,
+        stalled_sweeps=stalled_sweeps,
     )
 
 

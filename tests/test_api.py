@@ -98,6 +98,22 @@ def test_flags_pinned():
     assert flags == FLAGS
 
 
+def test_field_flags_take_the_dataclass_defaults():
+    """A flag that sets a HyperParams or BiasSpec field declares no default of
+    its own, so each default lives in one place; --restarts alone keeps the
+    protocol's 20."""
+    names = {f.name for cls in (dckm.HyperParams, dckm.BiasSpec) for f in fields(cls)}
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        (name, action.dest)
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if action.dest in names and action.default not in (None, argparse.SUPPRESS)
+    }
+    assert declared == {("fit", "restarts"), ("bench", "restarts")}
+
+
 def test_baselines_reach_only_the_solver_loops():
     baselines = importlib.import_module("dckm.baselines")
     private = sorted(

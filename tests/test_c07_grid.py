@@ -1,5 +1,6 @@
-"""Smoke test of ``scripts/c07_grid.py``, which wraps ``solver._backtrack``
-and reads what it returns: one cell, two restart seeds, one dataset."""
+"""Smoke test of ``scripts/c07_grid.py``, which fits each (dataset, cell)
+with one ``solver.fit_restarts`` call and reads the counts each fit returns:
+one cell, two restart seeds, one dataset."""
 
 import importlib.util
 import os
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+import dckm.solver as solver
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "c07_grid.py"
 
@@ -55,3 +58,34 @@ def test_protocol_takes_the_first_best_complete_cell(c07_grid):
     chosen = c07_grid.protocol(cells)
     assert list(chosen) == ["a", "b"]
     assert chosen["a"]["id"] == 3 and chosen["b"]["id"] == 4
+
+
+def test_run_grid_runs_the_library_restart_loop(c07_grid, monkeypatch):
+    """One ``fit_restarts`` call per (dataset, cell) with C07's seeds, and no
+    solver function replaced while it runs."""
+    original = solver.fit_restarts, solver.fit, solver._backtrack
+    calls = []
+
+    def spy(X, params):
+        untouched = solver.fit is original[1] and solver._backtrack is original[2]
+        calls.append((params.lambda1, params.lambda2, params.seed, params.restarts, untouched))
+        return original[0](X, params)
+
+    monkeypatch.setattr(solver, "fit_restarts", spy)
+    monkeypatch.setattr(c07_grid, "GRID", (1.0, 10.0))
+    monkeypatch.setattr(c07_grid, "DATASETS", (("biased", 0.9), ("unbiased", 0.5)))
+    c07_grid.run_grid(2)
+    cells = [(l1, l2) for l1 in (1.0, 10.0) for l2 in (1.0, 10.0)]
+    assert calls == [(l1, l2, 100, 2, True) for _ in range(2) for l1, l2 in cells]
+
+
+def test_failed_cell_is_dropped_whole(c07_grid, monkeypatch):
+    def empty_cluster(X, params):
+        raise solver.EmptyClusterError([2])
+
+    monkeypatch.setattr(solver, "fit_restarts", empty_cluster)
+    cells, fits = c07_grid.run_grid(2)
+    assert cells[0]["fits"] == 0 and cells[0]["nmi"] is None
+    # One placeholder per restart seed keeps --compare aligned fit by fit.
+    assert np.all(fits["labels"] == -1) and fits["labels"].shape == (2, 500)
+    assert np.all(np.isnan(fits["objective"])) and not fits["steps"].any()

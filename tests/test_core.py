@@ -154,6 +154,11 @@ class TestHyperParams:
             {"lambda3": float("nan")},
             {"outer_tol": float("nan")},
             {"outer_tol": float("inf")},
+            {"seed": 0.5},
+            {"max_outer_iters": 2.5},
+            {"n_clusters": 2.0},
+            {"restarts": 1.5},
+            {"seed": True},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -297,6 +299,34 @@ class TestBinarize:
         with pytest.raises(ValueError):
             binarize(np.eye(3), bins=1)
 
+    def test_edge_at_the_maximum_moves_below_it(self):
+        # The median of [0, 5, 5, 5] is the maximum; an edge there puts every
+        # row in the lower bin, so 0 and 5 would get the same code.
+        out, meta = binarize(np.array([[0.0], [5.0], [5.0], [5.0]]), bins=2)
+        assert np.array_equal(out, [[1, 0], [0, 1], [0, 1], [0, 1]])
+        assert np.array_equal(meta[0].edges, [2.5])
+
+    def test_empty_middle_bin_is_dropped(self):
+        col = np.array([2.0, 3.0, 4.0, 4.0, 4.0, 5.0, 5.0])  # quartile edges 3.5, 4, 4.5
+        out, meta = binarize(col[:, None], bins=4)
+        assert np.array_equal(out.argmax(axis=1), [0, 0, 1, 1, 1, 2, 2])
+        assert out.shape[1] == meta[0].n_output == 3
+        assert np.array_equal(meta[0].edges, [3.5, 4.0])
+
+    def test_tied_columns_keep_every_indicator(self):
+        """Seeded columns with heavy ties: a non-constant column gets at least
+        two indicators, none of them all-zero, and its edges reproduce them."""
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            col = rng.choice([2.0, 3.0, 4.0, 5.0], size=int(rng.integers(3, 12)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # fewer distinct values than bins
+                out, meta = binarize(col[:, None], bins=int(rng.integers(2, 5)))
+            if np.unique(col).size > 1:
+                assert out.shape[1] >= 2 and np.all(out.sum(axis=0) > 0)
+                idx = np.searchsorted(meta[0].edges, col, side="left")
+                assert np.array_equal(out, np.eye(out.shape[1])[idx])
+
 
 class TestBiasSpec:
     def test_defaults_valid(self):
@@ -312,6 +342,9 @@ class TestBiasSpec:
             {"noise_flip": -0.1},
             {"d": 5, "n_clusters": 3, "core_per_cluster": 2, "bias_features": 0},
             {"seed": -2},
+            {"n": 40.5},
+            {"seed": 1.5},
+            {"d": 24.0},
         ],
     )
     def test_invalid(self, kwargs):

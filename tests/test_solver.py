@@ -555,6 +555,45 @@ class TestFit:
         assert np.array_equal(recorded[-1], recorded[-2])
         assert not np.array_equal(recorded[0], recorded[1])
 
+    @pytest.mark.parametrize("case", ["lambda1 = 0", "lambda1 = 1", "stall", "zero gradient"])
+    def test_line_searches_match_the_recorded_searches(self, case, monkeypatch):
+        """``line_searches`` holds each weight line search's trial count, and
+        ``stalled_sweeps`` the searches that found no step, as counted by
+        wrapping ``_backtrack``; a zero gradient ends a descent with no search."""
+        X = generate_biased(BiasSpec(n=80, d=12, n_clusters=3, core_per_cluster=2,
+                                     bias_features=6, seed=1)).X
+        hp = HyperParams(n_clusters=3, lambda1=float(case != "lambda1 = 0"), seed=3,
+                         max_outer_iters=6)
+        if case == "zero gradient":
+            # Identical rows in one cluster and no penalty: a zero gradient.
+            X, hp = np.ones((6, 3)), lam0(1, max_outer_iters=3)
+        if case == "stall":
+            # Every trial of the second sweep's descent scores above its start.
+            sweep, scored = 0, []
+            update, point = dckm.solver.update_weights, dckm.solver._weight_point
+
+            def counting_update(*args):
+                nonlocal sweep
+                sweep += 1
+                scored.clear()
+                return update(*args)
+
+            def uphill(*args):
+                value, skipped, parts = point(*args)
+                scored.append(value)
+                if sweep == 2 and len(scored) > 1:
+                    value = scored[0] + 1.0
+                return value, skipped, parts
+
+            monkeypatch.setattr(dckm.solver, "update_weights", counting_update)
+            monkeypatch.setattr(dckm.solver, "_weight_point", uphill)
+        searches = record_line_searches(monkeypatch)
+        result = fit(X, hp)
+        assert result.line_searches == [s.trials for s in searches]
+        assert result.stalled_sweeps == sum(s.step is None for s in searches)
+        assert result.stalled_sweeps == (case == "stall")
+        assert (len(searches) == 0) == (case == "zero gradient")
+
     @pytest.mark.parametrize("lambdas", [(1.0, 1e2), (1e3, 1e3)])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_distinct_rows_fit_equals_full_row_fit(self, seed, lambdas):

@@ -350,7 +350,8 @@ class LineSearch(NamedTuple):
 def record_line_searches(monkeypatch):
     """Wrap ``dckm.solver._backtrack`` so that every weight line search
     appends its :class:`LineSearch` to the returned list, in order, as the
-    benchmark's tracer and ``scripts/c07_grid.py`` wrap it."""
+    benchmark's tracer wraps it. The trial counts are counted here
+    independently of the ones ``FitResult.line_searches`` reports."""
     searches = []
     original = dckm.solver._backtrack
 
