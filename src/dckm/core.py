@@ -106,7 +106,8 @@ def _distinct_rows(X: np.ndarray):
     (float64) the number of copies of each row of U. Rows are keyed by their
     packed bits, so X must be data that :func:`_binary_data` accepted.
     """
-    packed = np.packbits(X != 0.0, axis=1)
+    # Each packed row is viewed as one void key, which needs C order.
+    packed = np.packbits(np.ascontiguousarray(X) != 0.0, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, inverse, counts = np.unique(
         keys, return_index=True, return_inverse=True, return_counts=True

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import warnings
 from dataclasses import asdict, dataclass, field
 from itertools import chain
@@ -61,6 +62,16 @@ def _is_number(text: str) -> bool:
     return True
 
 
+# The characters of the text that load_csv hands to np.loadtxt. On text made
+# of these alone, loadtxt and csv.reader with float read the same cells to
+# the same bits, or loadtxt raises.
+_PLAIN_CHARS = b"0123456789.eE+-,\r\n"
+# A line as a file opened with newline="" yields it to csv.reader: up to and
+# including a \n, a \r\n or a lone \r. Unlike io.StringIO, iterating these
+# matches holds no copy of the text.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
 def load_csv(path, label_column=None) -> LabeledDataset:
     """Parse a numeric CSV into a dataset.
 
@@ -72,64 +83,27 @@ def load_csv(path, label_column=None) -> LabeledDataset:
     column could be meant.
 
     Feature cells are stripped of surrounding whitespace and converted by
-    ``float``, in one pass over all cells. Every failure raises ``ValueError``
-    naming the file and a line: a malformed CSV (such as a field over the
-    ``csv`` module's size limit), a ragged row, or else the first feature cell
-    in row-major order that is not a finite number. The line is the file line
-    on which the failing record starts, counting blank lines and the lines of
-    multi-line quoted cells.
+    ``float``. Every failure raises ``ValueError`` naming the file and a
+    line: a malformed CSV (such as a field over the ``csv`` module's size
+    limit), a ragged row, or else the first feature cell in row-major order
+    that is not a finite number. The line is the file line on which the
+    failing record starts, counting blank lines and the lines of multi-line
+    quoted cells.
+
+    The file is read once. When its first line holds no quote and the data
+    lines hold only digits, ``.eE+-``, commas and line ends, none of them
+    longer than ``csv.field_size_limit()``, ``np.loadtxt`` parses them, to
+    the bits that ``float`` gives. Any other file, and any such file that
+    loadtxt rejects, that has a row of another width than the first, or
+    that has a non-finite feature, is read with ``csv.reader``, which alone
+    raises the errors.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = [row for row in reader if row]
-        except csv.Error as exc:
-            raise ValueError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-
-    width = len(rows[0])
-    for record, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: ragged row at line {_record_line(path, record)} "
-                             f"({len(row)} cells, expected {width})")
-
-    has_header = not all(_is_number(cell) for cell in rows[0])
-    header = [cell.strip() for cell in rows[0]] if has_header else None
-    body = rows[1:] if has_header else rows
-    if not body:
-        raise ValueError(f"{path}: no data rows")
-
-    label_idx = None
-    if label_column is not None:
-        if isinstance(label_column, str):
-            if header is None:
-                raise ValueError(f"{path}: label column {label_column!r} needs a header row")
-            count = header.count(label_column)
-            if count == 0:
-                raise ValueError(f"{path}: missing label column {label_column!r}")
-            if count > 1:
-                raise ValueError(f"{path}: label column {label_column!r} appears {count} times in the header")
-            label_idx = header.index(label_column)
-        else:
-            label_idx = int(label_column)
-            if not 0 <= label_idx < width:
-                raise ValueError(f"{path}: label column index {label_idx} out of range")
-
-    feature_cols = [j for j in range(width) if j != label_idx]
-    X = _feature_matrix(path, body, feature_cols, first_record=int(has_header))
-
-    labels = None
-    if label_idx is not None:
-        raw = [row[label_idx].strip() for row in body]
-        if all(_is_number(cell) for cell in raw):
-            values = np.asarray([float(cell) for cell in raw])
-        else:
-            values = np.asarray(raw)
-        _, labels = np.unique(values, return_inverse=True)
-        labels = labels.astype(np.int64)
-
+        text = fh.read()
+    header, feature_cols, X, labels = (
+        _plain_table(path, text, label_column) or _csv_table(path, text, label_column)
+    )
     names = None
     if header is not None:
         names = [header[j] for j in feature_cols]
@@ -141,25 +115,131 @@ def load_csv(path, label_column=None) -> LabeledDataset:
     )
 
 
-def _record_line(path, record: int) -> int:
+def _plain_table(path, text: str, label_column):
+    """``(header, feature_cols, X, labels)`` as :func:`_csv_table` gives
+    them, parsed by ``np.loadtxt``; None when ``text`` is not plain numeric
+    (see :func:`load_csv`) or the parse fails, so that the caller reads it
+    with ``csv.reader``."""
+    first, _, rest = text.partition("\n")
+    first = first.removesuffix("\r")
+    if not first or '"' in first or "\r" in first:
+        return None
+    cells = first.split(",")  # csv.reader's split of a line with no quote
+    has_header = not all(_is_number(cell) for cell in cells)
+    body = rest if has_header else text
+    if not body.isascii() or body.encode("ascii").translate(None, _PLAIN_CHARS):
+        return None
+    lines = body.splitlines()  # at \n, \r\n and a lone \r, as csv.reader does
+    limit = csv.field_size_limit()
+    if len(first) > limit or max(map(len, lines), default=0) > limit or not any(lines):
+        return None
+    header = [cell.strip() for cell in cells] if has_header else None
+    try:  # the label column is resolved last, as _csv_table resolves it
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        if table.shape[1] != len(cells):
+            return None
+        label_idx = _label_index(path, header, len(cells), label_column)
+    except ValueError:
+        return None
+    del lines  # before X is copied out of the table
+    feature_cols = [j for j in range(len(cells)) if j != label_idx]
+    X = table if label_idx is None else table.take(feature_cols, axis=1)
+    if not np.isfinite(X).all():
+        return None
+    labels = None if label_idx is None else _label_codes(table[:, label_idx])
+    return header, feature_cols, X, labels
+
+
+def _csv_table(path, text: str, label_column):
+    """``(header, feature_cols, X, labels)`` of the CSV ``text`` of
+    ``path``, parsed by ``csv.reader``: the header's stripped cells or None,
+    the columns of X, the n x d float64 feature matrix, and the label codes
+    or None. Raises every error that :func:`load_csv` describes."""
+    reader = csv.reader(_lines(text))
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise ValueError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+
+    width = len(rows[0])
+    for record, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{path}: ragged row at line {_record_line(text, record)} "
+                             f"({len(row)} cells, expected {width})")
+
+    has_header = not all(_is_number(cell) for cell in rows[0])
+    header = [cell.strip() for cell in rows[0]] if has_header else None
+    body = rows[1:] if has_header else rows
+    if not body:
+        raise ValueError(f"{path}: no data rows")
+
+    label_idx = _label_index(path, header, width, label_column)
+    feature_cols = [j for j in range(width) if j != label_idx]
+    X = _feature_matrix(path, text, body, feature_cols, first_record=int(has_header))
+
+    labels = None
+    if label_idx is not None:
+        raw = [row[label_idx].strip() for row in body]
+        if all(_is_number(cell) for cell in raw):
+            labels = _label_codes(np.asarray([float(cell) for cell in raw]))
+        else:
+            labels = _label_codes(np.asarray(raw))
+    return header, feature_cols, X, labels
+
+
+def _lines(text: str):
+    """The lines of ``text`` as csv.reader would read them from the file."""
+    return map(re.Match.group, _LINE.finditer(text))
+
+
+def _label_index(path, header, width: int, label_column):
+    """The position of ``label_column`` (a header name or an index) in rows
+    of ``width`` cells, or None when it is None; raises ValueError when the
+    header does not name it exactly once or the index is out of range."""
+    if label_column is None:
+        return None
+    if isinstance(label_column, str):
+        if header is None:
+            raise ValueError(f"{path}: label column {label_column!r} needs a header row")
+        count = header.count(label_column)
+        if count == 0:
+            raise ValueError(f"{path}: missing label column {label_column!r}")
+        if count > 1:
+            raise ValueError(f"{path}: label column {label_column!r} appears {count} times in the header")
+        return header.index(label_column)
+    label_idx = int(label_column)
+    if not 0 <= label_idx < width:
+        raise ValueError(f"{path}: label column index {label_idx} out of range")
+    return label_idx
+
+
+def _label_codes(values: np.ndarray) -> np.ndarray:
+    """Codes 0..C-1 of ``values`` in sorted order of the distinct values."""
+    _, codes = np.unique(values, return_inverse=True)
+    return codes.astype(np.int64)
+
+
+def _record_line(text: str, record: int) -> int:
     """The file line on which non-blank CSV record ``record`` (0-based) of
-    ``path`` starts. Only error messages need it, so it reads the file again
-    rather than tracking lines while :func:`load_csv` parses."""
-    with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        starts, start = [], 1
-        for row in reader:
-            if row:
-                starts.append(start)
-            start = reader.line_num + 1
+    ``text`` starts. Only error messages need it, so it parses the text
+    again rather than tracking lines while :func:`_csv_table` parses."""
+    reader = csv.reader(_lines(text))
+    starts, start = [], 1
+    for row in reader:
+        if row:
+            starts.append(start)
+        start = reader.line_num + 1
     return starts[record]
 
 
-def _feature_matrix(path, body, feature_cols, first_record: int) -> np.ndarray:
+def _feature_matrix(path, text, body, feature_cols, first_record: int) -> np.ndarray:
     """The feature cells of ``body`` as an n x d float64 matrix, converted in
     one ``np.fromiter`` pass. When a cell is not a finite number, a loop over
     the cells finds the first one in row-major order and raises the error
-    that names it (``first_record`` is the file record of ``body[0]``)."""
+    that names it (``first_record`` is the record of ``body[0]`` in
+    ``text``, the file's contents)."""
     n, d = len(body), len(feature_cols)
     if d == 0:
         return np.empty((n, 0))
@@ -184,7 +264,7 @@ def _feature_matrix(path, body, feature_cols, first_record: int) -> np.ndarray:
                 value = None
             if value is None or not math.isfinite(value):
                 kind = "non-numeric" if value is None else "non-finite"
-                line = _record_line(path, i + first_record)
+                line = _record_line(text, i + first_record)
                 raise ValueError(f"{path}: {kind} cell {cell!r} at line {line}, column {j}")
 
 
@@ -240,10 +320,10 @@ class ColumnBinning:
 def binarize(X, bins: int = 2):
     """One-hot encode continuous columns into equal-frequency bins.
 
-    Columns that are already 0/1-valued pass through unchanged. Columns with
-    fewer distinct values than requested bins fall back to one bin per
-    distinct value (with a warning); constant columns collapse to a single
-    all-ones indicator. Ties can leave an equal-frequency bin empty; such bins
+    Non-constant columns that are already 0/1-valued pass through unchanged.
+    Columns with fewer distinct values than requested bins fall back to one
+    bin per distinct value (with a warning), so constant columns, all-zero
+    and all-ones ones included, collapse to a single all-ones indicator. Ties can leave an equal-frequency bin empty; such bins
     are dropped with their edges, so every indicator of a non-constant column
     has a row, there are at least two, and ``searchsorted(edges, column)``
     gives each row's bin. Returns ``(binary_matrix, per-column metadata)``.
@@ -255,11 +335,12 @@ def binarize(X, bins: int = 2):
     meta: list[ColumnBinning] = []
     for j in range(X.shape[1]):
         col = X[:, j]
-        if np.all((col == 0.0) | (col == 1.0)):
+        distinct = np.unique(col)
+        # A constant column, all-zero included, is not passed through.
+        if distinct.size != 1 and np.all((col == 0.0) | (col == 1.0)):
             blocks.append(col[:, None])
             meta.append(ColumnBinning(column=j, kind="binary", edges=None, n_output=1))
             continue
-        distinct = np.unique(col)
         if distinct.size < bins:
             warnings.warn(
                 f"column {j}: only {distinct.size} distinct values for {bins} bins",

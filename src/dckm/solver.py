@@ -100,14 +100,16 @@ def _weight_gradient(X, omega, resid_sq, params: HyperParams, parts=None, m=1.0)
     return grad
 
 
-def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0):
+def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0, parts=None):
     """The joint objective at ``w = omega**2``, with each row's squared
     reconstruction residual ``resid_sq`` fixed; the ||w||^2 term is
     ``sum(w**2 / m)``, for rows that stand for ``m`` copies each.
 
     Returns ``(value, skipped_features, parts)``: ``parts``, the balance term's
     Gram and residuals from :func:`_residuals`, is for :func:`_weight_gradient`
-    at the same omega, or None when lambda1 is 0. The value is bit for bit the
+    at the same omega, or None when lambda1 is 0. Given ``parts`` from an
+    earlier call at this omega, it takes the weighted Gram and treated masses
+    from them instead of building them again. The value is bit for bit the
     direct evaluation ``tests/util.py::weight_objective(X, omega**2, ...)``,
     except at all-zero weights, which no :class:`SampleWeights` holds: there it
     is +inf, so that a line search never accepts them.
@@ -121,7 +123,8 @@ def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0):
     value += params.lambda3 * (total - 1.0) ** 2
     if params.lambda1 == 0.0:
         return value, 0, None
-    bal, parts = _residuals(_weighted_gram(X, omega), X.T @ w, total)
+    gram, col_mass = (_weighted_gram(X, omega), X.T @ w) if parts is None else parts[:2]
+    bal, parts = _residuals(gram, col_mass, total)
     return value + params.lambda1 * bal.value, bal.skipped_features, parts
 
 
@@ -235,9 +238,11 @@ class WeightUpdate(NamedTuple):
     stalled, the objective ``history`` (the start value, then one per accepted
     step), the balance term's ``skipped_features`` at the new weights, the
     ``descent`` state ``(step, gradient)`` of the last accepted step (None if
-    none yet), from which the next descent's first trial step follows, and
+    none yet), from which the next descent's first trial step follows,
     ``line_searches``, each line search's number of trials in order (a
-    stalled search is the last one)."""
+    stalled search is the last one), and the balance term's ``parts`` at the
+    new weights (None when lambda1 is 0), with which the next descent starts
+    without building them again."""
 
     weights: SampleWeights
     stalled: bool
@@ -245,6 +250,7 @@ class WeightUpdate(NamedTuple):
     skipped_features: int
     descent: tuple[float, np.ndarray] | None
     line_searches: list[int]
+    parts: tuple | None
 
 
 def _first_trial(descent, g) -> float:
@@ -268,7 +274,8 @@ def _first_trial(descent, g) -> float:
     return proposal if LINE_SEARCH_MIN_STEP <= proposal < np.inf else t
 
 
-def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, descent=None, m=1.0):
+def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, descent=None, m=1.0,
+             parts=None):
     """Up to ``max_steps`` (>= 1) backtracking gradient steps on omega, each
     search starting at :func:`_first_trial` of the last accepted step, carried
     in from ``descent`` when given. Every trial scores ``omega - t*g`` with
@@ -279,10 +286,11 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
     every row has the same residual the gradient is parallel to omega, and a
     step can land on omega = 0. Stops early at a zero gradient, at a stall (no
     non-increasing step), or after a step whose relative objective change is
-    at most ``tol``. Row i of X stands for ``m[i]`` copies. Returns the
+    at most ``tol``. Row i of X stands for ``m[i]`` copies. ``parts``, when
+    given, are the balance term's parts at the start omega. Returns the
     :class:`WeightUpdate` at the final omega, with each search's trial count.
     """
-    value, skipped, parts = _weight_point(X, omega, resid_sq, params, m)
+    value, skipped, parts = _weight_point(X, omega, resid_sq, params, m, parts)
     history = [value]
     line_searches = []
     stalled = False
@@ -307,23 +315,29 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
         history.append(value)
         if tol is not None and abs(value - previous) <= tol * max(1.0, abs(previous)):
             break
-    return WeightUpdate(SampleWeights(omega), stalled, history, skipped, descent, line_searches)
+    return WeightUpdate(
+        SampleWeights(omega), stalled, history, skipped, descent, line_searches, parts
+    )
 
 
-def update_weights(X, F, G, omega, params: HyperParams, descent=None, counts=1.0) -> WeightUpdate:
+def update_weights(X, F, G, omega, params: HyperParams, descent=None, counts=1.0,
+                   parts=None) -> WeightUpdate:
     """Run up to WEIGHT_STEPS backtracking gradient steps on omega with
     centroids F and assignments G fixed; ``stalled`` in the returned
     :class:`WeightUpdate` means a line search found no non-increasing step.
     ``descent`` is the state a previous call returned: without it the first
-    search starts at FIRST_TRIAL_STEP. When row i of X stands for ``counts[i]``
-    identical rows, omega_i is sqrt(counts[i]) times their common omega."""
+    search starts at FIRST_TRIAL_STEP. ``parts`` is that call's ``parts``,
+    given only when omega is that call's omega on the same X: the start
+    point's weighted Gram is then not built again. When row i of X stands for
+    ``counts[i]`` identical rows, omega_i is sqrt(counts[i]) times their
+    common omega."""
     X = as_data_matrix(X)
     F = np.asarray(F, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64).copy()
     resid_sq = _row_sq_norms(X - G @ F.T)
     m = np.asarray(counts, dtype=np.float64)
-    return _descend(X, omega, resid_sq, params, WEIGHT_STEPS, descent=descent, m=m)
+    return _descend(X, omega, resid_sq, params, WEIGHT_STEPS, descent=descent, m=m, parts=parts)
 
 
 @dataclass
@@ -371,8 +385,10 @@ def fit(X, params: HyperParams) -> FitResult:
     (relative); it does not mean a stationary point of the objective.
     Otherwise the fit stops after ``max_outer_iters`` sweeps. The weight
     descent's step state carries from sweep to sweep, so only the first line
-    search starts at FIRST_TRIAL_STEP. Lloyd iterations with fixed weights are
-    :func:`_lloyd`.
+    search starts at FIRST_TRIAL_STEP. So do the balance term's parts at the
+    accepted weights: centroids and assignments change only the k-means term,
+    so the next sweep's start takes its weighted Gram from them. Lloyd
+    iterations with fixed weights are :func:`_lloyd`.
 
     The random start labels every row, so the first centroid update runs on
     all of X; every later update runs on the distinct rows with their counts
@@ -390,7 +406,7 @@ def fit(X, params: HyperParams) -> FitResult:
     line_searches: list[int] = []
     stalled_sweeps = 0
     previous = None
-    descent = None
+    descent = parts = None
     converged = False
     row_sq = _row_sq_norms(U)
     for sweep in range(params.max_outer_iters):
@@ -398,9 +414,9 @@ def fit(X, params: HyperParams) -> FitResult:
         if sweep:
             F, G = _centroids_with_recovery(U, omega * omega, G, m)
         G = update_assignments(U, F, row_sq)
-        update = update_weights(U, F, G, omega, params, descent, m)
+        update = update_weights(U, F, G, omega, params, descent, m, parts)
         omega, value, skipped = update.weights.omega, update.history[-1], update.skipped_features
-        descent = update.descent
+        descent, parts = update.descent, update.parts
         history.append(value)
         line_searches += update.line_searches
         stalled_sweeps += update.stalled

@@ -183,6 +183,14 @@ class TestDecKM:
         np.testing.assert_allclose(weights.omega, omega, rtol=1e-10, atol=0)
         np.testing.assert_allclose(history, expected, rtol=1e-12, atol=0)
 
+    def test_fortran_ordered_data_gives_the_same_weights(self):
+        X = generate_biased(BiasSpec(n=60, d=24, n_clusters=3, bias_features=5, seed=1)).X
+        hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=100.0, max_outer_iters=2)
+        weights, history = balance_only_weights(np.asfortranarray(X), hp)
+        expected_weights, expected_history = balance_only_weights(X, hp)
+        assert np.array_equal(weights.omega, expected_weights.omega)
+        assert history == expected_history
+
     @pytest.mark.parametrize("bad", [2.0, np.nan])
     def test_stage1_rejects_non_binary_data(self, bad):
         X = two_groups()

@@ -276,6 +276,16 @@ class TestBinarize:
         assert np.array_equal(out, [[1], [1], [1]])
         assert meta[0].n_output == 1
 
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_constant_zero_or_one_column_single_bin(self, value):
+        # As the constant 2.5 column above: one all-ones indicator, not a
+        # pass-through (an all-zero indicator for the all-zero column).
+        with pytest.warns(UserWarning, match="distinct"):
+            out, meta = binarize(np.full((3, 1), value), bins=2)
+        assert np.array_equal(out, [[1], [1], [1]])
+        assert meta[0].kind == "binned" and meta[0].n_output == 1
+        assert np.array_equal(np.searchsorted(meta[0].edges, np.full(3, value)), [0, 0, 0])
+
     def test_fewer_distinct_than_bins(self):
         with pytest.warns(UserWarning):
             out, meta = binarize(np.array([[0.0], [5.0], [5.0], [0.0]]), bins=4)

@@ -530,6 +530,54 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(np.array([[1.0, 0.5], [0.0, 1.0]]), HyperParams(n_clusters=2))
 
+    @pytest.mark.parametrize("layout", ["fortran", "transposed view"])
+    def test_memory_layout_does_not_change_the_fit(self, layout):
+        # d > 8, so each row packs to more than one byte.
+        X = generate_biased(BiasSpec(n=60, d=24, n_clusters=3, bias_features=5, seed=1)).X
+        Y = np.asfortranarray(X) if layout == "fortran" else np.ascontiguousarray(X.T).T
+        assert not Y.flags.c_contiguous and np.array_equal(X, Y)
+        hp = HyperParams(n_clusters=3, seed=2, max_outer_iters=6)
+        expected, result = fit(X, hp), fit(Y, hp)
+        for name in ("centroids", "assignments"):
+            assert np.array_equal(getattr(result, name), getattr(expected, name))
+        assert np.array_equal(result.weights.omega, expected.weights.omega)
+        for name in ("objective_history", "converged", "iterations", "skipped_features_last",
+                     "line_searches", "stalled_sweeps"):
+            assert getattr(result, name) == getattr(expected, name)
+
+    @pytest.mark.parametrize("lambda1", [0.0, 1.0, 1e3])
+    def test_each_sweep_starts_from_the_accepted_gram(self, lambda1, monkeypatch):
+        """The first sweep's start and each trial build one weighted Gram;
+        later sweeps start from the parts of the weights they were handed,
+        and the fit equals one that builds every start again."""
+        X = generate_biased(BiasSpec(n=80, d=12, n_clusters=3, core_per_cluster=2,
+                                     bias_features=6, seed=1)).X
+        hp = HyperParams(n_clusters=3, lambda1=lambda1, lambda2=10.0, seed=3,
+                         max_outer_iters=8)
+        original_update = dckm.solver.update_weights
+
+        def without_parts(*args):
+            return original_update(*args[:7])  # drops the carried parts
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dckm.solver, "update_weights", without_parts)
+            rebuilt = fit(X, hp)
+        grams = 0
+        original_gram = dckm.solver._weighted_gram
+
+        def counting_gram(*args):
+            nonlocal grams
+            grams += 1
+            return original_gram(*args)
+
+        monkeypatch.setattr(dckm.solver, "_weighted_gram", counting_gram)
+        result = fit(X, hp)
+        assert result.iterations > 1
+        assert grams == (0 if lambda1 == 0.0 else 1 + sum(result.line_searches))
+        assert result.objective_history == rebuilt.objective_history
+        assert np.array_equal(result.labels, rebuilt.labels)
+        assert np.array_equal(result.weights.omega, rebuilt.weights.omega)
+
     def test_rejects_k_above_n(self):
         with pytest.raises(ValueError):
             fit(np.eye(3), HyperParams(n_clusters=4))
