@@ -18,7 +18,8 @@ the protocol NMI/ARI (C07's choice: the cell with the best mean NMI) and,
 with ``--bench``, stores its per-cell summary in that file under
 ``runs[NAME]``. ``--fits`` saves every fit's labels, final objective, sweeps,
 convergence and trial counts; ``--compare`` pairs two such files fit by fit
-and prints how many label vectors moved and the final-objective ratios.
+and prints how many label vectors moved and the final-objective ratios, or
+exits 1 when the files' keys or ``labels`` shapes differ.
 
 Per cell: medians over the 20 restarts (sweeps, ess, grad_norm_ratio,
 objective), means (nmi, ari), the converged share, trials per gradient step
@@ -170,7 +171,16 @@ def report_run(cells, fits):
 
 
 def compare(path_a, path_b):
+    """Print the fit-by-fit comparison of two ``--fits`` files and return 0;
+    return 1 after one line on stderr when they do not hold the same keys
+    and the same ``labels`` shape, so that their fits do not pair."""
     a, b = np.load(path_a), np.load(path_b)
+    shapes = [f["labels"].shape if "labels" in f.files else None for f in (a, b)]
+    if sorted(a.files) != sorted(b.files) or shapes[0] != shapes[1]:
+        print(f"--compare: {path_a} (labels {shapes[0]}) and {path_b} (labels {shapes[1]}) "
+              "do not pair fit by fit: they need the same keys and labels shape",
+              file=sys.stderr)
+        return 1
     moved = np.any(a["labels"] != b["labels"], axis=1)
     print(f"label vectors moved: {int(moved.sum())} of {moved.size}")
     ok = np.isfinite(a["objective"]) & np.isfinite(b["objective"])
@@ -182,6 +192,7 @@ def compare(path_a, path_b):
     for name, f in (("first", a), ("second", b)):
         print(f"{name}: trials per step {f['trials'].sum() / f['steps'].sum():.3f}, "
               f"converged {f['converged'].mean():.4f}")
+    return 0
 
 
 def main(argv=None):
@@ -193,8 +204,7 @@ def main(argv=None):
     parser.add_argument("--compare", nargs=2, metavar="NPZ", help="pair two --fits files")
     args = parser.parse_args(argv)
     if args.compare:
-        compare(*args.compare)
-        return 0
+        return compare(*args.compare)
     if args.bench and not args.label:
         parser.error("--bench needs --label")
     cells, fits = run_grid(args.cap)

@@ -23,6 +23,7 @@ from .core import (
     _weight_vector,
     as_data_matrix,
 )
+from .metrics import _covariance
 from .solver import KMeansResult, _descend, _lloyd
 
 __all__ = [
@@ -103,15 +104,12 @@ def pca_project(X, n_components):
 
 
 def _column_correlations(X: np.ndarray) -> np.ndarray:
-    # Pearson correlation between columns; constant columns get 0 by convention.
-    n = X.shape[0]
-    centered = X - X.mean(axis=0)
-    cov = centered.T @ centered / n
+    # Pearson correlation between columns; constant columns (read from X: their
+    # computed mean can miss by an ulp and leave a tiny variance) get 0.
+    cov = _covariance(X)
     std = np.sqrt(np.diag(cov))
-    denom = np.outer(std, std)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.where(denom > 0, cov / np.where(denom > 0, denom, 1.0), 0.0)
-    return np.clip(corr, -1.0, 1.0)
+    std[(np.ptp(X, axis=0) == 0) | (std == 0)] = np.inf
+    return np.clip(cov / np.outer(std, std), -1.0, 1.0)
 
 
 def select_uncorrelated_features(X, threshold=0.7) -> list[int]:

@@ -8,8 +8,8 @@ checked before any data is read; a failure prints one line,
 "dckm <command>: warning: <message>", without changing the exit code.
 Result files are line-oriented ``key=value`` text with a versioned header
 (see README for the schema); they contain no timing, so identical flags
-produce byte-identical files on one numpy build at one BLAS thread count
-(large fits' BLAS products round differently across thread counts).
+produce byte-identical files on one numpy build; with OpenBLAS they also
+matched at one and two threads in every case measured (see README).
 """
 
 from __future__ import annotations
@@ -402,9 +402,6 @@ def _cmd_bench(args) -> None:
     lines.append(f"seed={plain.seed}")
 
     datasets = [(path, _read_dataset(path, args.labels)) for path in args.data]
-    for data_path, dataset in datasets:
-        if dataset.labels is None:
-            raise _Exit(EXIT_DATA, f"{data_path}: ground-truth labels required")
     for data_path, dataset in datasets:
         chosen: dict[str, RunRecord] = {}
         for method in methods:

@@ -22,13 +22,11 @@ __all__ = [
 _MAX_REPORTED_ENTRIES = 5
 
 
-def _require_integers(obj, names) -> None:
-    """Raise ValueError unless each named field of ``obj`` is an integer;
-    numpy integers count, bools and integral floats do not."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def _require_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value``, the argument or field ``name``, is
+    an integer; numpy integers count, bools and integral floats do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def as_data_matrix(X) -> np.ndarray:
@@ -198,7 +196,8 @@ class HyperParams:
     restarts: int = 1
 
     def __post_init__(self):
-        _require_integers(self, ("n_clusters", "max_outer_iters", "seed", "restarts"))
+        for name in ("n_clusters", "max_outer_iters", "seed", "restarts"):
+            _require_integer(name, getattr(self, name))
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
         for name in ("lambda1", "lambda2", "lambda3"):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _require_integers, as_data_matrix
+from .core import _first_positions, _require_integer, as_data_matrix
 
 # save_dataset formats and writes this many cells at a time, so the text of
 # one block, not of the whole matrix, is held in memory.
@@ -76,11 +76,11 @@ def load_csv(path, label_column=None) -> LabeledDataset:
     """Parse a numeric CSV into a dataset.
 
     A header row is auto-detected (any non-numeric cell in the first row).
-    ``label_column`` selects the ground-truth column by header name or by
-    integer position; label cells may be non-numeric and are mapped to
-    integer codes 0..C-1 in sorted order of the distinct values. A label
-    name that appears more than once in the header is rejected, since either
-    column could be meant.
+    ``label_column`` selects the ground-truth column by header name (a str)
+    or by integer position (a bool or a float raises ValueError); label
+    cells may be non-numeric and are mapped to integer codes 0..C-1 in
+    sorted order of the distinct values. A label name that appears more
+    than once in the header is rejected, since either column could be meant.
 
     Feature cells are stripped of surrounding whitespace and converted by
     ``float``. Every failure raises ``ValueError`` naming the file and a
@@ -98,6 +98,8 @@ def load_csv(path, label_column=None) -> LabeledDataset:
     that has a non-finite feature, is read with ``csv.reader``, which alone
     raises the errors.
     """
+    if label_column is not None and not isinstance(label_column, str):
+        _require_integer("label_column", label_column)
     path = Path(path)
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
         text = fh.read()
@@ -327,10 +329,16 @@ def binarize(X, bins: int = 2):
     are dropped with their edges, so every indicator of a non-constant column
     has a row, there are at least two, and ``searchsorted(edges, column)``
     gives each row's bin. Returns ``(binary_matrix, per-column metadata)``.
+    Raises ValueError unless ``bins`` is an integer of at least 2 (as
+    :class:`BiasSpec` counts are) and every entry of X is finite.
     """
     X = as_data_matrix(X)
+    _require_integer("bins", bins)
     if bins < 2:
         raise ValueError("bins must be >= 2")
+    bad = _first_positions(~np.isfinite(X), limit=1)
+    if bad:
+        raise ValueError("non-finite entry at ({}, {})".format(*bad[0]))
     blocks: list[np.ndarray] = []
     meta: list[ColumnBinning] = []
     for j in range(X.shape[1]):
@@ -387,9 +395,8 @@ class BiasSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _require_integers(
-            self, ("n", "d", "n_clusters", "core_per_cluster", "bias_features", "seed")
-        )
+        for name in ("n", "d", "n_clusters", "core_per_cluster", "bias_features", "seed"):
+            _require_integer(name, getattr(self, name))
         if self.n < 2 or self.n_clusters < 1 or self.core_per_cluster < 1:
             raise ValueError("n, n_clusters and core_per_cluster must be positive (n >= 2)")
         if self.bias_features < 0:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import _weight_vector, as_data_matrix
+from .decorrelation import _weighted_gram
 
 __all__ = ["ari", "contingency_table", "correlation_amount", "nmi"]
 
@@ -87,27 +88,28 @@ def ari(labels_a, labels_b) -> float:
     return float((sum_cells - expected) / (maximum - expected))
 
 
+def _covariance(X: np.ndarray, w=None) -> np.ndarray:
+    """Covariance of the columns of float matrix X under weights scaled to sum
+    1 (uniform when absent): the balance term's Gram of the centered X, which
+    stays accurate far from zero where ``Gram - mean mean^T`` does not."""
+    w = np.ones(X.shape[0]) if w is None else _weight_vector(w, X.shape[0])
+    total = float(w.sum())
+    if total <= 0:
+        raise ValueError("weights must have a positive sum")
+    w = w / total
+    return _weighted_gram(X - w @ X, np.sqrt(w))
+
+
 def correlation_amount(X, w=None) -> float:
     """Frobenius norm of the (weighted) between-feature covariance matrix.
 
-    Weights are normalized to sum 1 internally (uniform when absent), so the
-    value is invariant to rescaling the weight vector. The diagonal is zeroed
-    so per-feature variance does not count as correlation.
+    Weights are normalized to sum 1 (uniform when absent), so the value is
+    invariant to rescaling them. The diagonal is zeroed so per-feature
+    variance does not count as correlation.
     """
     X = as_data_matrix(X)
-    n = X.shape[0]
-    if n < 2:
+    if X.shape[0] < 2:
         raise ValueError("need at least 2 samples")
-    if w is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = _weight_vector(w, n)
-        total = float(w.sum())
-        if total <= 0:
-            raise ValueError("weights must have a positive sum")
-        w = w / total
-    mean = w @ X
-    centered = X - mean
-    cov = centered.T @ (centered * w[:, None])
+    cov = _covariance(X, w)
     np.fill_diagonal(cov, 0.0)
     return float(np.linalg.norm(cov, "fro"))

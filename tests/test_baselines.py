@@ -293,6 +293,25 @@ class TestDropKM:
         kept = select_uncorrelated_features(X, 0.1)
         assert 0 in kept
 
+    def test_constant_columns_kept_by_zero_convention(self):
+        # At n = 1000 the computed mean of a column of ones is not exactly 1,
+        # so two such columns would otherwise correlate at 1.
+        rng = np.random.default_rng(11)
+        X = np.column_stack([np.ones(1000), np.ones(1000), random_binary(rng, 1000, 2)])
+        assert select_uncorrelated_features(X, 0.1)[:2] == [0, 1]
+        assert select_uncorrelated_features(1e8 + X, 0.1)[:2] == [0, 1]
+
+    def test_columns_far_from_zero_keep_the_same_features(self):
+        """Correlations come from the centered data, so shifting every entry
+        by 1e8 keeps the same features."""
+        rng = np.random.default_rng(13)
+        X = random_binary(rng, 200, 8)
+        X[:, 3] = np.where(rng.random(200) < 0.9, X[:, 0], X[:, 3])
+        X[:, 6] = np.where(rng.random(200) < 0.9, 1.0 - X[:, 2], X[:, 6])
+        kept = select_uncorrelated_features(X, 0.5)
+        assert 3 not in kept and 6 not in kept
+        assert select_uncorrelated_features(1e8 + X, 0.5) == kept
+
     def test_threshold_validation(self):
         for threshold in (0.0, 1.5):
             with pytest.raises(ValueError):

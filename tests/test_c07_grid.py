@@ -89,3 +89,36 @@ def test_failed_cell_is_dropped_whole(c07_grid, monkeypatch):
     # One placeholder per restart seed keeps --compare aligned fit by fit.
     assert np.all(fits["labels"] == -1) and fits["labels"].shape == (2, 500)
     assert np.all(np.isnan(fits["objective"])) and not fits["steps"].any()
+
+
+def fits_file(path, n_fits, n_rows=500):
+    """A ``--fits`` file of ``n_fits`` identical fits."""
+    np.savez_compressed(
+        path, labels=np.zeros((n_fits, n_rows), dtype=np.int64), objective=np.ones(n_fits),
+        sweeps=np.full(n_fits, 3), converged=np.ones(n_fits, dtype=bool),
+        trials=np.full(n_fits, 6), steps=np.full(n_fits, 3), per_search=np.zeros(8, dtype=np.int64),
+    )
+    return path
+
+
+@pytest.mark.parametrize("shapes", [((1,), (1440,)), ((2,), (1,)), ((2, 500), (2, 400))])
+def test_compare_rejects_files_that_do_not_pair(c07_grid, tmp_path, capsys, shapes):
+    """A 1-fit file against a 1,440-fit one used to broadcast and count more
+    moved label vectors than fits; other shapes crashed in numpy."""
+    paths = [fits_file(tmp_path / f"{name}.npz", *shape)
+             for name, shape in zip("ab", shapes)]
+    assert c07_grid.main(["--compare", *map(str, paths)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    for path in paths:
+        labels_shape = tuple(np.load(path)["labels"].shape)
+        assert f"{path} (labels {labels_shape})" in err
+
+
+def test_compare_rejects_files_with_other_keys(c07_grid, tmp_path, capsys):
+    a = fits_file(tmp_path / "a.npz", 2)
+    b = tmp_path / "b.npz"
+    np.savez_compressed(b, **{k: v for k, v in np.load(a).items() if k != "trials"})
+    assert c07_grid.main(["--compare", str(a), str(b)]) == 1
+    assert "do not pair fit by fit" in capsys.readouterr().err
+    assert c07_grid.main(["--compare", str(a), str(a)]) == 0

@@ -292,6 +292,17 @@ class TestBench:
         assert "[row] " in text
         assert "nmi_improvement_pct=" in text
 
+    @pytest.mark.parametrize("text, message", [
+        ("f1,f2\n1,0\n0,1\n", "missing label column 'label'"),
+        ("1,0\n0,1\n", "label column 'label' needs a header row"),
+    ])
+    def test_data_without_labels_is_data_error(self, tmp_path, capsys, text, message):
+        # --labels defaults to the column named label; bench needs labels.
+        data = tmp_path / "unlabeled.csv"
+        data.write_text(text, encoding="utf-8")
+        assert main(["bench", "--data", str(data), "--methods", "kmeans", "--k", "2"]) == 2
+        assert capsys.readouterr().err == f"dckm bench: {data}: {message}\n"
+
     def test_bench_deterministic(self, small_data, tmp_path):
         args = ["bench", "--data", str(small_data), "--methods", "kmeans,deckm",
                 "--k", "3", "--grid", "1", "--restarts", "2", "--seed", "4",
@@ -468,9 +479,9 @@ def test_duplicate_label_column_is_data_error(tmp_path, command, capsys):
 # dckm gen. They pin every written byte, so a refactor of the CLI cannot
 # move one; a change that adds result keys updates them on purpose.
 FIT_DIGESTS = {
-    "dckm": "0e8ca45de3d001ba068e91bedeb3ed3a793bd720864ac6b7c47dc7bf4d57e8b0",
+    "dckm": "1fea3f8c704dad80bade7bebc41820cc19f885b203c8f2562fcdc6b5bb5338a3",
     "kmeans": "fa7f1403ea08efc8469a087ab59dd78d79513d15a0d0c78649b0aa25a14f743f",
-    "deckm": "0f783f126cdf262ffb7e7369c8d3a2f50d423c8549bb2f0f36d8ee74203ab50f",
+    "deckm": "7edd3336ebd3477b056618e1b39c41bcdcb4b95196629522c107b7d2381a1d4f",
     "pcakm": "97e3741e3781855322d04e999d22fbc17cf0521cf1b91d5f70a4f6d4f3c41556",
     "dropkm": "1105ab5ff679b82f1455a69feff01246ea6287c2bcb6dcd524c1637a5daab72e",
 }

@@ -79,6 +79,20 @@ class TestLoadCsv:
         p.write_bytes(b"1,0\r\n0,1\r\n")
         assert load_csv(p).X.shape == (2, 2)
 
+    @pytest.mark.parametrize("label_column", [1.5, 1.0, True, False, [1]])
+    def test_label_column_must_be_name_or_integer(self, tmp_path, label_column):
+        # int() would read 1.5, 1.0 and True as column 1 and False as column 0.
+        p = tmp_path / "by_index.csv"
+        p.write_text("5,1,0\n7,0,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="label_column must be an integer, got"):
+            load_csv(p, label_column=label_column)
+
+    def test_numpy_integer_label_column_accepted(self, tmp_path):
+        p = tmp_path / "by_index.csv"
+        p.write_text("5,1,0\n7,0,1\n", encoding="utf-8")
+        ds = load_csv(p, label_column=np.int64(0))
+        assert np.array_equal(ds.labels, [0, 1]) and ds.X.shape == (2, 2)
+
 
 class TestLoadCsvCells:
     """How single cells and odd files read; each case reads the same as
@@ -308,6 +322,27 @@ class TestBinarize:
     def test_bins_validation(self):
         with pytest.raises(ValueError):
             binarize(np.eye(3), bins=1)
+
+    @pytest.mark.parametrize("bins", [2.5, 3.0, True, "3"])
+    def test_non_integer_bins_rejected(self, bins):
+        # bins=2.5 used to make 3 bins at the 40% and 80% quantiles.
+        with pytest.raises(ValueError, match="bins must be an integer, got"):
+            binarize(np.arange(10.0)[:, None], bins=bins)
+
+    def test_numpy_integer_bins_accepted(self):
+        out, meta = binarize(np.arange(10.0)[:, None], bins=np.int64(3))
+        assert out.shape == (10, 3) and meta[0].n_output == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # A NaN used to put every row of its column into bin 0 and emit an
+        # all-zero indicator. The first non-finite entry in row-major order
+        # is named, as validate_data names it.
+        X = np.column_stack([np.arange(6.0), np.arange(6.0)])
+        X[4, 0] = X[2, 1] = X[5, 1] = bad
+        with pytest.raises(ValueError, match=r"^non-finite entry at \(2, 1\)$"):
+            binarize(X)
+        assert "non-finite entry at (2, 1)" in validate_data(X).errors
 
     def test_edge_at_the_maximum_moves_below_it(self):
         # The median of [0, 5, 5, 5] is the maximum; an edge there puts every

@@ -1,11 +1,28 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dckm
 from dckm.core import SampleWeights
 from dckm.metrics import ari, contingency_table, correlation_amount, nmi
 
 from util import ari_pair_oracle
+
+# Prints correlation_amount of the data `dckm gen --n 2000 --d 100 --k 5
+# --seed 7` writes, unweighted and under fixed random weights, in full.
+CORRELATION_PROBE = """
+import numpy as np
+from dckm.data import BiasSpec, generate_biased
+from dckm.metrics import correlation_amount
+X = generate_biased(BiasSpec(n=2000, d=100, n_clusters=5, seed=7)).X
+w = np.random.default_rng(0).random(X.shape[0])
+print(repr(correlation_amount(X)), repr(correlation_amount(X, w)))
+"""
 
 labelings = st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=30)
 
@@ -140,3 +157,30 @@ class TestCorrelationAmount:
     def test_non_finite_weights_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             correlation_amount(np.eye(3), np.array([1.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_columns_far_from_zero(self, weighted):
+        """The covariance is taken of the centered data: shifting every entry
+        by 1e8 leaves the value as it is, where ``Gram - mean mean^T`` loses
+        all of its digits (it gives 17.0 here unweighted, against 0.293)."""
+        rng = np.random.default_rng(12)
+        X = (rng.random((200, 4)) < 0.5).astype(float)
+        X[:, 1] = np.where(rng.random(200) < 0.8, X[:, 0], X[:, 1])  # correlated pair
+        w = rng.uniform(0.1, 2.0, 200) if weighted else None
+        base = correlation_amount(X, w)
+        assert base > 0.05
+        assert correlation_amount(1e8 + X, w) == pytest.approx(base, rel=1e-9)
+
+    def test_same_bits_at_one_and_two_blas_threads(self):
+        """Result files carry this value to 17 digits, so it must not depend
+        on how many threads OpenBLAS splits its product over. Each count runs
+        in its own interpreter, since OpenBLAS reads it at import."""
+        src = str(Path(dckm.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", CORRELATION_PROBE], env=env,
+                                 capture_output=True, text=True, check=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
