@@ -15,7 +15,9 @@ imports, so the same script can run against another checkout:
 
 A run prints each dataset's number of distinct rows (the rows a fit runs on),
 the protocol NMI/ARI (C07's choice: the cell with the best mean NMI) and,
-with ``--bench``, stores its per-cell summary in that file under
+on stderr, the wall time of its ``fit_restarts`` calls, so that stdout,
+``--fits`` and ``--bench`` stay comparable byte for byte between runs. With
+``--bench``, it stores its per-cell summary in that file under
 ``runs[NAME]``. ``--fits`` saves every fit's labels, final objective, sweeps,
 convergence and trial counts; ``--compare`` pairs two such files fit by fit
 and prints how many label vectors moved and the final-objective ratios, or
@@ -44,6 +46,7 @@ import json
 import os
 import statistics
 import sys
+import time
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
@@ -67,6 +70,7 @@ def run_grid(cap):
     call per (dataset, cell); returns the per-cell summaries and the per-fit
     arrays."""
     cells, fits, per_search = [], {key: [] for key in FIT_KEYS}, []
+    fit_s = 0.0
     for name, bias in DATASETS:
         ds = generate_biased(BiasSpec(bias_strength=bias, seed=5))
         X = ds.X
@@ -80,10 +84,12 @@ def run_grid(cap):
                 hp = HyperParams(n_clusters=3, lambda1=l1, lambda2=l2, lambda3=1.0,
                                  seed=RESTART_SEEDS[0], max_outer_iters=cap,
                                  restarts=len(RESTART_SEEDS))
+                start = time.perf_counter()
                 try:
                     runs = solver.fit_restarts(X, hp)[1]
                 except solver.EmptyClusterError:  # C07 drops the whole cell
                     runs = []
+                fit_s += time.perf_counter() - start
                 rows = [describe(X, ds.labels, uniform, hp, result) for result in runs]
                 for row in rows or [dropped] * len(RESTART_SEEDS):
                     for key in FIT_KEYS:
@@ -94,6 +100,8 @@ def run_grid(cap):
     fits = {k: np.asarray(v) for k, v in fits.items()}
     fits["labels"] = fits["labels"].astype(np.int8)
     fits["per_search"] = np.bincount(per_search)
+    # Wall time varies between runs, so it stays out of stdout and the files.
+    print(f"fit wall time: {fit_s:.2f} s in {len(cells)} fit_restarts calls", file=sys.stderr)
     return cells, fits
 
 

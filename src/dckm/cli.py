@@ -447,7 +447,9 @@ def _cmd_bench(args) -> None:
 def _cmd_corr(args) -> None:
     dataset = _read_dataset(args.data, args.labels)
     unweighted = correlation_amount(dataset.X)
-    print(f"correlation_unweighted={_fmt(unweighted)}")
+    # Every value is computed before the first line prints, so a bad
+    # weights file leaves stdout empty.
+    lines = [f"correlation_unweighted={_fmt(unweighted)}"]
     if args.weights is not None:
         try:
             with open(args.weights, "r", encoding="utf-8") as fh:
@@ -462,9 +464,9 @@ def _cmd_corr(args) -> None:
             weighted = correlation_amount(dataset.X, w)
         except ValueError as exc:
             raise _Exit(EXIT_DATA, f"invalid weights: {exc}") from None
-        print(f"correlation_weighted={_fmt(weighted)}")
         ratio = weighted / unweighted if unweighted else float("nan")
-        print(f"reduction_ratio={_fmt(ratio)}")
+        lines += [f"correlation_weighted={_fmt(weighted)}", f"reduction_ratio={_fmt(ratio)}"]
+    print("\n".join(lines))
 
 
 _HANDLERS = {"gen": _cmd_gen, "fit": _cmd_fit, "bench": _cmd_bench, "corr": _cmd_corr}

@@ -65,13 +65,15 @@ def _residuals(gram: np.ndarray, col_mass: np.ndarray, total: float):
     treated and control masses alpha and beta, 0 for skipped features, so
     their columns of R vanish.
     """
+    d = col_mass.size
     beta = total - col_mass
     valid = (col_mass > GROUP_MASS_EPS) & (beta > GROUP_MASS_EPS * max(1.0, total))
-    inv_a = np.divide(1.0, col_mass, out=np.zeros_like(col_mass), where=valid)
-    inv_b = np.divide(1.0, beta, out=np.zeros_like(beta), where=valid)
-    R = gram * (inv_a + inv_b) - np.outer(col_mass, inv_b)
-    np.fill_diagonal(R, 0.0)
-    loss = BalanceLoss(float(np.vdot(R, R)), valid.size - int(np.count_nonzero(valid)))
+    inv_a, inv_b = np.zeros(d), np.zeros(d)
+    np.divide(1.0, col_mass, out=inv_a, where=valid)
+    np.divide(1.0, beta, out=inv_b, where=valid)
+    R = gram * (inv_a + inv_b) - col_mass[:, None] * inv_b
+    R.flat[:: d + 1] = 0.0  # the diagonal
+    loss = BalanceLoss(float(np.vdot(R, R)), d - int(np.count_nonzero(valid)))
     return loss, (gram, col_mass, R, inv_a, inv_b)
 
 

@@ -12,7 +12,10 @@ weighted means), an exhaustive per-row assignment search, and backtracking
 gradient descent on the square-root weight parameterization, each line search
 starting at the Barzilai-Borwein step of the previous one. Each trial scores
 the objective directly, with one weighted Gram and one set of balance
-residuals, and the accepted trial hands both to the next step's gradient.
+residuals, and the accepted trial hands both to the next step's gradient. A
+trial whose balance-free terms alone already exceed the search's start value
+is rejected before its Gram is built: the balance term is non-negative, so
+the full value is at least as large, and the search would reject it anyway.
 Every block is non-increasing in the objective, so the recorded per-sweep
 objective values form a monotone sequence. :mod:`dckm.baselines` composes the
 one weight descent (:func:`_descend`) and the one Lloyd loop (:func:`_lloyd`).
@@ -100,7 +103,8 @@ def _weight_gradient(X, omega, resid_sq, params: HyperParams, parts=None, m=1.0)
     return grad
 
 
-def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0, parts=None):
+def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0, parts=None,
+                  ceiling=np.inf):
     """The joint objective at ``w = omega**2``, with each row's squared
     reconstruction residual ``resid_sq`` fixed; the ||w||^2 term is
     ``sum(w**2 / m)``, for rows that stand for ``m`` copies each.
@@ -113,6 +117,13 @@ def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0, parts=None):
     direct evaluation ``tests/util.py::weight_objective(X, omega**2, ...)``,
     except at all-zero weights, which no :class:`SampleWeights` holds: there it
     is +inf, so that a line search never accepts them.
+
+    When the balance-free part ``v`` (the k-means, ||w||^2 and sum terms)
+    already exceeds ``ceiling``, returns ``(v, 0, None)`` without building a
+    Gram. The full value is then above ``ceiling`` too: lambda1 * balance is
+    non-negative and rounding to nearest is monotone, so ``v + lambda1 *
+    balance`` rounds to at least ``v``. A line search that passes its start
+    value as ``ceiling`` rejects such a point either way.
     """
     w = omega * omega
     total = float(w.sum())
@@ -121,7 +132,7 @@ def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0, parts=None):
     value = float(w @ resid_sq)
     value += params.lambda2 * float(w @ (w / m))
     value += params.lambda3 * (total - 1.0) ** 2
-    if params.lambda1 == 0.0:
+    if params.lambda1 == 0.0 or value > ceiling:
         return value, 0, None
     gram, col_mass = (_weighted_gram(X, omega), X.T @ w) if parts is None else parts[:2]
     bal, parts = _residuals(gram, col_mass, total)
@@ -279,16 +290,19 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
     """Up to ``max_steps`` (>= 1) backtracking gradient steps on omega, each
     search starting at :func:`_first_trial` of the last accepted step, carried
     in from ``descent`` when given. Every trial scores ``omega - t*g`` with
-    :func:`_weight_point`, one weighted Gram and one set of balance residuals
-    each, and the accepted trial's omega, value, Gram and residuals become the
-    next step's start, so no step rebuilds its starting point. A trial whose
-    weights are all zero scores +inf, so the search shrinks past it: when
-    every row has the same residual the gradient is parallel to omega, and a
-    step can land on omega = 0. Stops early at a zero gradient, at a stall (no
-    non-increasing step), or after a step whose relative objective change is
-    at most ``tol``. Row i of X stands for ``m[i]`` copies. ``parts``, when
-    given, are the balance term's parts at the start omega. Returns the
-    :class:`WeightUpdate` at the final omega, with each search's trial count.
+    :func:`_weight_point`, with the search's start value as the ceiling: a
+    trial whose balance-free terms already exceed it is rejected without a
+    Gram, as its full value would be, and every other trial builds one
+    weighted Gram and one set of balance residuals. The accepted trial's
+    omega, value, Gram and residuals become the next step's start, so no step
+    rebuilds its starting point. A trial whose weights are all zero scores
+    +inf, so the search shrinks past it: when every row has the same residual
+    the gradient is parallel to omega, and a step can land on omega = 0.
+    Stops early at a zero gradient, at a stall (no non-increasing step), or
+    after a step whose relative objective change is at most ``tol``. Row i
+    of X stands for ``m[i]`` copies. ``parts``, when given, are the balance
+    term's parts at the start omega. Returns the :class:`WeightUpdate` at the
+    final omega, with each search's trial count.
     """
     value, skipped, parts = _weight_point(X, omega, resid_sq, params, m, parts)
     history = [value]
@@ -296,14 +310,14 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
     stalled = False
     for _ in range(max_steps):
         g = _weight_gradient(X, omega, resid_sq, params, parts, m)
-        if not np.any(g):
+        if not g.any():
             break
         line_searches.append(0)
 
         def score(t):
             line_searches[-1] += 1
             point = omega - t * g
-            return (*_weight_point(X, point, resid_sq, params, m), point)
+            return (*_weight_point(X, point, resid_sq, params, m, None, value), point)
 
         t, trial = _backtrack(score, value, _first_trial(descent, g))
         if trial is None:

@@ -46,6 +46,18 @@ def test_run_grid_and_compare(c07_grid, tmp_path, capsys):
     assert "label vectors moved: 0 of 2" in capsys.readouterr().out
 
 
+def test_wall_time_goes_to_stderr(c07_grid, capsys):
+    """The fits' wall time is reported on stderr, so two runs print the same
+    stdout."""
+    outs = []
+    for _ in range(2):
+        assert c07_grid.main(["--cap", "2"]) == 0
+        out, err = capsys.readouterr()
+        outs.append(out)
+        assert err.startswith("fit wall time: ") and err.count("\n") == 1
+        assert "wall time" not in out
+    assert outs[0] == outs[1]
+
 def test_protocol_takes_the_first_best_complete_cell(c07_grid):
     cells = [
         {"data": "a", "fits": 2, "nmi": 0.5, "id": 0},

@@ -277,6 +277,20 @@ class TestCorr:
         assert code == 2
 
 
+    @pytest.mark.parametrize("text", ["0.5\n0.5\n", "nan\n" * 80, "inf\n" * 80,
+                                      "-1.0\n" * 80, "0.0\n" * 80, "one\n" * 80],
+                             ids=["short", "nan", "inf", "negative", "zero", "not a number"])
+    def test_bad_weights_leave_stdout_empty(self, small_data, tmp_path, text, capsys):
+        wpath = tmp_path / "w.txt"
+        wpath.write_text(text, encoding="utf-8")
+        code = main(["corr", "--data", str(small_data), "--labels", "label",
+                     "--weights", str(wpath)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("dckm corr: ")
+
+
 class TestBench:
     def test_two_methods_one_dataset(self, small_data, tmp_path, capsys):
         out = tmp_path / "bench.txt"

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dckm.decorrelation
 import dckm.solver
@@ -31,6 +32,7 @@ from dckm.solver import (
 )
 
 from util import (
+    balance_free_value,
     direct_backtracking_oracle,
     full_row_fit,
     lloyd_oracle,
@@ -40,6 +42,7 @@ from util import (
     random_binary,
     record_assignments,
     record_line_searches,
+    record_screens,
     weight_objective,
     wide_matrix,
     with_copies,
@@ -257,6 +260,10 @@ RAY_LAMBDAS.append((50.0, 2.0, 1.0))
 # sum(w) ~ 0.5, where the all-ones column must still count as empty.
 STEP_LAMBDAS = [(l1, l2, 1.0) for l1 in (0.0, 1e-2, 1.0, 1e3) for l2 in (0.0, 1e-2, 1e3)]
 STEP_LAMBDAS.append((50.0, 2.0, 1.0))
+# (lambda2, whether some trial is screened) for the ray_case descents that
+# count Grams: at the larger lambda2 some trials' balance-free terms alone
+# exceed their search's start value.
+SCREEN_CASES = ((1e-2, False), (1e3, True))
 
 
 def ray_case(rng, n, d, k, constant_columns=True):
@@ -375,6 +382,8 @@ class TestWeightRay:
         np.testing.assert_allclose(update.weights.omega, expected_omega, rtol=1e-12, atol=0)
 
     def test_one_gram_per_trial(self, monkeypatch):
+        """One Gram per trial that is not screened, for a descent that
+        screens none and one that screens some."""
         grams = 0
         original_gram = dckm.solver._weighted_gram
 
@@ -385,14 +394,21 @@ class TestWeightRay:
 
         monkeypatch.setattr(dckm.solver, "_weighted_gram", counting_gram)
         searches = record_line_searches(monkeypatch)
-        X, F, G, omega = ray_case(np.random.default_rng(49), 40, 8, 3)
+        screens = record_screens(monkeypatch)
         monkeypatch.setattr(dckm.solver, "WEIGHT_STEPS", 8)
-        hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=1e-2, lambda3=1.0)
-        update = update_weights(X, F, G, omega, hp)
-        trials = sum(s.trials for s in searches)
-        assert not update.stalled and trials > 8
-        # The start, then one per trial; the gradients reuse them.
-        assert grams == 1 + trials
+        for lambda2, screening in SCREEN_CASES:
+            grams = 0
+            searches.clear()
+            screens.clear()
+            X, F, G, omega = ray_case(np.random.default_rng(49), 40, 8, 3)
+            hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=lambda2, lambda3=1.0)
+            update = update_weights(X, F, G, omega, hp)
+            trials = sum(s.trials for s in searches)
+            assert not update.stalled and trials > 8
+            assert (sum(screens) > 0) == screening
+            # The start, then one per trial that is not screened; the
+            # gradients reuse them.
+            assert grams == 1 + trials - sum(screens)
 
     def test_one_residual_evaluation_per_scored_point(self, monkeypatch):
         calls = 0
@@ -406,14 +422,21 @@ class TestWeightRay:
         monkeypatch.setattr(dckm.solver, "_residuals", counting)
         monkeypatch.setattr(dckm.decorrelation, "_residuals", counting)
         searches = record_line_searches(monkeypatch)
-        X, F, G, omega = ray_case(np.random.default_rng(49), 40, 8, 3)
+        screens = record_screens(monkeypatch)
         monkeypatch.setattr(dckm.solver, "WEIGHT_STEPS", 8)
-        hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=1e-2, lambda3=1.0)
-        update = update_weights(X, F, G, omega, hp)
-        trials = sum(s.trials for s in searches)
-        assert not update.stalled and trials > 8
-        # As for the Grams: the start, then one per trial, none per gradient.
-        assert calls == 1 + trials
+        for lambda2, screening in SCREEN_CASES:
+            calls = 0
+            searches.clear()
+            screens.clear()
+            X, F, G, omega = ray_case(np.random.default_rng(49), 40, 8, 3)
+            hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=lambda2, lambda3=1.0)
+            update = update_weights(X, F, G, omega, hp)
+            trials = sum(s.trials for s in searches)
+            assert not update.stalled and trials > 8
+            assert (sum(screens) > 0) == screening
+            # As for the Grams: the start, then one per unscreened trial,
+            # none per gradient.
+            assert calls == 1 + trials - sum(screens)
 
     def test_stall_returns_the_start(self, monkeypatch):
         X, F, G, omega = ray_case(np.random.default_rng(50), 40, 8, 3)
@@ -436,6 +459,50 @@ class TestWeightRay:
         # One search, shrunk from its first trial to below the smallest step.
         assert len(searches) == 1 and searches[0].step is None
         assert searches[0].trials > 1
+
+
+PENALTIES = st.sampled_from([0.0, 1e-2, 0.3, 1.0, 50.0, 1e3])
+
+
+class TestCeiling:
+    """``_weight_point`` with a ceiling: unchanged at or above the full
+    value, and it only screens points whose full value exceeds the ceiling."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), d=st.integers(1, 6),
+           copies=st.booleans(), lambdas=st.tuples(PENALTIES, PENALTIES, PENALTIES),
+           anchor=st.sampled_from(["full", "balance-free", "between"]),
+           ulps=st.integers(-2, 2), fraction=st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_screens_only_points_above_the_ceiling(self, seed, n, d, copies, lambdas,
+                                                    anchor, ulps, fraction):
+        rng = np.random.default_rng(seed)
+        X = random_binary(rng, n, d)
+        m = rng.integers(1, 5, n).astype(np.float64) if copies else 1.0
+        omega = rng.uniform(0.0, 1.5, n) * (rng.random(n) < 0.8)
+        resid_sq = rng.uniform(0.0, d, n)
+        hp = HyperParams(n_clusters=1, lambda1=lambdas[0], lambda2=lambdas[1],
+                         lambda3=lambdas[2])
+        full = _weight_point(X, omega, resid_sq, hp, m)
+        free = balance_free_value(omega * omega, resid_sq, hp, m)
+        ceiling = {"full": full[0], "balance-free": free,
+                   "between": free + fraction * (full[0] - free)}[anchor]
+        for _ in range(abs(ulps)):
+            ceiling = np.nextafter(ceiling, np.inf if ulps > 0 else -np.inf)
+        value, skipped, parts = _weight_point(X, omega, resid_sq, hp, m, None, ceiling)
+        if ceiling >= full[0] or full[2] is None:
+            # Not screened: the unscreened triple, bit for bit.
+            assert (value, skipped) == full[:2]
+            assert (parts is None) == (full[2] is None)
+            if parts is not None:
+                for got, expected in zip(parts, full[2]):
+                    assert np.array_equal(got, expected)
+        elif parts is None:
+            # Screened: the balance-free part, above the ceiling, and so is
+            # the full value.
+            assert (value, skipped) == (free, 0)
+            assert value > ceiling and full[0] > ceiling
+        else:
+            assert (value, skipped) == full[:2]
 
 
 class TestFirstTrial:
@@ -547,9 +614,10 @@ class TestFit:
 
     @pytest.mark.parametrize("lambda1", [0.0, 1.0, 1e3])
     def test_each_sweep_starts_from_the_accepted_gram(self, lambda1, monkeypatch):
-        """The first sweep's start and each trial build one weighted Gram;
-        later sweeps start from the parts of the weights they were handed,
-        and the fit equals one that builds every start again."""
+        """The first sweep's start and each trial that is not screened build
+        one weighted Gram; later sweeps start from the parts of the weights
+        they were handed, and the fit equals one that builds every start
+        again."""
         X = generate_biased(BiasSpec(n=80, d=12, n_clusters=3, core_per_cluster=2,
                                      bias_features=6, seed=1)).X
         hp = HyperParams(n_clusters=3, lambda1=lambda1, lambda2=10.0, seed=3,
@@ -571,12 +639,43 @@ class TestFit:
             return original_gram(*args)
 
         monkeypatch.setattr(dckm.solver, "_weighted_gram", counting_gram)
+        screens = record_screens(monkeypatch)
         result = fit(X, hp)
         assert result.iterations > 1
-        assert grams == (0 if lambda1 == 0.0 else 1 + sum(result.line_searches))
+        assert len(screens) == len(result.line_searches)
+        if lambda1 == 0.0:
+            assert grams == 0
+        else:
+            assert sum(screens) > 0
+            assert grams == 1 + sum(result.line_searches) - sum(screens)
         assert result.objective_history == rebuilt.objective_history
         assert np.array_equal(result.labels, rebuilt.labels)
         assert np.array_equal(result.weights.omega, rebuilt.weights.omega)
+
+    @pytest.mark.parametrize("lambdas", [(1e-2, 1e3), (1.0, 1.0), (1e3, 1e3)])
+    def test_screened_fit_equals_unscreened_fit(self, lambdas, monkeypatch):
+        """Screening a trial on its balance-free terms only skips its Gram: a
+        fit whose trials all build one makes the same searches and returns
+        the same fit."""
+        X = generate_biased(BiasSpec(bias_strength=0.9, seed=5, **FAMILY)).X
+        hp = HyperParams(n_clusters=3, lambda1=lambdas[0], lambda2=lambdas[1], lambda3=1.0,
+                         seed=100, max_outer_iters=40)
+        with monkeypatch.context() as patch:
+            screens = record_screens(patch)
+            screened = fit(X, hp)
+        assert sum(screens) > 0
+        original = dckm.solver._weight_point
+
+        def unscreened(X, omega, resid_sq, params, m=1.0, parts=None, ceiling=None):
+            return original(X, omega, resid_sq, params, m, parts)
+
+        monkeypatch.setattr(dckm.solver, "_weight_point", unscreened)
+        full = fit(X, hp)
+        assert screened.objective_history == full.objective_history
+        assert np.array_equal(screened.labels, full.labels)
+        assert np.array_equal(screened.weights.omega, full.weights.omega)
+        assert screened.line_searches == full.line_searches
+        assert screened.stalled_sweeps == full.stalled_sweeps
 
     def test_rejects_k_above_n(self):
         with pytest.raises(ValueError):

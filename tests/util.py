@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -183,14 +184,22 @@ def balance_gradient_oracle(X, omega):
     return 2.0 * omega * grad_w
 
 
+def balance_free_value(w, resid_sq, params, m=1.0):
+    """The joint objective's terms other than the balance term at weights
+    ``w``, for rows that stand for ``m`` copies each: the k-means term, the
+    ||w||^2 term ``sum(w**2 / m)`` and the sum penalty, added in that order."""
+    value = float(w @ resid_sq)
+    value += params.lambda2 * float(w @ (w / m))
+    value += params.lambda3 * (float(w.sum()) - 1.0) ** 2
+    return value
+
+
 def weight_objective(X, w, resid_sq, params):
     """Joint objective at weights ``w`` given each row's squared residual
     ``||X_i - (G F^T)_i||^2``, evaluated directly (a fresh weighted Gram in
     ``balance_loss``); returns ``(value, skipped_features)``. The solver's
     ``_weight_point`` must reproduce it bit for bit at ``w = omega**2``."""
-    value = float(w @ resid_sq)
-    value += params.lambda2 * float(w @ w)
-    value += params.lambda3 * (float(w.sum()) - 1.0) ** 2
+    value = balance_free_value(w, resid_sq, params)
     skipped = 0
     if params.lambda1 != 0.0:
         bal = balance_loss(X, w)
@@ -369,6 +378,49 @@ def record_line_searches(monkeypatch):
 
     monkeypatch.setattr(dckm.solver, "_backtrack", recording)
     return searches
+
+
+def record_screens(monkeypatch):
+    """Wrap ``dckm.solver._descend`` and ``dckm.solver._backtrack`` so that
+    every weight line search appends, in order, how many of its trials have a
+    balance-free part (:func:`balance_free_value`) above the search's start
+    value ``f0``: the trials that are rejected without a weighted Gram. Each
+    trial's point is the last item of the tuple it scores; its part is
+    recomputed here with the descent's ``resid_sq``, ``params`` and ``m``,
+    independently of the ceiling the solver passes."""
+    screened, descents = [], []
+    descend, backtrack = dckm.solver._descend, dckm.solver._backtrack
+    signature = inspect.signature(descend)
+
+    def descending(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        descents.append(bound.arguments)
+        try:
+            return descend(*args, **kwargs)
+        finally:
+            descents.pop()
+
+    def recording(fun, f0, step):
+        context = descents[-1]
+        count = 0
+
+        def counted(t):
+            nonlocal count
+            trial = fun(t)
+            point = trial[-1]
+            count += balance_free_value(
+                point * point, context["resid_sq"], context["params"], context["m"]
+            ) > f0
+            return trial
+
+        result = backtrack(counted, f0, step)
+        screened.append(count)
+        return result
+
+    monkeypatch.setattr(dckm.solver, "_descend", descending)
+    monkeypatch.setattr(dckm.solver, "_backtrack", recording)
+    return screened
 
 
 def lloyd_oracle(X, n_clusters, seed, max_iter, prefer=()):
