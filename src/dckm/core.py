@@ -67,20 +67,30 @@ def validate_data(X) -> ValidationReport:
     were binarized upstream, so anything else is a bug worth surfacing).
     Constant columns are only warned about: plain k-means tolerates them and
     the balancing terms skip them.
+
+    Binary data is proven in one pass, with one ``(X == 0) | (X == 1)`` mask;
+    its constant columns are those whose sum is 0 or n, which is exact for
+    0/1 entries in any summation order. Only when the mask fails do the
+    scans that locate the first bad entries run.
     """
     X = as_data_matrix(X)
     n, d = X.shape
     if n < 2 or d < 2:
         raise ValueError(f"need at least 2 samples and 2 features, got {n}x{d}")
 
-    finite = np.isfinite(X)
-    errors = [f"non-finite entry at ({i}, {j})" for i, j in _first_positions(~finite)]
-    nonbinary = finite & (X != 0.0) & (X != 1.0)
-    errors += [
-        f"entry ({i}, {j}) non-binary: {float(X[i, j])!r}" for i, j in _first_positions(nonbinary)
-    ]
-
-    constant = np.flatnonzero(np.all(X == X[0], axis=0)).tolist()
+    errors = []
+    if ((X == 0.0) | (X == 1.0)).all():
+        mass = np.ones(n) @ X
+        constant = np.flatnonzero((mass == 0.0) | (mass == n)).tolist()
+    else:
+        finite = np.isfinite(X)
+        errors = [f"non-finite entry at ({i}, {j})" for i, j in _first_positions(~finite)]
+        nonbinary = finite & (X != 0.0) & (X != 1.0)
+        errors += [
+            f"entry ({i}, {j}) non-binary: {float(X[i, j])!r}"
+            for i, j in _first_positions(nonbinary)
+        ]
+        constant = np.flatnonzero(np.all(X == X[0], axis=0)).tolist()
     warnings = [f"column {j} constant" for j in constant]
     return ValidationReport(
         ok=not errors, errors=errors, warnings=warnings, constant_columns=constant
@@ -121,6 +131,15 @@ def _first_positions(mask: np.ndarray, limit: int = _MAX_REPORTED_ENTRIES):
     return [(int(i), int(j)) for i, j in zip(rows[:limit], cols[:limit])]
 
 
+def _one_hot(labels: np.ndarray, n_clusters: int) -> np.ndarray:
+    """:func:`one_hot_rows` without its checks, for integer labels that are
+    known to lie in [0, n_clusters), such as an argmin over n_clusters
+    columns or a draw from that range."""
+    G = np.zeros((labels.size, n_clusters), dtype=np.float64)
+    G[np.arange(labels.size), labels] = 1.0
+    return G
+
+
 def one_hot_rows(labels, n_clusters: int) -> np.ndarray:
     """Encode integer cluster ids as a one-hot (n, n_clusters) float matrix."""
     labels = np.asarray(labels)
@@ -132,9 +151,7 @@ def one_hot_rows(labels, n_clusters: int) -> np.ndarray:
     if labels.size and (labels.min() < 0 or labels.max() >= n_clusters):
         bad = labels[(labels < 0) | (labels >= n_clusters)][0]
         raise ValueError(f"label {bad} out of range [0, {n_clusters})")
-    G = np.zeros((labels.size, n_clusters), dtype=np.float64)
-    G[np.arange(labels.size), labels] = 1.0
-    return G
+    return _one_hot(labels, n_clusters)
 
 
 class SampleWeights:

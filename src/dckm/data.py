@@ -302,11 +302,15 @@ def float_texts(values) -> np.ndarray:
     """``repr`` of each float in ``values``, as an object array of the same
     shape. ``repr`` runs once per distinct bit pattern, so ``-0.0`` keeps
     its own text; this is the one float-to-text rule of the CSV and weight
-    files."""
+    files. The distinct patterns come from one sort and each value's index
+    among them from a binary search, which is cheaper than ``np.unique``'s
+    argsort for the few distinct values of a data block."""
     values = np.asarray(values, dtype=np.float64)
-    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    bits = values.view(np.int64).ravel()
+    ordered = np.sort(bits)
+    keys = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
     texts = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
-    return texts[inverse].reshape(values.shape)
+    return texts[np.searchsorted(keys, bits)].reshape(values.shape)
 
 
 @dataclass

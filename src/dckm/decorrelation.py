@@ -60,10 +60,12 @@ def _residuals(gram: np.ndarray, col_mass: np.ndarray, total: float):
     ``gram[:, j] * (inv_a + inv_b)_j - col_mass * inv_b_j``, with the
     diagonal forced to zero to match the per-feature definition with the
     target column removed. Returns the :class:`BalanceLoss` and the
-    ``parts = (gram, col_mass, R, inv_a, inv_b)`` that
+    ``parts = (gram, col_mass, R, inv_a, inv_b, s, loss)`` that
     :func:`balance_gradient` takes: inv_a and inv_b are the reciprocal
     treated and control masses alpha and beta, 0 for skipped features, so
-    their columns of R vanish.
+    their columns of R vanish; ``s = inv_a + inv_b``. ``loss``, the same
+    :class:`BalanceLoss`, rides along so that a caller holding the parts of
+    a point has its balance value without computing the residuals again.
     """
     d = col_mass.size
     beta = total - col_mass
@@ -71,10 +73,11 @@ def _residuals(gram: np.ndarray, col_mass: np.ndarray, total: float):
     inv_a, inv_b = np.zeros(d), np.zeros(d)
     np.divide(1.0, col_mass, out=inv_a, where=valid)
     np.divide(1.0, beta, out=inv_b, where=valid)
-    R = gram * (inv_a + inv_b) - col_mass[:, None] * inv_b
+    s = inv_a + inv_b
+    R = gram * s - col_mass[:, None] * inv_b
     R.flat[:: d + 1] = 0.0  # the diagonal
     loss = BalanceLoss(float(np.vdot(R, R)), d - int(np.count_nonzero(valid)))
-    return loss, (gram, col_mass, R, inv_a, inv_b)
+    return loss, (gram, col_mass, R, inv_a, inv_b, s, loss)
 
 
 def balance_loss(X, w) -> BalanceLoss:
@@ -109,7 +112,8 @@ def balance_gradient(X, omega, parts=None) -> np.ndarray:
     contribute zero, consistently with :func:`balance_loss`.
 
     ``parts``, when given, is what :func:`_residuals` returned at this omega
-    for a caller that has already scored it; it is used as is.
+    for a caller that has already scored it; it is used as is, its
+    ``s = inv_a + inv_b`` included.
     """
     X = as_data_matrix(X)
     omega = np.asarray(omega, dtype=np.float64)
@@ -118,10 +122,10 @@ def balance_gradient(X, omega, parts=None) -> np.ndarray:
     if parts is None:
         w = omega * omega
         parts = _residuals(_weighted_gram(X, omega), X.T @ w, float(w.sum()))[1]
-    gram, col_mass, R, inv_a, inv_b = parts
+    gram, col_mass, R, inv_a, inv_b, s, _ = parts
     rg = np.einsum("fj,fj->j", R, gram)
     ta = rg * inv_a
     tb = (col_mass @ R - rg) * inv_b
-    quad = np.einsum("ij,ij->i", X, X @ (R * (inv_a + inv_b)))
+    quad = np.einsum("ij,ij->i", X, X @ (R * s))
     grad_w = 2.0 * (quad - X @ (ta * inv_a + tb * inv_b + R @ inv_b) + float(tb @ inv_b))
     return 2.0 * omega * grad_w

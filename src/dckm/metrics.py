@@ -17,11 +17,23 @@ def contingency_table(labels_a, labels_b) -> np.ndarray:
     labels_b = np.asarray(labels_b)
     if labels_a.shape != labels_b.shape or labels_a.ndim != 1:
         raise ValueError("labelings must be 1-D vectors of equal length")
-    _, a = np.unique(labels_a, return_inverse=True)
-    _, b = np.unique(labels_b, return_inverse=True)
-    counts = np.zeros((int(a.max()) + 1, int(b.max()) + 1), dtype=np.int64)
-    np.add.at(counts, (a, b), 1)
-    return counts
+    a, ka = _label_codes(labels_a)
+    b, kb = _label_codes(labels_b)
+    return np.bincount(a * kb + b, minlength=ka * kb).astype(np.int64, copy=False).reshape(ka, kb)
+
+
+def _label_codes(labels: np.ndarray):
+    """Each label's rank among the distinct labels, and how many there are.
+    Non-negative integer labels below the number of labels (cluster ids, class
+    ids) are ranked through their counts; any other labels through
+    ``np.unique``."""
+    if (labels.dtype.kind in "iu" and labels.size
+            and labels.min() >= 0 and labels.max() < labels.size):
+        labels = labels.astype(np.intp, copy=False)
+        present = np.bincount(labels) > 0
+        return (np.cumsum(present) - 1)[labels], int(np.count_nonzero(present))
+    distinct, codes = np.unique(labels, return_inverse=True)
+    return codes.ravel(), distinct.size
 
 
 def _entropy(counts_1d: np.ndarray, n: int) -> float:

@@ -42,9 +42,9 @@ from .core import (
     SampleWeights,
     _binary_data,
     _distinct_rows,
+    _one_hot,
     _weight_vector,
     as_data_matrix,
-    one_hot_rows,
 )
 from .decorrelation import (
     GROUP_MASS_EPS,
@@ -112,9 +112,10 @@ def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0, parts=None,
     Returns ``(value, skipped_features, parts)``: ``parts``, the balance term's
     Gram and residuals from :func:`_residuals`, is for :func:`_weight_gradient`
     at the same omega, or None when lambda1 is 0. Given ``parts`` from an
-    earlier call at this omega, it takes the weighted Gram and treated masses
-    from them instead of building them again. The value is bit for bit the
-    direct evaluation ``tests/util.py::weight_objective(X, omega**2, ...)``,
+    earlier call at this omega, it takes the balance value from them instead
+    of building the Gram and residuals again: the balance term depends on
+    omega alone, and only ``resid_sq`` has changed. The value is bit for bit
+    the direct evaluation ``tests/util.py::weight_objective(X, omega**2, ...)``,
     except at all-zero weights, which no :class:`SampleWeights` holds: there it
     is +inf, so that a line search never accepts them.
 
@@ -134,8 +135,10 @@ def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0, parts=None,
     value += params.lambda3 * (total - 1.0) ** 2
     if params.lambda1 == 0.0 or value > ceiling:
         return value, 0, None
-    gram, col_mass = (_weighted_gram(X, omega), X.T @ w) if parts is None else parts[:2]
-    bal, parts = _residuals(gram, col_mass, total)
+    if parts is None:
+        bal, parts = _residuals(_weighted_gram(X, omega), X.T @ w, total)
+    else:
+        bal = parts[-1]
     return value + params.lambda1 * bal.value, bal.skipped_features, parts
 
 
@@ -195,7 +198,7 @@ def update_assignments(X, F, row_sq=None) -> np.ndarray:
     if row_sq is None:
         row_sq = _row_sq_norms(X)
     dists = np.sum(F * F, axis=0) - 2.0 * (X @ F) + row_sq[:, None]
-    return one_hot_rows(np.argmin(dists, axis=1), F.shape[1])
+    return _one_hot(np.argmin(dists, axis=1), F.shape[1])
 
 
 def _centroids_with_recovery(X, w, G, m):
@@ -301,8 +304,9 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
     Stops early at a zero gradient, at a stall (no non-increasing step), or
     after a step whose relative objective change is at most ``tol``. Row i
     of X stands for ``m[i]`` copies. ``parts``, when given, are the balance
-    term's parts at the start omega. Returns the :class:`WeightUpdate` at the
-    final omega, with each search's trial count.
+    term's parts at the start omega, whose balance value the start reuses.
+    Returns the :class:`WeightUpdate` at the final omega, with each search's
+    trial count.
     """
     value, skipped, parts = _weight_point(X, omega, resid_sq, params, m, parts)
     history = [value]
@@ -342,9 +346,9 @@ def update_weights(X, F, G, omega, params: HyperParams, descent=None, counts=1.0
     ``descent`` is the state a previous call returned: without it the first
     search starts at FIRST_TRIAL_STEP. ``parts`` is that call's ``parts``,
     given only when omega is that call's omega on the same X: the start
-    point's weighted Gram is then not built again. When row i of X stands for
-    ``counts[i]`` identical rows, omega_i is sqrt(counts[i]) times their
-    common omega."""
+    point's Gram, residuals and balance value are then not computed again.
+    When row i of X stands for ``counts[i]`` identical rows, omega_i is
+    sqrt(counts[i]) times their common omega."""
     X = as_data_matrix(X)
     F = np.asarray(F, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
@@ -386,7 +390,7 @@ def _initial_assignments(n: int, n_clusters: int, seed: int) -> np.ndarray:
     if n_clusters > n:
         raise ValueError(f"n_clusters={n_clusters} exceeds sample count {n}")
     labels = np.random.default_rng(seed).integers(0, n_clusters, size=n)
-    return one_hot_rows(labels, n_clusters)
+    return _one_hot(labels, n_clusters)
 
 
 def fit(X, params: HyperParams) -> FitResult:
@@ -401,8 +405,8 @@ def fit(X, params: HyperParams) -> FitResult:
     descent's step state carries from sweep to sweep, so only the first line
     search starts at FIRST_TRIAL_STEP. So do the balance term's parts at the
     accepted weights: centroids and assignments change only the k-means term,
-    so the next sweep's start takes its weighted Gram from them. Lloyd
-    iterations with fixed weights are :func:`_lloyd`.
+    so the next sweep's start takes its balance value and gradient parts from
+    them. Lloyd iterations with fixed weights are :func:`_lloyd`.
 
     The random start labels every row, so the first centroid update runs on
     all of X; every later update runs on the distinct rows with their counts

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dckm.core import HyperParams, SampleWeights, _distinct_rows, one_hot_rows, validate_data
+from dckm.core import (
+    HyperParams,
+    SampleWeights,
+    _distinct_rows,
+    _one_hot,
+    one_hot_rows,
+    validate_data,
+)
 
-from util import validate_data_oracle
+from util import random_binary, validate_data_oracle
 
 
 class TestValidateData:
@@ -61,6 +68,28 @@ class TestValidateData:
                 X[rng.integers(shape[0]), rng.integers(shape[1])] = bad
             assert validate_data(X) == validate_data_oracle(X)
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), d=st.integers(2, 12),
+           constant=st.lists(st.tuples(st.integers(0, 11), st.sampled_from([0.0, 1.0, -0.0])),
+                             max_size=4),
+           injected=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 11),
+                                       st.sampled_from([np.nan, np.inf, -np.inf, 2.0, -0.0,
+                                                        0.5, 1.0, 0.0])),
+                             max_size=8),
+           fortran=st.booleans())
+    def test_one_pass_report_equals_the_reference(self, seed, n, d, constant, injected,
+                                                  fortran):
+        """The one-mask path for binary data and the locating scans for
+        anything else give the reference report, field for field."""
+        X = random_binary(np.random.default_rng(seed), n, d)
+        for j, value in constant:
+            X[:, j % d] = value
+        for i, j, value in injected:
+            X[i % n, j % d] = value
+        if fortran:
+            X = np.asfortranarray(X)
+        assert validate_data(X) == validate_data_oracle(X)
+
     def test_nan_column_is_not_constant(self):
         X = np.array([[np.nan, 1.0, 0.0], [np.nan, 1.0, 1.0]])
         report = validate_data(X)
@@ -111,6 +140,15 @@ class TestOneHotRows:
         assert np.array_equal(G.sum(axis=1), np.ones(len(labels)))
         assert set(np.unique(G)) <= {0.0, 1.0}
         assert np.array_equal(G.argmax(axis=1), labels)
+
+    @given(st.lists(st.integers(min_value=0, max_value=7), max_size=40),
+           st.integers(min_value=0, max_value=3))
+    def test_unchecked_form_equals_checked_form(self, labels, extra):
+        k = max(labels, default=0) + 1 + extra
+        G = _one_hot(np.array(labels, dtype=np.int64), k)
+        expected = one_hot_rows(labels, k)
+        assert G.dtype == expected.dtype and G.shape == expected.shape
+        assert np.array_equal(G, expected)
 
 
 class TestSampleWeights:

@@ -10,13 +10,14 @@ from dckm.data import (
     BiasSpec,
     LabeledDataset,
     binarize,
+    float_texts,
     generate_biased,
     load_csv,
     save_dataset,
 )
 from dckm.core import validate_data
 from dckm.metrics import correlation_amount
-from util import save_dataset_oracle
+from util import float_texts_oracle, save_dataset_oracle, wide_matrix
 
 
 class TestLoadCsv:
@@ -232,6 +233,30 @@ def datasets(draw):
     labels = draw(st.none() | arrays(np.int64, n, elements=st.integers(0, 10**6)))
     names = draw(st.none() | st.lists(NAMES, min_size=d, max_size=d))
     return LabeledDataset(X=X, labels=labels, feature_names=names)
+
+
+# Any float64 bit pattern (NaN payloads, subnormals, both zeros, +-inf), with
+# the special values drawn often.
+FLOAT_BITS = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0])
+    .map(lambda v: int(np.float64(v).view(np.int64))),
+)
+
+
+class TestFloatTexts:
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(FLOAT_BITS, max_size=60), width=st.integers(1, 5))
+    def test_equals_the_unique_form(self, bits, width):
+        values = np.array(bits, dtype=np.int64).view(np.float64)
+        for shaped in (values, values[: values.size // width * width].reshape(-1, width)):
+            texts = float_texts(shaped)
+            assert texts.shape == shaped.shape
+            assert texts.tolist() == float_texts_oracle(shaped).tolist()
+
+    def test_empty_and_wide_data(self):
+        for values in (np.zeros(0), np.zeros((0, 3)), wide_matrix(1), wide_matrix(1)[:, ::3]):
+            assert float_texts(values).tolist() == float_texts_oracle(values).tolist()
 
 
 class TestSaveBytes:

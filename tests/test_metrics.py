@@ -11,7 +11,7 @@ import dckm
 from dckm.core import SampleWeights
 from dckm.metrics import ari, contingency_table, correlation_amount, nmi
 
-from util import ari_pair_oracle
+from util import ari_pair_oracle, contingency_table_oracle
 
 # Prints correlation_amount of the data `dckm gen --n 2000 --d 100 --k 5
 # --seed 7` writes, unweighted and under fixed random weights, in full.
@@ -36,6 +36,31 @@ class TestContingency:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             contingency_table([0, 1], [0, 1, 2])
+
+    # Each kind of labeling, made from small non-negative ints: the small
+    # ones take the counting path, the others np.unique.
+    KINDS = {
+        "small": lambda v: v,
+        "uint8": lambda v: v.astype(np.uint8),
+        "uint64": lambda v: v.astype(np.uint64),
+        "negative": lambda v: v - 3,
+        "sparse": lambda v: v * 37,
+        "large": lambda v: v + 2**40,
+        "float": lambda v: v / 2.0,
+        "str": lambda v: v.astype(str),
+    }
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1,
+                          max_size=40),
+           kinds=st.tuples(st.sampled_from(sorted(KINDS)), st.sampled_from(sorted(KINDS))))
+    def test_equals_the_unique_form(self, pairs, kinds):
+        values = np.array(pairs, dtype=np.int64)
+        a, b = (self.KINDS[kind](values[:, i]) for i, kind in enumerate(kinds))
+        counts = contingency_table(a, b)
+        expected = contingency_table_oracle(a, b)
+        assert counts.dtype == expected.dtype == np.int64
+        assert np.array_equal(counts, expected) and counts.shape == expected.shape
 
 
 class TestNmi:

@@ -652,6 +652,30 @@ class TestFit:
         assert np.array_equal(result.labels, rebuilt.labels)
         assert np.array_equal(result.weights.omega, rebuilt.weights.omega)
 
+    @pytest.mark.parametrize("lambda1", [1.0, 1e3])
+    def test_balance_residuals_once_per_scored_point(self, lambda1, monkeypatch):
+        """The balance residuals are computed for the first sweep's start and
+        for each trial that is not screened, and for nothing else: a later
+        sweep's start takes its balance value from the parts it was handed,
+        and each gradient uses the parts of its point."""
+        X = generate_biased(BiasSpec(n=80, d=12, n_clusters=3, core_per_cluster=2,
+                                     bias_features=6, seed=1)).X
+        hp = HyperParams(n_clusters=3, lambda1=lambda1, lambda2=10.0, seed=3,
+                         max_outer_iters=8)
+        calls = 0
+        original = dckm.solver._residuals
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(dckm.solver, "_residuals", counting)
+        screens = record_screens(monkeypatch)
+        result = fit(X, hp)
+        assert result.iterations > 1
+        assert calls == 1 + sum(result.line_searches) - sum(screens)
+
     @pytest.mark.parametrize("lambdas", [(1e-2, 1e3), (1.0, 1.0), (1e3, 1e3)])
     def test_screened_fit_equals_unscreened_fit(self, lambdas, monkeypatch):
         """Screening a trial on its balance-free terms only skips its Gram: a

@@ -525,3 +525,22 @@ def validate_data_oracle(X) -> ValidationReport:
         ok=not errors, errors=errors, warnings=[f"column {j} constant" for j in constant],
         constant_columns=constant,
     )
+
+
+def float_texts_oracle(values) -> np.ndarray:
+    """``dckm.data.float_texts`` through ``np.unique``: ``repr`` of each
+    distinct bit pattern, spread back through the unique inverse."""
+    values = np.asarray(values, dtype=np.float64)
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].reshape(values.shape)
+
+
+def contingency_table_oracle(labels_a, labels_b) -> np.ndarray:
+    """``dckm.metrics.contingency_table`` through ``np.unique`` ranks and one
+    ``np.add.at`` per sample."""
+    _, a = np.unique(np.asarray(labels_a), return_inverse=True)
+    _, b = np.unique(np.asarray(labels_b), return_inverse=True)
+    counts = np.zeros((int(a.max()) + 1, int(b.max()) + 1), dtype=np.int64)
+    np.add.at(counts, (a.ravel(), b.ravel()), 1)
+    return counts
