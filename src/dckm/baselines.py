@@ -21,6 +21,7 @@ from .core import (
     _binary_data,
     _distinct_rows,
     _weight_vector,
+    _work_area,
     as_data_matrix,
 )
 from .metrics import _covariance
@@ -72,7 +73,7 @@ def balance_only_weights(X, params: HyperParams):
     steps = params.max_outer_iters * solver.WEIGHT_STEPS
     # No k-means term: the joint objective with zero residuals.
     update = _descend(U, np.sqrt(m / X.shape[0]), np.zeros(m.size), params, steps,
-                      params.outer_tol, m=m)
+                      params.outer_tol, m=m, work=_work_area(U))
     return SampleWeights((update.weights.omega / np.sqrt(m))[inverse]), update.history
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from .baselines import balance_only_weights, kmeans, pca_project, select_uncorrelated_features, weighted_kmeans
 from .core import HyperParams
 from .data import BiasSpec, LabeledDataset, float_texts, generate_biased, load_csv, save_dataset
+from .decorrelation import GROUP_MASS_EPS
 from .metrics import ari, correlation_amount, nmi
 from .solver import EmptyClusterError, _restarts, fit_restarts
 
@@ -264,7 +265,8 @@ def _method_params(method: str, hp: HyperParams, drop_threshold, pca_dims) -> di
     return {}
 
 
-def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0.7, pca_dims=None) -> RunRecord:
+def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0.7, pca_dims=None,
+               correlation_unweighted=None) -> RunRecord:
     """Run one method with ``hp.restarts`` seeded restarts and aggregate.
 
     Each method is one pipeline of :mod:`dckm.baselines` blocks (or the
@@ -272,7 +274,14 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
     one clustering per restart seed ``hp.seed + i``, through the solver's
     one restart loop, whose choice (lowest objective, first on ties) is the
     record's ``best``. pcakm's ``pca_dims`` is the number of components used
-    (fewer than asked on rank-deficient data).
+    (fewer than asked on rank-deficient data). ``correlation_unweighted`` is
+    ``correlation_amount(X)`` when the caller already has it; it is computed
+    here otherwise.
+
+    For dckm and deckm, weights whose sum is at most ``GROUP_MASS_EPS`` leave
+    no balance group with any weight, so every feature's balance term is
+    skipped; such a collapse raises a warning and the record is returned as
+    usual.
     """
     params = asdict(hp)
     del params["seed"], params["restarts"]
@@ -312,6 +321,14 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
 
         best, runs = _restarts(cluster, hp)
 
+    if weights is not None and float(weights.sum()) <= GROUP_MASS_EPS:
+        warnings.warn(
+            f"{method} weights collapsed: sum(w) = {float(weights.sum()):.3g} <= "
+            f"{GROUP_MASS_EPS:g}, so the balance term skipped every feature",
+            stacklevel=2,
+        )
+    if correlation_unweighted is None:
+        correlation_unweighted = correlation_amount(X)
     record = RunRecord(
         method=method,
         params=params,
@@ -319,7 +336,7 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
         restarts=hp.restarts,
         best=best,
         per_restart_objective=[r.objective for r in runs],
-        correlation_unweighted=correlation_amount(X),
+        correlation_unweighted=correlation_unweighted,
         correlation_weighted=None if weights is None else correlation_amount(X, weights),
         kept_features=kept,
         weights=weights,
@@ -404,6 +421,7 @@ def _cmd_bench(args) -> None:
     datasets = [(path, _read_dataset(path, args.labels)) for path in args.data]
     for data_path, dataset in datasets:
         chosen: dict[str, RunRecord] = {}
+        unweighted = None  # correlation_amount(dataset.X), from the first record that has it
         for method in methods:
             uses_lambdas = method in ("dckm", "deckm")
             records = []
@@ -415,11 +433,13 @@ def _cmd_bench(args) -> None:
                 )
                 try:
                     record = run_method(
-                        dataset.X, dataset.labels, method, hp, drop_threshold=args.threshold
+                        dataset.X, dataset.labels, method, hp, drop_threshold=args.threshold,
+                        correlation_unweighted=unweighted,
                     )
                 except (EmptyClusterError, ValueError) as exc:
                     lines.append(f"{cell} error={exc}")
                     continue
+                unweighted = record.correlation_unweighted
                 lines.append(" ".join([cell] + record.score_fields()))
                 records.append(record)
             if records:  # C07's choice: the first cell with the highest mean NMI

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,6 +125,26 @@ def _distinct_rows(X: np.ndarray):
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return X[first[order]], rank[inverse.ravel()], counts[order].astype(np.float64)
+
+
+class _WorkArea(NamedTuple):
+    """Scratch space for one weight descent on data X (n by d), allocated
+    once so that no trial or step allocates an n-by-d temporary: ``XT``, X
+    transposed into C order, and one array of n*d float64 entries, seen as
+    ``buf`` (n by d) and ``buf_t`` (d by n), that each weighted Gram,
+    gradient product and residual computation overwrites. Nothing a kernel
+    returns is a view of it."""
+
+    XT: np.ndarray
+    buf: np.ndarray
+    buf_t: np.ndarray
+
+
+def _work_area(X: np.ndarray) -> _WorkArea:
+    """A :class:`_WorkArea` for X."""
+    n, d = X.shape
+    flat = np.empty(n * d)
+    return _WorkArea(np.ascontiguousarray(X.T), flat.reshape(n, d), flat.reshape(d, n))
 
 
 def _first_positions(mask: np.ndarray, limit: int = _MAX_REPORTED_ENTRIES):

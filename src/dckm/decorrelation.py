@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _weight_vector, as_data_matrix
+from .core import _binary_data, _weight_vector, _WorkArea, as_data_matrix
 
 __all__ = [
     "GROUP_MASS_EPS",
@@ -40,14 +40,21 @@ class BalanceLoss(NamedTuple):
     skipped_features: int
 
 
-def _weighted_gram(X: np.ndarray, root: np.ndarray) -> np.ndarray:
+def _weighted_gram(X: np.ndarray, root: np.ndarray, work: _WorkArea | None = None) -> np.ndarray:
     """``X^T diag(root**2) X``, built as ``Y.T @ Y`` with ``Y = X * root``
     row-wise. numpy hands a product of a matrix with its own transpose to
     SYRK, which does half the multiply-adds of ``X.T @ (X * w)`` and returns
     an exactly symmetric matrix; the result does not depend on root's signs.
+
+    Given ``work``, the work area of X, it writes ``Yt = X.T * root`` into
+    ``work.buf_t`` and returns ``Yt @ Yt.T``: the same products, the same
+    SYRK and the same bits, with no n-by-d allocation.
     """
-    Y = X * root[:, None]
-    return Y.T @ Y
+    if work is None:
+        Y = X * root[:, None]
+        return Y.T @ Y
+    Yt = np.multiply(work.XT, root, out=work.buf_t)
+    return Yt @ Yt.T
 
 
 def _residuals(gram: np.ndarray, col_mass: np.ndarray, total: float):
@@ -85,15 +92,17 @@ def balance_loss(X, w) -> BalanceLoss:
 
     Features with a degenerate treated or control group contribute nothing;
     their count comes back as ``skipped_features``. The weighted Gram is
-    built from ``sqrt(w)``; a negative or non-finite weight raises
+    built from ``sqrt(w)``. X must be binary data with at least 2 rows and 2
+    columns, as :func:`dckm.fit` takes: an entry other than 0 or 1, a
+    non-finite entry, or a negative or non-finite weight raises
     ``ValueError``.
     """
-    X = as_data_matrix(X)
+    X = _binary_data(X)
     w = _weight_vector(w, X.shape[0])
     return _residuals(_weighted_gram(X, np.sqrt(w)), X.T @ w, float(w.sum()))[0]
 
 
-def balance_gradient(X, omega, parts=None) -> np.ndarray:
+def balance_gradient(X, omega, parts=None, work=None) -> np.ndarray:
     """Gradient of ``balance_loss(X, omega**2)`` with respect to ``omega``.
 
     By the quotient rule per target feature j, with s/c the treated and
@@ -113,19 +122,25 @@ def balance_gradient(X, omega, parts=None) -> np.ndarray:
 
     ``parts``, when given, is what :func:`_residuals` returned at this omega
     for a caller that has already scored it; it is used as is, its
-    ``s = inv_a + inv_b`` included.
+    ``s = inv_a + inv_b`` included, and X is not checked again. Without
+    ``parts``, X must be binary data: an entry other than 0 or 1 or a
+    non-finite entry raises ``ValueError``, as in :func:`balance_loss`.
+    ``work``, the :class:`dckm.core._WorkArea` of X, holds the n-by-d product
+    ``X @ (R diag(s))`` (and the Gram, when built here) instead of a new
+    array; the gradient has the same bits either way.
     """
-    X = as_data_matrix(X)
+    X = as_data_matrix(X) if parts is not None else _binary_data(X)
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape != (X.shape[0],):
         raise ValueError(f"omega must have shape ({X.shape[0]},), got {omega.shape}")
     if parts is None:
         w = omega * omega
-        parts = _residuals(_weighted_gram(X, omega), X.T @ w, float(w.sum()))[1]
+        parts = _residuals(_weighted_gram(X, omega, work), X.T @ w, float(w.sum()))[1]
     gram, col_mass, R, inv_a, inv_b, s, _ = parts
     rg = np.einsum("fj,fj->j", R, gram)
     ta = rg * inv_a
     tb = (col_mass @ R - rg) * inv_b
-    quad = np.einsum("ij,ij->i", X, X @ (R * s))
+    XRs = np.matmul(X, R * s, out=None if work is None else work.buf)
+    quad = np.einsum("ij,ij->i", X, XRs)
     grad_w = 2.0 * (quad - X @ (ta * inv_a + tb * inv_b + R @ inv_b) + float(tb @ inv_b))
     return 2.0 * omega * grad_w

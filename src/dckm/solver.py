@@ -16,6 +16,10 @@ residuals, and the accepted trial hands both to the next step's gradient. A
 trial whose balance-free terms alone already exceed the search's start value
 is rejected before its Gram is built: the balance term is non-negative, so
 the full value is at least as large, and the search would reject it anyway.
+A fit, and the descent of ``balance_only_weights``, allocate one work area
+(:func:`dckm.core._work_area`) that every Gram, gradient product and set of
+squared residuals is written into, so no trial or step allocates an n-by-d
+array.
 Every block is non-increasing in the objective, so the recorded per-sweep
 objective values form a monotone sequence. :mod:`dckm.baselines` composes the
 one weight descent (:func:`_descend`) and the one Lloyd loop (:func:`_lloyd`).
@@ -44,6 +48,7 @@ from .core import (
     _distinct_rows,
     _one_hot,
     _weight_vector,
+    _work_area,
     as_data_matrix,
 )
 from .decorrelation import (
@@ -81,11 +86,22 @@ class EmptyClusterError(RuntimeError):
         super().__init__(f"empty cluster(s) {self.clusters} could not be re-seeded")
 
 
-def _row_sq_norms(A: np.ndarray) -> np.ndarray:
-    return np.sum(A * A, axis=1)
+def _row_sq_norms(A: np.ndarray, out=None) -> np.ndarray:
+    """Each row's squared norm; the squares go to ``out`` (A's shape) when
+    given, which may be A itself."""
+    return np.sum(np.multiply(A, A, out=out), axis=1)
 
 
-def _weight_gradient(X, omega, resid_sq, params: HyperParams, parts=None, m=1.0) -> np.ndarray:
+def _resid_sq(X, F, G, out=None) -> np.ndarray:
+    """Each row's squared distance to its centroid, ``||x_i - F g_i||^2``,
+    computed in one n-by-d array: ``out`` (X's shape) when given, else a new
+    one."""
+    D = np.matmul(G, F.T, out=out)
+    return _row_sq_norms(np.subtract(X, D, out=D), out=D)
+
+
+def _weight_gradient(X, omega, resid_sq, params: HyperParams, m=1.0, parts=None,
+                     work=None) -> np.ndarray:
     """Gradient in omega of the joint objective at ``w = omega**2``.
 
     Per coordinate: 2*omega_i times the sample's squared reconstruction
@@ -93,18 +109,19 @@ def _weight_gradient(X, omega, resid_sq, params: HyperParams, parts=None, m=1.0)
     4*lambda2*omega_i^3/m_i and 4*lambda3*(sum(omega^2)-1)*omega_i from the
     two penalty terms, for rows that stand for ``m`` copies each (see the
     module docstring). ``parts``, from :func:`_weight_point` at this omega,
-    is passed on to :func:`balance_gradient`, which builds it when None.
+    and ``work``, the descent's work area of X, are passed on to
+    :func:`balance_gradient`, which builds the parts when None.
     """
     grad = 2.0 * omega * resid_sq
     grad += 4.0 * params.lambda2 * omega**3 / m
     grad += 4.0 * params.lambda3 * (float(omega @ omega) - 1.0) * omega
     if params.lambda1 != 0.0:
-        grad += params.lambda1 * balance_gradient(X, omega, parts)
+        grad += params.lambda1 * balance_gradient(X, omega, parts, work)
     return grad
 
 
 def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0, parts=None,
-                  ceiling=np.inf):
+                  ceiling=np.inf, work=None):
     """The joint objective at ``w = omega**2``, with each row's squared
     reconstruction residual ``resid_sq`` fixed; the ||w||^2 term is
     ``sum(w**2 / m)``, for rows that stand for ``m`` copies each.
@@ -125,6 +142,10 @@ def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0, parts=None,
     non-negative and rounding to nearest is monotone, so ``v + lambda1 *
     balance`` rounds to at least ``v``. A line search that passes its start
     value as ``ceiling`` rejects such a point either way.
+
+    ``work``, the descent's work area of X (see
+    :func:`dckm.decorrelation._weighted_gram`), holds the Gram's scaled rows;
+    without it they are a new array. The result has the same bits either way.
     """
     w = omega * omega
     total = float(w.sum())
@@ -136,7 +157,7 @@ def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0, parts=None,
     if params.lambda1 == 0.0 or value > ceiling:
         return value, 0, None
     if parts is None:
-        bal, parts = _residuals(_weighted_gram(X, omega), X.T @ w, total)
+        bal, parts = _residuals(_weighted_gram(X, omega, work), X.T @ w, total)
     else:
         bal = parts[-1]
     return value + params.lambda1 * bal.value, bal.skipped_features, parts
@@ -289,7 +310,7 @@ def _first_trial(descent, g) -> float:
 
 
 def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, descent=None, m=1.0,
-             parts=None):
+             parts=None, work=None):
     """Up to ``max_steps`` (>= 1) backtracking gradient steps on omega, each
     search starting at :func:`_first_trial` of the last accepted step, carried
     in from ``descent`` when given. Every trial scores ``omega - t*g`` with
@@ -305,15 +326,17 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
     after a step whose relative objective change is at most ``tol``. Row i
     of X stands for ``m[i]`` copies. ``parts``, when given, are the balance
     term's parts at the start omega, whose balance value the start reuses.
-    Returns the :class:`WeightUpdate` at the final omega, with each search's
-    trial count.
+    ``work``, the work area of X, is handed to every Gram and gradient, so
+    that no trial or step allocates an n-by-d array; the iterates are the
+    same without it. Returns the :class:`WeightUpdate` at the final omega,
+    with each search's trial count.
     """
-    value, skipped, parts = _weight_point(X, omega, resid_sq, params, m, parts)
+    value, skipped, parts = _weight_point(X, omega, resid_sq, params, m, parts, np.inf, work)
     history = [value]
     line_searches = []
     stalled = False
     for _ in range(max_steps):
-        g = _weight_gradient(X, omega, resid_sq, params, parts, m)
+        g = _weight_gradient(X, omega, resid_sq, params, m, parts, work)
         if not g.any():
             break
         line_searches.append(0)
@@ -321,7 +344,7 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
         def score(t):
             line_searches[-1] += 1
             point = omega - t * g
-            return (*_weight_point(X, point, resid_sq, params, m, None, value), point)
+            return (*_weight_point(X, point, resid_sq, params, m, None, value, work), point)
 
         t, trial = _backtrack(score, value, _first_trial(descent, g))
         if trial is None:
@@ -339,7 +362,7 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
 
 
 def update_weights(X, F, G, omega, params: HyperParams, descent=None, counts=1.0,
-                   parts=None) -> WeightUpdate:
+                   parts=None, work=None) -> WeightUpdate:
     """Run up to WEIGHT_STEPS backtracking gradient steps on omega with
     centroids F and assignments G fixed; ``stalled`` in the returned
     :class:`WeightUpdate` means a line search found no non-increasing step.
@@ -348,14 +371,22 @@ def update_weights(X, F, G, omega, params: HyperParams, descent=None, counts=1.0
     given only when omega is that call's omega on the same X: the start
     point's Gram, residuals and balance value are then not computed again.
     When row i of X stands for ``counts[i]`` identical rows, omega_i is
-    sqrt(counts[i]) times their common omega."""
+    sqrt(counts[i]) times their common omega.
+
+    ``work``, from ``core._work_area(X)``, is the scratch space of the whole
+    descent: the rows' squared residuals are computed in it in place, and
+    every Gram and gradient product of the descent is written to it, so no
+    step allocates an n-by-d array. It is free again when the call returns:
+    nothing returned refers to it. Without it the same values are computed
+    in new arrays, with the same bits."""
     X = as_data_matrix(X)
     F = np.asarray(F, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64).copy()
-    resid_sq = _row_sq_norms(X - G @ F.T)
+    resid_sq = _resid_sq(X, F, G, None if work is None else work.buf)
     m = np.asarray(counts, dtype=np.float64)
-    return _descend(X, omega, resid_sq, params, WEIGHT_STEPS, descent=descent, m=m, parts=parts)
+    return _descend(X, omega, resid_sq, params, WEIGHT_STEPS, descent=descent, m=m, parts=parts,
+                    work=work)
 
 
 @dataclass
@@ -426,13 +457,14 @@ def fit(X, params: HyperParams) -> FitResult:
     previous = None
     descent = parts = None
     converged = False
-    row_sq = _row_sq_norms(U)
+    work = _work_area(U)
+    row_sq = _row_sq_norms(U, out=work.buf)
     for sweep in range(params.max_outer_iters):
         previous_G = G
         if sweep:
             F, G = _centroids_with_recovery(U, omega * omega, G, m)
         G = update_assignments(U, F, row_sq)
-        update = update_weights(U, F, G, omega, params, descent, m, parts)
+        update = update_weights(U, F, G, omega, params, descent, m, parts, work)
         omega, value, skipped = update.weights.omega, update.history[-1], update.skipped_features
         descent, parts = update.descent, update.parts
         history.append(value)
@@ -491,7 +523,7 @@ def _lloyd(X, w, n_clusters, seed, max_iter, weighted_loss) -> KMeansResult:
             converged = True
             break
         previous = labels
-    resid_sq = _row_sq_norms(X - G @ F.T)
+    resid_sq = _resid_sq(X, F, G)
     objective = float(w @ resid_sq) if weighted_loss else float(resid_sq.sum())
     return KMeansResult(F, G, labels, objective, iterations, converged)
 

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dckm import cli
 from dckm.cli import METHODS, main
 from dckm.core import HyperParams
+from dckm.decorrelation import GROUP_MASS_EPS
 
 
 @pytest.fixture
@@ -584,3 +586,71 @@ class TestWarnings:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert "pca_dims=2\n" in captured.out
+
+
+def test_bench_computes_the_unweighted_correlation_once_per_dataset(small_data, tmp_path,
+                                                                      monkeypatch):
+    """Every record of a dataset carries the same ``correlation_amount(X)``;
+    it is computed for the first record and reused."""
+    unweighted = []
+    original = cli.correlation_amount
+
+    def counting(X, w=None):
+        if w is None:
+            unweighted.append(X)
+        return original(X, w)
+
+    monkeypatch.setattr(cli, "correlation_amount", counting)
+    second = tmp_path / "second.csv"
+    second.write_bytes(small_data.read_bytes())
+    out = tmp_path / "bench.txt"
+    assert main(["bench", "--data", str(small_data), "--data", str(second),
+                 "--methods", "kmeans,dropkm,dckm", "--k", "3", "--grid", "1,100",
+                 "--restarts", "1", "--seed", "4", "--max-outer", "3", "--out", str(out)]) == 0
+    assert len(unweighted) == 2
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 6 + 2 * 6 + 2
+
+
+# `dckm fit --method dckm --k 1 --restarts 1 --l3 0.1 --data eye.csv --labels
+# label --out dckm.txt` on the collapse data below, as written before the
+# collapse warning existed.
+COLLAPSE_DIGEST = "c997086efd5205427025fa39701d961dfab6f0556d7958cdb1918ca1bb1a0f1b"
+
+
+class TestCollapsedWeights:
+    """At k=1 every row of ``vstack([eye(4)] * 3)`` has the same residual, the
+    balance loss does not see the weights' scale, and so the joint objective
+    falls by shrinking the weights towards zero: dckm returns weights summing
+    to 5.9e-67, and every feature's balance term is skipped."""
+
+    FLAGS = ["fit", "--data", "eye.csv", "--labels", "label", "--k", "1", "--restarts", "1",
+             "--l3", "0.1"]
+
+    @pytest.fixture(autouse=True)
+    def eye_csv(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        X = np.vstack([np.eye(4)] * 3)
+        rows = [",".join(f"{v:g}" for v in row) + f",{i % 4}" for i, row in enumerate(X)]
+        Path("eye.csv").write_text("a,b,c,d,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+
+    def test_dckm_warns_and_exits_zero(self, capsys):
+        assert main(self.FLAGS + ["--method", "dckm", "--out", "dckm.txt",
+                                  "--weights-out", "w.txt"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["dckm fit: warning: dckm weights collapsed: sum(w) = 5.93e-67 <= 1e-12, "
+                       "so the balance term skipped every feature"]
+        assert sha256("dckm.txt") == COLLAPSE_DIGEST
+        assert "skipped_features=4" in Path("dckm.txt").read_text(encoding="utf-8")
+        assert np.loadtxt("w.txt").sum() <= GROUP_MASS_EPS
+
+    def test_deckm_keeps_its_weights_and_does_not_warn(self, capsys):
+        assert main(self.FLAGS + ["--method", "deckm", "--weights-out", "w.txt"]) == 0
+        assert capsys.readouterr().err == ""
+        assert np.loadtxt("w.txt").sum() == pytest.approx(0.545, abs=1e-3)
+
+    def test_run_method_warns(self):
+        X = np.vstack([np.eye(4)] * 3)
+        hp = HyperParams(n_clusters=1, lambda3=0.1)
+        with pytest.warns(UserWarning, match="dckm weights collapsed"):
+            record = cli.run_method(X, None, "dckm", hp)
+        assert float(record.weights.sum()) <= GROUP_MASS_EPS

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, event, example, given, settings, strategies as st
 
-from dckm.core import SampleWeights, _distinct_rows
+import dckm
+import dckm.decorrelation
+from dckm.core import SampleWeights, _distinct_rows, _work_area
 from dckm.decorrelation import (
     _residuals,
     _weighted_gram,
@@ -20,9 +28,36 @@ from util import (
     weighted_control_moment,
     weighted_treated_moment,
     wide_matrix,
+    with_copies,
 )
 
 X3 = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+
+# Prints, for the distinct rows of two C10-shape datasets under two weight
+# vectors each, whether the Gram built in a work area from the transposed
+# rows has the bits of ``Y.T @ Y``.
+GRAM_PROBE = """
+import numpy as np
+from dckm.core import _distinct_rows, _work_area
+from dckm.data import BiasSpec, generate_biased
+from dckm.decorrelation import _weighted_gram
+equal = []
+for seed in (6, 7):
+    X = generate_biased(BiasSpec(n=2000, d=100, n_clusters=5, core_per_cluster=4,
+                                 bias_features=60, bias_strength=0.8, noise_flip=0.05,
+                                 seed=seed)).X
+    U, _, m = _distinct_rows(X)
+    work = _work_area(U)
+    rng = np.random.default_rng(seed)
+    for root in (np.sqrt(m / X.shape[0]), rng.uniform(0.1, 2.0, U.shape[0])):
+        Y = U * root[:, None]
+        equal.append(bool(np.array_equal(_weighted_gram(U, root, work), Y.T @ Y)))
+print(equal)
+"""
+
+# Small shapes, and shapes with n*d >= 20,000 like the C10 data.
+SHAPES = st.one_of(st.tuples(st.integers(2, 40), st.integers(2, 10)),
+                   st.tuples(st.integers(200, 2000), st.integers(100, 120)))
 
 
 class TestRemainingFeatures:
@@ -166,6 +201,19 @@ class TestBalanceLoss:
             with pytest.raises(ValueError, match="finite and non-negative"):
                 balance_loss(X3, w)
 
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan, np.inf])
+    def test_rejects_non_binary_data(self, bad):
+        """The loss is defined for binary data only; other entries used to
+        give a wrong answer (0 for the matrix below) instead of an error."""
+        with pytest.raises(ValueError, match="non-binary"):
+            balance_loss([[0.5, 2], [1, 0], [3, 1]], np.ones(3))
+        X = X3.copy()
+        X[1, 0] = bad
+        with pytest.raises(ValueError, match="invalid data matrix"):
+            balance_loss(X, np.ones(3))
+        with pytest.raises(ValueError, match="invalid data matrix"):
+            balance_gradient(X, np.ones(3))
+
 
 class TestWeightedGram:
     """``_weighted_gram(X, omega)`` is ``X^T diag(omega**2) X``, built as one
@@ -190,6 +238,73 @@ class TestWeightedGram:
         for _ in range(20):
             X = random_binary(rng, int(rng.integers(5, 31)), int(rng.integers(2, 9)))
             self.check(X, scale * rng.uniform(0.7, 1.3, X.shape[0]))
+
+    def test_work_area_gives_the_bits_of_y_t_y_at_one_and_two_blas_threads(self):
+        """The Gram from the transposed rows is the same SYRK product as
+        ``Y.T @ Y``, with the same bits, at either thread count. Each count
+        runs in its own interpreter, since OpenBLAS reads it at import."""
+        src = str(Path(dckm.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", GRAM_PROBE], env=env,
+                                 capture_output=True, text=True, check=True)
+            assert run.stdout.strip() == "[True, True, True, True]", threads
+
+
+class TestWorkArea:
+    """The Gram and the gradient written into a work area have the bits of
+    the ones built in new arrays, whatever the work array held before."""
+
+    @given(seed=st.integers(0, 2**32 - 1), shape=SHAPES, density=st.sampled_from([0.1, 0.5]),
+           copies=st.booleans(), skipped=st.booleans())
+    @example(seed=0, shape=(2000, 100), density=0.5, copies=False, skipped=True)
+    @settings(max_examples=60, deadline=None)
+    def test_same_bits_with_and_without_a_work_area(self, seed, shape, density, copies,
+                                                     skipped):
+        rng = np.random.default_rng(seed)
+        X = random_binary(rng, *shape, density)
+        if skipped:
+            X[:, 0] = 1.0  # no control group: skipped
+            X[:, -1] = 0.0  # no treated group: skipped
+        if copies:
+            X = with_copies(rng, X)[0]
+        U, _, m = _distinct_rows(X)
+        assume(U.shape[0] >= 2)  # balance_gradient takes data as fit does
+        event(f"n*d >= 20,000: {U.size >= 20_000}")
+        work = _work_area(U)
+        work.buf[:] = rng.standard_normal(work.buf.shape)
+        omega = np.sqrt(m) * rng.uniform(0.2, 1.5, U.shape[0]) / np.sqrt(X.shape[0])
+        gram = _weighted_gram(U, omega)
+        assert np.array_equal(_weighted_gram(U, omega, work), gram)
+        w = omega * omega
+        parts = _residuals(gram, U.T @ w, float(w.sum()))[1]
+        expected = balance_gradient(U, omega, parts)
+        assert np.array_equal(balance_gradient(U, omega, parts, work), expected)
+        work.buf[:] = np.nan
+        assert np.array_equal(balance_gradient(U, omega, None, work), expected)
+
+    def test_handed_parts_skip_the_data_check(self, monkeypatch):
+        """The solver hands its parts to every gradient, and those calls do
+        not check the data again; calls without parts do."""
+        checks = 0
+        original = dckm.decorrelation._binary_data
+
+        def counting(X):
+            nonlocal checks
+            checks += 1
+            return original(X)
+
+        monkeypatch.setattr(dckm.decorrelation, "_binary_data", counting)
+        rng = np.random.default_rng(5)
+        X = random_binary(rng, 30, 6)
+        omega = rng.uniform(0.2, 1.5, 30)
+        w = omega * omega
+        parts = _residuals(_weighted_gram(X, omega), X.T @ w, float(w.sum()))[1]
+        balance_gradient(X, omega, parts)
+        assert checks == 0
+        balance_gradient(X, omega)
+        assert checks == 1
 
 
 class TestBalanceGradient:

@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import dckm.decorrelation
 import dckm.solver
 from dckm.baselines import kmeans
-from dckm.core import HyperParams, SampleWeights, one_hot_rows
+from dckm.core import HyperParams, SampleWeights, _distinct_rows, _work_area, one_hot_rows
 from dckm.data import BiasSpec, generate_biased
 from dckm.decorrelation import balance_loss
 from dckm.solver import (
@@ -291,7 +292,7 @@ class TestWeightRay:
             value, skipped, gram = _weight_point(X, omega, resid_sq, hp)
             assert (gram is None) == (hp.lambda1 == 0.0)
             assert (value, skipped) == weight_objective(X, omega * omega, resid_sq, hp)
-            g = _weight_gradient(X, omega, resid_sq, hp, gram)
+            g = _weight_gradient(X, omega, resid_sq, hp, parts=gram)
             for t in RAY_STEPS:
                 value, skipped, _ = _weight_point(X, omega - t * g, resid_sq, hp)
                 expected = weight_objective(X, (omega - t * g) ** 2, resid_sq, hp)
@@ -327,7 +328,7 @@ class TestWeightRay:
             expected = weight_objective(X, omega[index] ** 2, resid_sq[index], hp)
             assert value == pytest.approx(expected[0], rel=1e-12, abs=0.0)
             assert skipped == expected[1]
-            g = _weight_gradient(U, root * omega, resid_sq, hp, gram, m)
+            g = _weight_gradient(U, root * omega, resid_sq, hp, m, gram)
             g_full = _weight_gradient(X, omega[index], resid_sq[index], hp)
             np.testing.assert_allclose(g[index], root[index] * g_full, rtol=1e-12, atol=0)
 
@@ -503,6 +504,129 @@ class TestCeiling:
             assert value > ceiling and full[0] > ceiling
         else:
             assert (value, skipped) == full[:2]
+
+
+# Small shapes, and shapes with n*d >= 20,000 like the C10 data.
+WORK_SHAPES = st.one_of(st.tuples(st.integers(4, 40), st.integers(2, 10)),
+                        st.tuples(st.integers(200, 2000), st.integers(100, 120)))
+
+
+def assert_same_update(got, expected):
+    """Two :class:`WeightUpdate` results hold the same bits."""
+    assert np.array_equal(got.weights.omega, expected.weights.omega)
+    assert got.stalled == expected.stalled
+    assert got.history == expected.history
+    assert got.skipped_features == expected.skipped_features
+    assert got.line_searches == expected.line_searches
+    assert (got.descent is None) == (expected.descent is None)
+    if got.descent is not None:
+        assert got.descent[0] == expected.descent[0]
+        assert np.array_equal(got.descent[1], expected.descent[1])
+    assert (got.parts is None) == (expected.parts is None)
+    if got.parts is not None:
+        for a, b in zip(got.parts, expected.parts):
+            assert np.array_equal(a, b)
+
+
+def work_case(rng, shape, k, copies):
+    """Distinct rows U of random binary data with their counts m, a labeling
+    that uses every cluster, the weighted centroids and a start omega."""
+    X = random_binary(rng, *shape)
+    if copies:
+        X = with_copies(rng, X)[0]
+    U, _, m = _distinct_rows(X)
+    k = min(k, U.shape[0])
+    labels = np.concatenate([np.arange(k), rng.integers(0, k, U.shape[0] - k)])
+    G = one_hot_rows(labels, k)
+    F = update_centroids(U, m, G)
+    omega = np.sqrt(m / X.shape[0]) * rng.uniform(0.5, 1.5, U.shape[0])
+    return X, U, m, F, G, omega
+
+
+class TestWorkArea:
+    """A weight descent given a work area makes the same floating-point
+    operations as one that allocates its arrays, into memory that nothing it
+    returns refers to."""
+
+    @given(seed=st.integers(0, 2**32 - 1), shape=WORK_SHAPES, k=st.integers(1, 5),
+           lambdas=st.tuples(PENALTIES, PENALTIES, PENALTIES), copies=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_update_weights_same_bits(self, seed, shape, k, lambdas, copies):
+        rng = np.random.default_rng(seed)
+        _, U, m, F, G, omega = work_case(rng, shape, k, copies)
+        hp = HyperParams(n_clusters=G.shape[1], lambda1=lambdas[0], lambda2=lambdas[1],
+                         lambda3=lambdas[2])
+        work = _work_area(U)
+        work.buf[:] = rng.standard_normal(work.buf.shape)
+        expected = update_weights(U, F, G, omega, hp, None, m)
+        got = update_weights(U, F, G, omega, hp, None, m, None, work)
+        assert_same_update(got, expected)
+        # The next sweep's descent, from the carried step and parts.
+        expected = update_weights(U, F, G, expected.weights.omega, hp, expected.descent, m,
+                                  expected.parts)
+        got = update_weights(U, F, G, got.weights.omega, hp, got.descent, m, got.parts, work)
+        assert_same_update(got, expected)
+
+    @given(seed=st.integers(0, 2**32 - 1), shape=WORK_SHAPES, k=st.integers(1, 4),
+           lambdas=st.tuples(PENALTIES, PENALTIES, PENALTIES), copies=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_fit_same_bits(self, seed, shape, k, lambdas, copies):
+        """A fit equals one whose weight updates get no work area."""
+        X = work_case(np.random.default_rng(seed), shape, k, copies)[0]
+        hp = HyperParams(n_clusters=k, lambda1=lambdas[0], lambda2=lambdas[1],
+                         lambda3=lambdas[2], seed=seed % 1000, max_outer_iters=4)
+        original = dckm.solver.update_weights
+
+        def outcome():
+            try:
+                return fit(X, hp)
+            except EmptyClusterError as exc:
+                return exc.clusters
+
+        result = outcome()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dckm.solver, "update_weights", lambda *args: original(*args[:8]))
+            expected = outcome()
+        if isinstance(expected, list):
+            assert result == expected
+            return
+        assert result.objective_history == expected.objective_history
+        assert np.array_equal(result.labels, expected.labels)
+        assert np.array_equal(result.centroids, expected.centroids)
+        assert np.array_equal(result.weights.omega, expected.weights.omega)
+        assert result.line_searches == expected.line_searches
+        assert result.skipped_features_last == expected.skipped_features_last
+
+    def test_overwriting_the_work_array_changes_nothing_returned(self):
+        rng = np.random.default_rng(61)
+        _, U, m, F, G, omega = work_case(rng, (300, 40), 3, True)
+        hp = HyperParams(n_clusters=3, lambda1=1e3, lambda2=1.0)
+        work = _work_area(U)
+        update = update_weights(U, F, G, omega, hp, None, m, None, work)
+        arrays = [update.weights.omega, update.weights.w, update.descent[1], *update.parts[:6]]
+        kept = [a.copy() for a in arrays]
+        work.buf[:] = np.nan
+        for array, copy in zip(arrays, kept):
+            assert not np.shares_memory(array, work.buf)
+            assert np.array_equal(array, copy)
+
+    def test_a_descent_in_a_work_area_allocates_less_than_the_data(self):
+        """At the C10 shape, one sweep's weight update without a work area
+        holds two n-by-d temporaries at its peak; with one it holds none."""
+        rng = np.random.default_rng(62)
+        _, U, m, F, G, omega = work_case(rng, (2000, 100), 5, False)
+        assert U.shape == (2000, 100)
+        hp = HyperParams(n_clusters=5, lambda1=1e3, lambda2=1e3)
+        work = _work_area(U)
+        peaks = []
+        for area in (work, None):
+            tracemalloc.start()
+            try:
+                update_weights(U, F, G, omega, hp, None, m, None, area)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < U.nbytes < peaks[1]
 
 
 class TestFirstTrial:
@@ -690,8 +814,8 @@ class TestFit:
         assert sum(screens) > 0
         original = dckm.solver._weight_point
 
-        def unscreened(X, omega, resid_sq, params, m=1.0, parts=None, ceiling=None):
-            return original(X, omega, resid_sq, params, m, parts)
+        def unscreened(X, omega, resid_sq, params, m=1.0, parts=None, ceiling=None, work=None):
+            return original(X, omega, resid_sq, params, m, parts, np.inf, work)
 
         monkeypatch.setattr(dckm.solver, "_weight_point", unscreened)
         full = fit(X, hp)
