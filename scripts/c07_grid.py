@@ -55,7 +55,13 @@ import numpy as np  # noqa: E402
 
 import dckm.solver as solver  # noqa: E402
 from dckm.cli import DEFAULT_GRID  # noqa: E402
-from dckm.core import HyperParams, SampleWeights, _distinct_rows  # noqa: E402
+from dckm.core import (  # noqa: E402
+    HyperParams,
+    SampleWeights,
+    _distinct_rows,
+    _WeightProblem,
+    _work_area,
+)
 from dckm.data import BiasSpec, generate_biased  # noqa: E402
 from dckm.metrics import ari, nmi  # noqa: E402
 
@@ -110,9 +116,9 @@ def describe(X, truth, uniform, hp, result):
     summary."""
     w = result.weights.w
     G, F = result.assignments, result.centroids
-    resid_sq = solver._row_sq_norms(X - G @ F.T)
-    grad = solver._weight_gradient(X, result.weights.omega, resid_sq, hp)
-    grad0 = solver._weight_gradient(X, uniform, resid_sq, hp)
+    problem = _WeightProblem(X, 1.0, solver._row_sq_norms(X - G @ F.T), hp, _work_area(X))
+    grad = solver._weight_gradient(problem, result.weights.omega)
+    grad0 = solver._weight_gradient(problem, uniform)
     return dict(
         labels=result.labels,
         sweeps=result.iterations,
@@ -215,6 +221,8 @@ def main(argv=None):
         return compare(*args.compare)
     if args.bench and not args.label:
         parser.error("--bench needs --label")
+    if args.bench and not os.path.isfile(args.bench):
+        parser.error(f"--bench {args.bench}: no such file (it adds a run to an existing file)")
     cells, fits = run_grid(args.cap)
     report_run(cells, fits)
     if args.fits:

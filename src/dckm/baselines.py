@@ -18,10 +18,9 @@ from . import solver
 from .core import (
     HyperParams,
     SampleWeights,
-    _binary_data,
-    _distinct_rows,
+    _prepare,
     _weight_vector,
-    _work_area,
+    _WeightProblem,
     as_data_matrix,
 )
 from .metrics import _covariance
@@ -68,12 +67,11 @@ def balance_only_weights(X, params: HyperParams):
     rows with their counts, as :func:`dckm.fit` does. Returns ``(weights, objective_history)``.
     Raises ValueError on non-binary or non-finite data, as :func:`dckm.fit` does.
     """
-    X = _binary_data(X)
-    U, inverse, m = _distinct_rows(X)
+    X, U, inverse, m, work = _prepare(X)
     steps = params.max_outer_iters * solver.WEIGHT_STEPS
     # No k-means term: the joint objective with zero residuals.
-    update = _descend(U, np.sqrt(m / X.shape[0]), np.zeros(m.size), params, steps,
-                      params.outer_tol, m=m, work=_work_area(U))
+    problem = _WeightProblem(U, m, np.zeros(m.size), params, work)
+    update = _descend(problem, np.sqrt(m / X.shape[0]), steps, params.outer_tol)
     return SampleWeights((update.weights.omega / np.sqrt(m))[inverse]), update.history
 
 

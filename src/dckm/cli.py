@@ -513,3 +513,7 @@ def main(argv=None) -> int:
 
 def run() -> None:  # console-script entry point
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

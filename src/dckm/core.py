@@ -128,12 +128,11 @@ def _distinct_rows(X: np.ndarray):
 
 
 class _WorkArea(NamedTuple):
-    """Scratch space for one weight descent on data X (n by d), allocated
-    once so that no trial or step allocates an n-by-d temporary: ``XT``, X
-    transposed into C order, and one array of n*d float64 entries, seen as
-    ``buf`` (n by d) and ``buf_t`` (d by n), that each weighted Gram,
-    gradient product and residual computation overwrites. Nothing a kernel
-    returns is a view of it."""
+    """Scratch space for the weight descents on data X (n by d), so that no
+    trial or step allocates an n-by-d temporary: ``XT``, X transposed into C
+    order, and one array of n*d float64 entries, seen as ``buf`` (n by d) and
+    ``buf_t`` (d by n), that each weighted Gram, gradient product and
+    residual computation overwrites; no kernel returns a view of it."""
 
     XT: np.ndarray
     buf: np.ndarray
@@ -142,9 +141,28 @@ class _WorkArea(NamedTuple):
 
 def _work_area(X: np.ndarray) -> _WorkArea:
     """A :class:`_WorkArea` for X."""
-    n, d = X.shape
-    flat = np.empty(n * d)
-    return _WorkArea(np.ascontiguousarray(X.T), flat.reshape(n, d), flat.reshape(d, n))
+    flat = np.empty(X.size)
+    return _WorkArea(np.ascontiguousarray(X.T), flat.reshape(X.shape), flat.reshape(X.T.shape))
+
+
+class _WeightProblem(NamedTuple):
+    """One weight descent's problem, centroids and labels fixed: rows ``X``
+    that stand for ``m`` copies each, their squared residuals ``resid_sq``,
+    the ``params`` and the :class:`_WorkArea` of X."""
+
+    X: np.ndarray
+    m: np.ndarray | float
+    resid_sq: np.ndarray
+    params: HyperParams
+    work: _WorkArea
+
+
+def _prepare(X):
+    """``(X, U, inverse, m, work)``, what the fits on one X share: X checked
+    by :func:`_binary_data`, its :func:`_distinct_rows` and U's work area."""
+    X = _binary_data(X)
+    U, inverse, m = _distinct_rows(X)
+    return X, U, inverse, m, _work_area(U)
 
 
 def _first_positions(mask: np.ndarray, limit: int = _MAX_REPORTED_ENTRIES):

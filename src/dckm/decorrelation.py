@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _binary_data, _weight_vector, _WorkArea, as_data_matrix
+from .core import _binary_data, _weight_vector, _work_area, _WorkArea, as_data_matrix
 
 __all__ = [
     "GROUP_MASS_EPS",
@@ -40,19 +40,12 @@ class BalanceLoss(NamedTuple):
     skipped_features: int
 
 
-def _weighted_gram(X: np.ndarray, root: np.ndarray, work: _WorkArea | None = None) -> np.ndarray:
-    """``X^T diag(root**2) X``, built as ``Y.T @ Y`` with ``Y = X * root``
-    row-wise. numpy hands a product of a matrix with its own transpose to
-    SYRK, which does half the multiply-adds of ``X.T @ (X * w)`` and returns
-    an exactly symmetric matrix; the result does not depend on root's signs.
-
-    Given ``work``, the work area of X, it writes ``Yt = X.T * root`` into
-    ``work.buf_t`` and returns ``Yt @ Yt.T``: the same products, the same
-    SYRK and the same bits, with no n-by-d allocation.
-    """
-    if work is None:
-        Y = X * root[:, None]
-        return Y.T @ Y
+def _weighted_gram(work: _WorkArea, root: np.ndarray) -> np.ndarray:
+    """``X^T diag(root**2) X`` for the data X of ``work``: ``Yt @ Yt.T``, with
+    ``Yt = X.T * root`` written into ``work.buf_t``. numpy hands a product of
+    a matrix with its own transpose to SYRK: half the multiply-adds of ``X.T
+    @ (X * w)``, an exactly symmetric result with the bits of ``Y.T @ Y`` for
+    ``Y = X * root`` row-wise, and no dependence on root's signs."""
     Yt = np.multiply(work.XT, root, out=work.buf_t)
     return Yt @ Yt.T
 
@@ -99,7 +92,7 @@ def balance_loss(X, w) -> BalanceLoss:
     """
     X = _binary_data(X)
     w = _weight_vector(w, X.shape[0])
-    return _residuals(_weighted_gram(X, np.sqrt(w)), X.T @ w, float(w.sum()))[0]
+    return _residuals(_weighted_gram(_work_area(X), np.sqrt(w)), X.T @ w, float(w.sum()))[0]
 
 
 def balance_gradient(X, omega, parts=None, work=None) -> np.ndarray:
@@ -121,26 +114,23 @@ def balance_gradient(X, omega, parts=None, work=None) -> np.ndarray:
     contribute zero, consistently with :func:`balance_loss`.
 
     ``parts``, when given, is what :func:`_residuals` returned at this omega
-    for a caller that has already scored it; it is used as is, its
-    ``s = inv_a + inv_b`` included, and X is not checked again. Without
-    ``parts``, X must be binary data: an entry other than 0 or 1 or a
-    non-finite entry raises ``ValueError``, as in :func:`balance_loss`.
-    ``work``, the :class:`dckm.core._WorkArea` of X, holds the n-by-d product
-    ``X @ (R diag(s))`` (and the Gram, when built here) instead of a new
-    array; the gradient has the same bits either way.
+    for a caller that has already scored it; it is used as is, its ``s =
+    inv_a + inv_b`` included, and X and omega are not checked. Without it, X
+    and ``omega**2`` are checked as :func:`balance_loss` checks X and w, and
+    raise ``ValueError`` likewise. ``work``, the :class:`dckm.core._WorkArea`
+    of X, holds ``X @ (R diag(s))`` and the Gram; one is built when not given.
     """
     X = as_data_matrix(X) if parts is not None else _binary_data(X)
     omega = np.asarray(omega, dtype=np.float64)
-    if omega.shape != (X.shape[0],):
-        raise ValueError(f"omega must have shape ({X.shape[0]},), got {omega.shape}")
+    work = work or _work_area(X)
     if parts is None:
-        w = omega * omega
-        parts = _residuals(_weighted_gram(X, omega, work), X.T @ w, float(w.sum()))[1]
+        w = _weight_vector(omega * omega, X.shape[0])
+        parts = _residuals(_weighted_gram(work, omega), X.T @ w, float(w.sum()))[1]
     gram, col_mass, R, inv_a, inv_b, s, _ = parts
     rg = np.einsum("fj,fj->j", R, gram)
     ta = rg * inv_a
     tb = (col_mass @ R - rg) * inv_b
-    XRs = np.matmul(X, R * s, out=None if work is None else work.buf)
+    XRs = np.matmul(X, R * s, out=work.buf)
     quad = np.einsum("ij,ij->i", X, XRs)
     grad_w = 2.0 * (quad - X @ (ta * inv_a + tb * inv_b + R @ inv_b) + float(tb @ inv_b))
     return 2.0 * omega * grad_w

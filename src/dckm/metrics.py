@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _weight_vector, as_data_matrix
+from .core import _weight_vector, _work_area, as_data_matrix
 from .decorrelation import _weighted_gram
 
 __all__ = ["ari", "contingency_table", "correlation_amount", "nmi"]
@@ -109,7 +109,8 @@ def _covariance(X: np.ndarray, w=None) -> np.ndarray:
     if total <= 0:
         raise ValueError("weights must have a positive sum")
     w = w / total
-    return _weighted_gram(X - w @ X, np.sqrt(w))
+    # Centered in C order transposed: the work area then copies nothing.
+    return _weighted_gram(_work_area(np.subtract(X.T, (w @ X)[:, None], order="C").T), np.sqrt(w))
 
 
 def correlation_amount(X, w=None) -> float:

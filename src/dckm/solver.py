@@ -16,10 +16,12 @@ residuals, and the accepted trial hands both to the next step's gradient. A
 trial whose balance-free terms alone already exceed the search's start value
 is rejected before its Gram is built: the balance term is non-negative, so
 the full value is at least as large, and the search would reject it anyway.
-A fit, and the descent of ``balance_only_weights``, allocate one work area
+Each descent is one :class:`dckm.core._WeightProblem`: the rows, their
+counts, their squared residuals, the hyperparameters and one work area
 (:func:`dckm.core._work_area`) that every Gram, gradient product and set of
 squared residuals is written into, so no trial or step allocates an n-by-d
-array.
+array. The restarts of one :func:`fit_restarts` call share one validated X,
+one set of distinct rows and one work area.
 Every block is non-increasing in the objective, so the recorded per-sweep
 objective values form a monotone sequence. :mod:`dckm.baselines` composes the
 one weight descent (:func:`_descend`) and the one Lloyd loop (:func:`_lloyd`).
@@ -44,10 +46,10 @@ import numpy as np
 from .core import (
     HyperParams,
     SampleWeights,
-    _binary_data,
-    _distinct_rows,
     _one_hot,
+    _prepare,
     _weight_vector,
+    _WeightProblem,
     _work_area,
     as_data_matrix,
 )
@@ -100,8 +102,7 @@ def _resid_sq(X, F, G, out=None) -> np.ndarray:
     return _row_sq_norms(np.subtract(X, D, out=D), out=D)
 
 
-def _weight_gradient(X, omega, resid_sq, params: HyperParams, m=1.0, parts=None,
-                     work=None) -> np.ndarray:
+def _weight_gradient(problem: _WeightProblem, omega, parts=None) -> np.ndarray:
     """Gradient in omega of the joint objective at ``w = omega**2``.
 
     Per coordinate: 2*omega_i times the sample's squared reconstruction
@@ -109,21 +110,21 @@ def _weight_gradient(X, omega, resid_sq, params: HyperParams, m=1.0, parts=None,
     4*lambda2*omega_i^3/m_i and 4*lambda3*(sum(omega^2)-1)*omega_i from the
     two penalty terms, for rows that stand for ``m`` copies each (see the
     module docstring). ``parts``, from :func:`_weight_point` at this omega,
-    and ``work``, the descent's work area of X, are passed on to
-    :func:`balance_gradient`, which builds the parts when None.
+    and the problem's work area are passed on to :func:`balance_gradient`,
+    which builds the parts when None.
     """
-    grad = 2.0 * omega * resid_sq
-    grad += 4.0 * params.lambda2 * omega**3 / m
+    params = problem.params
+    grad = 2.0 * omega * problem.resid_sq
+    grad += 4.0 * params.lambda2 * omega**3 / problem.m
     grad += 4.0 * params.lambda3 * (float(omega @ omega) - 1.0) * omega
     if params.lambda1 != 0.0:
-        grad += params.lambda1 * balance_gradient(X, omega, parts, work)
+        grad += params.lambda1 * balance_gradient(problem.X, omega, parts, problem.work)
     return grad
 
 
-def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0, parts=None,
-                  ceiling=np.inf, work=None):
+def _weight_point(problem: _WeightProblem, omega, parts=None, ceiling=np.inf):
     """The joint objective at ``w = omega**2``, with each row's squared
-    reconstruction residual ``resid_sq`` fixed; the ||w||^2 term is
+    reconstruction residual ``problem.resid_sq`` fixed; the ||w||^2 term is
     ``sum(w**2 / m)``, for rows that stand for ``m`` copies each.
 
     Returns ``(value, skipped_features, parts)``: ``parts``, the balance term's
@@ -142,22 +143,19 @@ def _weight_point(X, omega, resid_sq, params: HyperParams, m=1.0, parts=None,
     non-negative and rounding to nearest is monotone, so ``v + lambda1 *
     balance`` rounds to at least ``v``. A line search that passes its start
     value as ``ceiling`` rejects such a point either way.
-
-    ``work``, the descent's work area of X (see
-    :func:`dckm.decorrelation._weighted_gram`), holds the Gram's scaled rows;
-    without it they are a new array. The result has the same bits either way.
     """
+    params = problem.params
     w = omega * omega
     total = float(w.sum())
     if total <= 0.0:
         return np.inf, 0, None
-    value = float(w @ resid_sq)
-    value += params.lambda2 * float(w @ (w / m))
+    value = float(w @ problem.resid_sq)
+    value += params.lambda2 * float(w @ (w / problem.m))
     value += params.lambda3 * (total - 1.0) ** 2
     if params.lambda1 == 0.0 or value > ceiling:
         return value, 0, None
     if parts is None:
-        bal, parts = _residuals(_weighted_gram(X, omega, work), X.T @ w, total)
+        bal, parts = _residuals(_weighted_gram(problem.work, omega), problem.X.T @ w, total)
     else:
         bal = parts[-1]
     return value + params.lambda1 * bal.value, bal.skipped_features, parts
@@ -309,8 +307,7 @@ def _first_trial(descent, g) -> float:
     return proposal if LINE_SEARCH_MIN_STEP <= proposal < np.inf else t
 
 
-def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, descent=None, m=1.0,
-             parts=None, work=None):
+def _descend(problem: _WeightProblem, omega, max_steps, tol=None, descent=None, parts=None):
     """Up to ``max_steps`` (>= 1) backtracking gradient steps on omega, each
     search starting at :func:`_first_trial` of the last accepted step, carried
     in from ``descent`` when given. Every trial scores ``omega - t*g`` with
@@ -323,20 +320,17 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
     +inf, so the search shrinks past it: when every row has the same residual
     the gradient is parallel to omega, and a step can land on omega = 0.
     Stops early at a zero gradient, at a stall (no non-increasing step), or
-    after a step whose relative objective change is at most ``tol``. Row i
-    of X stands for ``m[i]`` copies. ``parts``, when given, are the balance
-    term's parts at the start omega, whose balance value the start reuses.
-    ``work``, the work area of X, is handed to every Gram and gradient, so
-    that no trial or step allocates an n-by-d array; the iterates are the
-    same without it. Returns the :class:`WeightUpdate` at the final omega,
-    with each search's trial count.
+    after a step whose relative objective change is at most ``tol``.
+    ``parts``, when given, are the balance term's parts at the start omega,
+    whose balance value the start reuses. Returns the :class:`WeightUpdate`
+    at the final omega, with each search's trial count.
     """
-    value, skipped, parts = _weight_point(X, omega, resid_sq, params, m, parts, np.inf, work)
+    value, skipped, parts = _weight_point(problem, omega, parts)
     history = [value]
     line_searches = []
     stalled = False
     for _ in range(max_steps):
-        g = _weight_gradient(X, omega, resid_sq, params, m, parts, work)
+        g = _weight_gradient(problem, omega, parts)
         if not g.any():
             break
         line_searches.append(0)
@@ -344,17 +338,16 @@ def _descend(X, omega, resid_sq, params: HyperParams, max_steps, tol=None, desce
         def score(t):
             line_searches[-1] += 1
             point = omega - t * g
-            return (*_weight_point(X, point, resid_sq, params, m, None, value, work), point)
+            return (*_weight_point(problem, point, None, value), point)
 
         t, trial = _backtrack(score, value, _first_trial(descent, g))
         if trial is None:
             stalled = True
             break
-        previous = value
         value, skipped, parts, omega = trial
         descent = (t, g)
         history.append(value)
-        if tol is not None and abs(value - previous) <= tol * max(1.0, abs(previous)):
+        if tol is not None and abs(value - history[-2]) <= tol * max(1.0, abs(history[-2])):
             break
     return WeightUpdate(
         SampleWeights(omega), stalled, history, skipped, descent, line_searches, parts
@@ -373,20 +366,17 @@ def update_weights(X, F, G, omega, params: HyperParams, descent=None, counts=1.0
     When row i of X stands for ``counts[i]`` identical rows, omega_i is
     sqrt(counts[i]) times their common omega.
 
-    ``work``, from ``core._work_area(X)``, is the scratch space of the whole
-    descent: the rows' squared residuals are computed in it in place, and
-    every Gram and gradient product of the descent is written to it, so no
-    step allocates an n-by-d array. It is free again when the call returns:
-    nothing returned refers to it. Without it the same values are computed
-    in new arrays, with the same bits."""
+    ``work``, from ``core._work_area(X)`` and built here when not given,
+    takes the rows' squared residuals and every Gram and gradient product of
+    the descent; nothing returned refers to it."""
     X = as_data_matrix(X)
     F = np.asarray(F, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64).copy()
-    resid_sq = _resid_sq(X, F, G, None if work is None else work.buf)
+    work = work or _work_area(X)
     m = np.asarray(counts, dtype=np.float64)
-    return _descend(X, omega, resid_sq, params, WEIGHT_STEPS, descent=descent, m=m, parts=parts,
-                    work=work)
+    problem = _WeightProblem(X, m, _resid_sq(X, F, G, work.buf), params, work)
+    return _descend(problem, omega, WEIGHT_STEPS, descent=descent, parts=parts)
 
 
 @dataclass
@@ -424,7 +414,7 @@ def _initial_assignments(n: int, n_clusters: int, seed: int) -> np.ndarray:
     return _one_hot(labels, n_clusters)
 
 
-def fit(X, params: HyperParams) -> FitResult:
+def fit(X, params: HyperParams, *, _prepared=None) -> FitResult:
     """Alternate centroid, assignment and weight updates until the objective
     settles.
 
@@ -442,11 +432,11 @@ def fit(X, params: HyperParams) -> FitResult:
     The random start labels every row, so the first centroid update runs on
     all of X; every later update runs on the distinct rows with their counts
     (see the module docstring), and the labels and weights are expanded back
-    to all rows at the end.
+    to all rows at the end. ``_prepared`` is ``core._prepare(X)``, which
+    :func:`fit_restarts` hands to each of its restarts.
     """
-    X = _binary_data(X)
+    X, U, inverse, m, work = _prepared or _prepare(X)
     n = X.shape[0]
-    U, inverse, m = _distinct_rows(X)
     G = _initial_assignments(n, params.n_clusters, params.seed)
     F, _ = _centroids_with_recovery(X, SampleWeights.uniform(n).w, G, np.ones(n))
     omega = np.sqrt(m / n)
@@ -454,10 +444,8 @@ def fit(X, params: HyperParams) -> FitResult:
     history: list[float] = []
     line_searches: list[int] = []
     stalled_sweeps = 0
-    previous = None
     descent = parts = None
     converged = False
-    work = _work_area(U)
     row_sq = _row_sq_norms(U, out=work.buf)
     for sweep in range(params.max_outer_iters):
         previous_G = G
@@ -465,19 +453,17 @@ def fit(X, params: HyperParams) -> FitResult:
             F, G = _centroids_with_recovery(U, omega * omega, G, m)
         G = update_assignments(U, F, row_sq)
         update = update_weights(U, F, G, omega, params, descent, m, parts, work)
-        omega, value, skipped = update.weights.omega, update.history[-1], update.skipped_features
-        descent, parts = update.descent, update.parts
-        history.append(value)
+        omega, descent, parts = update.weights.omega, update.descent, update.parts
+        history.append(update.history[-1])
         line_searches += update.line_searches
         stalled_sweeps += update.stalled
         if (
-            previous is not None
-            and abs(value - previous) <= params.outer_tol * max(1.0, abs(previous))
+            sweep
+            and abs(history[-1] - history[-2]) <= params.outer_tol * max(1.0, abs(history[-2]))
             and np.array_equal(G, previous_G)
         ):
             converged = True
             break
-        previous = value
     return FitResult(
         centroids=F,
         assignments=G[inverse],
@@ -485,7 +471,7 @@ def fit(X, params: HyperParams) -> FitResult:
         objective_history=history,
         converged=converged,
         iterations=len(history),
-        skipped_features_last=skipped,
+        skipped_features_last=update.skipped_features,
         line_searches=line_searches,
         stalled_sweeps=stalled_sweeps,
     )
@@ -543,10 +529,12 @@ def fit_restarts(X, params: HyperParams):
     Returns ``(best_result, runs)``: ``runs`` holds every restart's
     :class:`FitResult`, in restart order; deterministic for a fixed base seed.
 
-    Each restart is one call of :func:`fit`, looked up by name. The
-    benchmark's tracer checks each fit's outputs (a non-increasing objective
-    history, the labels, the weights) in a hook on ``solver.fit``, so a
-    batched version that bypassed :func:`fit` would switch those checks off
-    without failing anything.
+    The restarts share one validated X, one set of distinct rows and one
+    work area, prepared once per call. Each restart is one call of
+    :func:`fit`, looked up by name. The benchmark's tracer checks each fit's
+    outputs (a non-increasing objective history, the labels, the weights) in
+    a hook on ``solver.fit``, so a batched version that bypassed :func:`fit`
+    would switch those checks off without failing anything.
     """
-    return _restarts(lambda seed: fit(X, replace(params, seed=seed)), params)
+    prepared = _prepare(X)
+    return _restarts(lambda seed: fit(X, replace(params, seed=seed), _prepared=prepared), params)

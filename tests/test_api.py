@@ -14,7 +14,10 @@ from pathlib import Path
 import pytest
 
 import dckm
-from dckm.cli import _build_parser
+import dckm.solver
+from dckm.cli import _build_parser  # the tracer's Probe needs dckm.cli imported
+from dckm.core import HyperParams
+from dckm.data import BiasSpec, generate_biased
 
 MODULES = ["dckm"] + [f"dckm.{m.name}" for m in pkgutil.iter_modules(dckm.__path__)]
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -38,6 +41,29 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"dckm.{module}"), attr, None))
     ]
     assert not missing
+
+
+def test_a_traced_fit_restarts_call_is_seen_by_the_tracer():
+    """One traced ``fit_restarts`` call of three restarts: the tracer counts
+    each fit, each weight update and each gradient step, its output checks
+    find no problem, and the restarts share one validation of X. A refactor
+    that stopped calling the traced names would fail here instead of
+    blinding the benchmark."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    X = generate_biased(BiasSpec(n=120, d=10, n_clusters=3, core_per_cluster=1,
+                                 bias_features=3, seed=2)).X
+    hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=10.0, seed=100, restarts=3,
+                     max_outer_iters=4)
+    with tracer.Probe(spans=True) as probe:
+        dckm.solver.fit_restarts(X, hp)
+    traced = probe.layer_metrics()
+    assert traced["solver.fits"] == 3
+    assert traced["solver.grad_evals"] == traced["solver.steps"] > 0
+    assert traced["solver.update_weights.s"] > 0
+    assert probe.problems == []
+    assert traced["core.validate_data.calls"] == 1
 
 
 PINNED = {

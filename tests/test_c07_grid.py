@@ -46,6 +46,19 @@ def test_run_grid_and_compare(c07_grid, tmp_path, capsys):
     assert "label vectors moved: 0 of 2" in capsys.readouterr().out
 
 
+def test_bench_needs_an_existing_file(c07_grid, tmp_path, monkeypatch, capsys):
+    """``--bench`` adds a run to an existing file, so a path that does not
+    exist is refused with a usage error before the grid runs."""
+    runs = []
+    monkeypatch.setattr(c07_grid, "run_grid", runs.append)
+    missing = tmp_path / "missing.json"
+    with pytest.raises(SystemExit) as exc:
+        c07_grid.main(["--cap", "2", "--label", "x", "--bench", str(missing)])
+    assert exc.value.code == 2
+    assert runs == [] and not missing.exists()
+    assert f"--bench {missing}: no such file" in capsys.readouterr().err
+
+
 def test_wall_time_goes_to_stderr(c07_grid, capsys):
     """The fits' wall time is reported on stderr, so two runs print the same
     stdout."""

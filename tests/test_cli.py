@@ -1,5 +1,8 @@
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -654,3 +657,25 @@ class TestCollapsedWeights:
         with pytest.warns(UserWarning, match="dckm weights collapsed"):
             record = cli.run_method(X, None, "dckm", hp)
         assert float(record.weights.sum()) <= GROUP_MASS_EPS
+
+
+def test_python_m_dckm_cli_runs_main(tmp_path, capsys):
+    """``python -m dckm.cli`` runs :func:`main` as the ``dckm`` script does;
+    it used to exit 0 without doing anything. A bad flag exits with the
+    usage code that ``main`` returns for it, and ``gen`` writes its file."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "dckm.cli", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+
+    bad = python_m("gen", "--bogus")
+    assert bad.returncode == main(["gen", "--bogus"]) == cli.EXIT_USAGE
+    assert bad.stderr == capsys.readouterr().err
+    assert bad.stderr.startswith("usage: dckm gen") and bad.stdout == ""
+    out = tmp_path / "gen.csv"
+    good = python_m("gen", "--n", "20", "--d", "4", "--k", "2", "--core-per-cluster", "1",
+                    "--bias-features", "1", "--seed", "1", "--out", str(out))
+    assert good.returncode == cli.EXIT_OK, good.stderr
+    assert f"out={out}" in good.stdout.splitlines() and out.exists()

@@ -51,7 +51,7 @@ for seed in (6, 7):
     rng = np.random.default_rng(seed)
     for root in (np.sqrt(m / X.shape[0]), rng.uniform(0.1, 2.0, U.shape[0])):
         Y = U * root[:, None]
-        equal.append(bool(np.array_equal(_weighted_gram(U, root, work), Y.T @ Y)))
+        equal.append(bool(np.array_equal(_weighted_gram(work, root), Y.T @ Y)))
 print(equal)
 """
 
@@ -216,17 +216,17 @@ class TestBalanceLoss:
 
 
 class TestWeightedGram:
-    """``_weighted_gram(X, omega)`` is ``X^T diag(omega**2) X``, built as one
-    product of ``X * omega`` with its own transpose."""
+    """``_weighted_gram(_work_area(X), omega)`` is ``X^T diag(omega**2) X``,
+    built as one product of ``X * omega`` with its own transpose."""
 
     @staticmethod
     def check(X, omega):
-        gram = _weighted_gram(X, omega)
+        gram = _weighted_gram(_work_area(X), omega)
         np.testing.assert_allclose(
             gram, X.T @ (X * (omega * omega)[:, None]), rtol=1e-13, atol=0
         )
         assert np.array_equal(gram, gram.T)
-        assert np.array_equal(_weighted_gram(X, -omega), gram)
+        assert np.array_equal(_weighted_gram(_work_area(X), -omega), gram)
 
     def test_wide_shape(self):
         rng = np.random.default_rng(3)
@@ -275,8 +275,9 @@ class TestWorkArea:
         work = _work_area(U)
         work.buf[:] = rng.standard_normal(work.buf.shape)
         omega = np.sqrt(m) * rng.uniform(0.2, 1.5, U.shape[0]) / np.sqrt(X.shape[0])
-        gram = _weighted_gram(U, omega)
-        assert np.array_equal(_weighted_gram(U, omega, work), gram)
+        Y = U * omega[:, None]
+        gram = Y.T @ Y
+        assert np.array_equal(_weighted_gram(work, omega), gram)
         w = omega * omega
         parts = _residuals(gram, U.T @ w, float(w.sum()))[1]
         expected = balance_gradient(U, omega, parts)
@@ -300,7 +301,7 @@ class TestWorkArea:
         X = random_binary(rng, 30, 6)
         omega = rng.uniform(0.2, 1.5, 30)
         w = omega * omega
-        parts = _residuals(_weighted_gram(X, omega), X.T @ w, float(w.sum()))[1]
+        parts = _residuals(_weighted_gram(_work_area(X), omega), X.T @ w, float(w.sum()))[1]
         balance_gradient(X, omega, parts)
         assert checks == 0
         balance_gradient(X, omega)
@@ -308,6 +309,21 @@ class TestWorkArea:
 
 
 class TestBalanceGradient:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_omega(self, bad):
+        """Without parts, omega is checked as balance_loss checks the
+        weights; a non-finite omega used to give an all-NaN gradient."""
+        omega = np.ones(3)
+        omega[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            balance_loss(X3, omega * omega)
+        with pytest.raises(ValueError, match="finite"):
+            balance_gradient(X3, omega)
+
+    def test_rejects_omega_of_another_length(self):
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            balance_gradient(X3, np.ones(4))
+
     def test_finite_differences_on_example(self):
         omega = np.array([1.0, 1.0, 1.0])
         grad = balance_gradient(X3, omega)
@@ -371,7 +387,8 @@ class TestBalanceGradient:
             cases.append((U, np.sqrt(m) * rng.uniform(0.5, 1.5, U.shape[0]) / np.sqrt(40)))
         for X, omega in cases:
             w = omega * omega
-            loss, parts = _residuals(_weighted_gram(X, omega), X.T @ w, float(w.sum()))
+            loss, parts = _residuals(_weighted_gram(_work_area(X), omega), X.T @ w,
+                                     float(w.sum()))
             assert loss == balance_loss(X, w)
             assert np.array_equal(balance_gradient(X, omega, parts), balance_gradient(X, omega))
 

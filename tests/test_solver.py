@@ -45,6 +45,7 @@ from util import (
     record_line_searches,
     record_screens,
     weight_objective,
+    weight_problem,
     wide_matrix,
     with_copies,
 )
@@ -289,12 +290,13 @@ class TestWeightRay:
         for _ in range(4):
             X, F, G, omega = ray_case(rng, 30, 7, 3)
             resid_sq = _row_sq_norms(X - G @ F.T)
-            value, skipped, gram = _weight_point(X, omega, resid_sq, hp)
+            problem = weight_problem(X, resid_sq, hp)
+            value, skipped, gram = _weight_point(problem, omega)
             assert (gram is None) == (hp.lambda1 == 0.0)
             assert (value, skipped) == weight_objective(X, omega * omega, resid_sq, hp)
-            g = _weight_gradient(X, omega, resid_sq, hp, parts=gram)
+            g = _weight_gradient(problem, omega, parts=gram)
             for t in RAY_STEPS:
-                value, skipped, _ = _weight_point(X, omega - t * g, resid_sq, hp)
+                value, skipped, _ = _weight_point(problem, omega - t * g)
                 expected = weight_objective(X, (omega - t * g) ** 2, resid_sq, hp)
                 assert (value, skipped) == expected
                 if hp.lambda1:
@@ -308,7 +310,7 @@ class TestWeightRay:
         direction = rng.normal(size=25) / 25
         for t in RAY_STEPS:
             point = omega - t * direction
-            value, skipped, _ = _weight_point(X, point, resid_sq, hp)
+            value, skipped, _ = _weight_point(weight_problem(X, resid_sq, hp), point)
             assert (value, skipped) == weight_objective(X, point**2, resid_sq, hp)
 
     @pytest.mark.parametrize("lambdas", RAY_LAMBDAS)
@@ -324,12 +326,13 @@ class TestWeightRay:
             X, m, index = with_copies(rng, U)
             resid_sq = _row_sq_norms(U - G @ F.T)
             root = np.sqrt(m)
-            value, skipped, gram = _weight_point(U, root * omega, resid_sq, hp, m)
+            problem = weight_problem(U, resid_sq, hp, m)
+            value, skipped, gram = _weight_point(problem, root * omega)
             expected = weight_objective(X, omega[index] ** 2, resid_sq[index], hp)
             assert value == pytest.approx(expected[0], rel=1e-12, abs=0.0)
             assert skipped == expected[1]
-            g = _weight_gradient(U, root * omega, resid_sq, hp, m, gram)
-            g_full = _weight_gradient(X, omega[index], resid_sq[index], hp)
+            g = _weight_gradient(problem, root * omega, gram)
+            g_full = _weight_gradient(weight_problem(X, resid_sq[index], hp), omega[index])
             np.testing.assert_allclose(g[index], root[index] * g_full, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("lambdas", STEP_LAMBDAS)
@@ -365,10 +368,10 @@ class TestWeightRay:
         zero_trials = 0
         original = dckm.solver._weight_point
 
-        def counting(X, omega, *rest):
+        def counting(problem, omega, *rest):
             nonlocal zero_trials
             zero_trials += not np.any(omega)
-            return original(X, omega, *rest)
+            return original(problem, omega, *rest)
 
         monkeypatch.setattr(dckm.solver, "_weight_point", counting)
         monkeypatch.setattr(dckm.solver, "WEIGHT_STEPS", 8)
@@ -443,10 +446,10 @@ class TestWeightRay:
         X, F, G, omega = ray_case(np.random.default_rng(50), 40, 8, 3)
         hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=1e-2, lambda3=1.0)
         original = dckm.solver._weight_point
-        start = original(X, omega, _row_sq_norms(X - G @ F.T), hp)[0]
+        start = original(weight_problem(X, _row_sq_norms(X - G @ F.T), hp), omega)[0]
 
-        def uphill(X, point, *rest):
-            value, skipped, parts = original(X, point, *rest)
+        def uphill(problem, point, *rest):
+            value, skipped, parts = original(problem, point, *rest)
             return (value if np.array_equal(point, omega) else start + 1.0), skipped, parts
 
         monkeypatch.setattr(dckm.solver, "_weight_point", uphill)
@@ -483,13 +486,14 @@ class TestCeiling:
         resid_sq = rng.uniform(0.0, d, n)
         hp = HyperParams(n_clusters=1, lambda1=lambdas[0], lambda2=lambdas[1],
                          lambda3=lambdas[2])
-        full = _weight_point(X, omega, resid_sq, hp, m)
+        problem = weight_problem(X, resid_sq, hp, m)
+        full = _weight_point(problem, omega)
         free = balance_free_value(omega * omega, resid_sq, hp, m)
         ceiling = {"full": full[0], "balance-free": free,
                    "between": free + fraction * (full[0] - free)}[anchor]
         for _ in range(abs(ulps)):
             ceiling = np.nextafter(ceiling, np.inf if ulps > 0 else -np.inf)
-        value, skipped, parts = _weight_point(X, omega, resid_sq, hp, m, None, ceiling)
+        value, skipped, parts = _weight_point(problem, omega, None, ceiling)
         if ceiling >= full[0] or full[2] is None:
             # Not screened: the unscreened triple, bit for bit.
             assert (value, skipped) == full[:2]
@@ -668,7 +672,7 @@ class TestFirstTrial:
         searches = record_line_searches(monkeypatch)
         X, F, G, omega = ray_case(np.random.default_rng(48), 40, 8, 3)
         resid_sq = _row_sq_norms(X - G @ F.T)
-        g = _weight_gradient(X, omega, resid_sq, self.hp)
+        g = _weight_gradient(weight_problem(X, resid_sq, self.hp), omega)
         g_prev = {"non-positive curvature": 0.5 * g, "not finite": np.full(40, np.nan),
                   "below minimum": -1e-20 * g}[case]
         step = 1e-3
@@ -814,8 +818,8 @@ class TestFit:
         assert sum(screens) > 0
         original = dckm.solver._weight_point
 
-        def unscreened(X, omega, resid_sq, params, m=1.0, parts=None, ceiling=None, work=None):
-            return original(X, omega, resid_sq, params, m, parts, np.inf, work)
+        def unscreened(problem, omega, parts=None, ceiling=None):
+            return original(problem, omega, parts, np.inf)
 
         monkeypatch.setattr(dckm.solver, "_weight_point", unscreened)
         full = fit(X, hp)

@@ -12,7 +12,14 @@ from typing import NamedTuple
 import numpy as np
 
 import dckm.solver
-from dckm.core import SampleWeights, ValidationReport, _weight_vector, as_data_matrix
+from dckm.core import (
+    SampleWeights,
+    ValidationReport,
+    _weight_vector,
+    _WeightProblem,
+    _work_area,
+    as_data_matrix,
+)
 from dckm.data import BiasSpec, generate_biased
 from dckm.decorrelation import GROUP_MASS_EPS, balance_loss
 from dckm.solver import (
@@ -229,6 +236,13 @@ def omega_objective(X, F, G, omega, params):
     return objective(X, omega * omega, F, G, params)
 
 
+def weight_problem(X, resid_sq, params, m=1.0):
+    """The solver's weight block on rows X that stand for ``m`` copies each,
+    with squared residuals ``resid_sq``, in a work area of its own."""
+    X = as_data_matrix(X)
+    return _WeightProblem(X, m, resid_sq, params, _work_area(X))
+
+
 def omega_gradient(X, F, G, omega, params):
     """Gradient of :func:`omega_objective` in omega: the solver's own
     ``_weight_gradient``."""
@@ -236,7 +250,7 @@ def omega_gradient(X, F, G, omega, params):
     F = np.asarray(F, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)
-    return _weight_gradient(X, omega, _row_sq_norms(X - G @ F.T), params)
+    return _weight_gradient(weight_problem(X, _row_sq_norms(X - G @ F.T), params), omega)
 
 
 def direct_backtracking_oracle(X, F, G, omega, params):
@@ -323,8 +337,8 @@ def full_row_balance_only_weights(X, params):
     X = as_data_matrix(X)
     n = X.shape[0]
     steps = params.max_outer_iters * dckm.solver.WEIGHT_STEPS
-    update = _descend(X, SampleWeights.uniform(n).omega, np.zeros(n), params, steps,
-                      params.outer_tol)
+    update = _descend(weight_problem(X, np.zeros(n), params), SampleWeights.uniform(n).omega,
+                      steps, params.outer_tol)
     return update.weights.omega, update.history
 
 
@@ -386,8 +400,8 @@ def record_screens(monkeypatch):
     balance-free part (:func:`balance_free_value`) above the search's start
     value ``f0``: the trials that are rejected without a weighted Gram. Each
     trial's point is the last item of the tuple it scores; its part is
-    recomputed here with the descent's ``resid_sq``, ``params`` and ``m``,
-    independently of the ceiling the solver passes."""
+    recomputed here with the descent problem's ``resid_sq``, ``params`` and
+    ``m``, independently of the ceiling the solver passes."""
     screened, descents = [], []
     descend, backtrack = dckm.solver._descend, dckm.solver._backtrack
     signature = inspect.signature(descend)
@@ -409,8 +423,9 @@ def record_screens(monkeypatch):
             nonlocal count
             trial = fun(t)
             point = trial[-1]
+            problem = context["problem"]
             count += balance_free_value(
-                point * point, context["resid_sq"], context["params"], context["m"]
+                point * point, problem.resid_sq, problem.params, problem.m
             ) > f0
             return trial
 
