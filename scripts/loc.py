@@ -29,16 +29,18 @@ def docstring_lines(tree: ast.Module) -> set[int]:
 
 
 def count(path: Path) -> tuple[int, int]:
-    """``(lines, code_lines)`` of one source file."""
-    text = path.read_text()
+    """``(lines, code_lines)`` of one source file. Lines are counted as
+    ``wc -l`` counts them, by their ``\\n`` bytes: ``str.splitlines`` would
+    also split at form feeds and other separators, and count a last line
+    that has no newline."""
+    text = path.read_bytes().decode("utf-8")
     docs = docstring_lines(ast.parse(text))
-    lines = text.splitlines()
     code = sum(
         1
-        for number, line in enumerate(lines, start=1)
+        for number, line in enumerate(text.split("\n"), start=1)
         if line.strip() and not line.lstrip().startswith("#") and number not in docs
     )
-    return len(lines), code
+    return text.count("\n"), code
 
 
 def main(argv=None) -> int:

@@ -5,7 +5,8 @@ projection and a correlated-feature filter.
 The first three run the solver's Lloyd loop and weight descent. The
 baselines themselves (k-means, two-step DecKM, PCA-then-k-means and
 drop-correlated-features-then-k-means) are compositions of these blocks;
-``dckm.cli.run_method`` runs each of them.
+``dckm.cli.run_method`` runs each of them. Every block raises ValueError
+that names the first non-finite entry of X, in row-major order.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from . import solver
 from .core import (
     HyperParams,
     SampleWeights,
+    _finite_data,
     _prepare,
     _weight_vector,
     _WeightProblem,
-    as_data_matrix,
 )
 from .metrics import _covariance
 from .solver import KMeansResult, _descend, _lloyd
@@ -44,14 +45,14 @@ def kmeans(X, n_clusters, seed=0, max_iter=100):
     the exact update and recovery code of the joint solver; the reported
     objective is the plain within-cluster sum of squares.
     """
-    X = as_data_matrix(X)
+    X = _finite_data(X)
     w = SampleWeights.uniform(X.shape[0]).w
     return _lloyd(X, w, n_clusters, seed, max_iter, weighted_loss=False)
 
 
 def weighted_kmeans(X, w, n_clusters, seed=0, max_iter=100):
     """Lloyd iterations on the weighted loss with a fixed weight vector."""
-    X = as_data_matrix(X)
+    X = _finite_data(X)
     w = _weight_vector(w, X.shape[0])
     return _lloyd(X, w, n_clusters, seed, max_iter, weighted_loss=True)
 
@@ -82,7 +83,7 @@ def pca_project(X, n_components):
     centered matrix has lower rank than requested, only the available
     components are used (with a warning).
     """
-    X = as_data_matrix(X)
+    X = _finite_data(X)
     if n_components < 1:
         raise ValueError("n_components must be >= 1")
     centered = X - X.mean(axis=0)
@@ -114,7 +115,7 @@ def _column_correlations(X: np.ndarray) -> np.ndarray:
 def select_uncorrelated_features(X, threshold=0.7) -> list[int]:
     """Greedy scan in column order, dropping any feature whose absolute
     correlation with an already-kept feature exceeds the threshold."""
-    X = as_data_matrix(X)
+    X = _finite_data(X)
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
     corr = _column_correlations(X)

@@ -8,8 +8,9 @@ checked before any data is read; a failure prints one line,
 "dckm <command>: warning: <message>", without changing the exit code.
 Result files are line-oriented ``key=value`` text with a versioned header
 (see README for the schema); they contain no timing, so identical flags
-produce byte-identical files on one numpy build; with OpenBLAS they also
-matched at one and two threads in every case measured (see README).
+produce byte-identical files on one numpy build and BLAS thread count. With
+OpenBLAS, one C10-shape ``fit`` writes a different ``best_objective`` at one
+and at two threads (README; ROADMAP item 7).
 """
 
 from __future__ import annotations

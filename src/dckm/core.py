@@ -1,5 +1,6 @@
-"""Shared data model: binary data-matrix validation, one-hot assignment
-coding, square-root-parameterized sample weights, and solver hyperparameters.
+"""Shared data model: binary data-matrix validation, label and one-hot
+assignment coding, square-root-parameterized sample weights, and solver
+hyperparameters.
 """
 
 from __future__ import annotations
@@ -30,11 +31,33 @@ def _require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _store_float(obj, name: str) -> None:
+    """Store field ``name`` of the frozen dataclass ``obj`` as a Python
+    float; raise ValueError unless it is a real number (numpy scalars count,
+    bools do not), so that a numpy float32 cannot carry its precision into
+    the arithmetic that uses it."""
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    object.__setattr__(obj, name, float(value))
+
+
 def as_data_matrix(X) -> np.ndarray:
     """Coerce to a 2-D float64 array (no copy when already in that form)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D data matrix, got ndim={X.ndim}")
+    return X
+
+
+def _finite_data(X) -> np.ndarray:
+    """:func:`as_data_matrix`, raising ValueError that names the first
+    non-finite entry in row-major order."""
+    X = as_data_matrix(X)
+    finite = np.isfinite(X)
+    if not finite.all():
+        i, j = _first_positions(~finite, limit=1)[0]
+        raise ValueError(f"non-finite entry at ({i}, {j})")
     return X
 
 
@@ -170,6 +193,19 @@ def _first_positions(mask: np.ndarray, limit: int = _MAX_REPORTED_ENTRIES):
     return [(int(i), int(j)) for i, j in zip(rows[:limit], cols[:limit])]
 
 
+def _label_codes(labels: np.ndarray) -> np.ndarray:
+    """Each label's rank among the distinct labels, so codes 0..C-1 in
+    sorted order of the C distinct values: the labels ``load_csv`` reads and
+    the metrics count. Non-negative integer labels below the number of
+    labels (cluster ids, class ids) are ranked through their counts; any
+    other labels through ``np.unique``."""
+    if (labels.dtype.kind in "iu" and labels.size
+            and labels.min() >= 0 and labels.max() < labels.size):
+        labels = labels.astype(np.intp, copy=False)
+        return (np.cumsum(np.bincount(labels) > 0) - 1)[labels]
+    return np.unique(labels, return_inverse=True)[1].ravel()
+
+
 def _one_hot(labels: np.ndarray, n_clusters: int) -> np.ndarray:
     """:func:`one_hot_rows` without its checks, for integer labels that are
     known to lie in [0, n_clusters), such as an argmin over n_clusters
@@ -240,6 +276,7 @@ class HyperParams:
     (relative). How many gradient steps each sweep's weight update takes and
     how each weight line search picks its trial steps are fixed in
     :mod:`dckm.solver` (WEIGHT_STEPS, FIRST_TRIAL_STEP, BACKTRACK_SHRINK).
+    The lambdas and outer_tol are stored as Python floats.
     """
 
     n_clusters: int
@@ -256,6 +293,8 @@ class HyperParams:
             _require_integer(name, getattr(self, name))
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
+        for name in ("lambda1", "lambda2", "lambda3", "outer_tol"):
+            _store_float(self, name)
         for name in ("lambda1", "lambda2", "lambda3"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be finite and non-negative")

@@ -10,13 +10,11 @@ import math
 import re
 import warnings
 from dataclasses import asdict, dataclass, field
-from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .core import _first_positions, _require_integer, as_data_matrix
+from .core import _finite_data, _label_codes, _require_integer, _store_float, as_data_matrix
 
 # save_dataset formats and writes this many cells at a time, so the text of
 # one block, not of the whole matrix, is held in memory.
@@ -158,36 +156,52 @@ def _csv_table(path, text: str, label_column):
     the columns of X, the n x d float64 feature matrix, and the label codes
     or None. Raises every error that :func:`load_csv` describes."""
     reader = csv.reader(_lines(text))
+    rows, starts, start = [], [], 1  # starts: the file line of each record
     try:
-        rows = [row for row in reader if row]
+        for row in reader:
+            if row:
+                rows.append(row)
+                starts.append(start)
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise ValueError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
 
     width = len(rows[0])
-    for record, row in enumerate(rows):
+    for row, line in zip(rows, starts):
         if len(row) != width:
-            raise ValueError(f"{path}: ragged row at line {_record_line(text, record)} "
+            raise ValueError(f"{path}: ragged row at line {line} "
                              f"({len(row)} cells, expected {width})")
 
     has_header = not all(_is_number(cell) for cell in rows[0])
     header = [cell.strip() for cell in rows[0]] if has_header else None
-    body = rows[1:] if has_header else rows
+    first = int(has_header)  # the first data record
+    body = rows[first:]
     if not body:
         raise ValueError(f"{path}: no data rows")
 
     label_idx = _label_index(path, header, width, label_column)
     feature_cols = [j for j in range(width) if j != label_idx]
-    X = _feature_matrix(path, text, body, feature_cols, first_record=int(has_header))
+    X = np.empty((len(body), len(feature_cols)))
+    for row, line, out in zip(body, starts[first:], X):
+        for k, j in enumerate(feature_cols):
+            cell = row[j].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                value = None
+            if value is None or not math.isfinite(value):
+                kind = "non-numeric" if value is None else "non-finite"
+                raise ValueError(f"{path}: {kind} cell {cell!r} at line {line}, column {j}")
+            out[k] = value
 
     labels = None
     if label_idx is not None:
         raw = [row[label_idx].strip() for row in body]
         if all(_is_number(cell) for cell in raw):
-            labels = _label_codes(np.asarray([float(cell) for cell in raw]))
-        else:
-            labels = _label_codes(np.asarray(raw))
+            raw = [float(cell) for cell in raw]
+        labels = _label_codes(np.asarray(raw))
     return header, feature_cols, X, labels
 
 
@@ -215,59 +229,6 @@ def _label_index(path, header, width: int, label_column):
     if not 0 <= label_idx < width:
         raise ValueError(f"{path}: label column index {label_idx} out of range")
     return label_idx
-
-
-def _label_codes(values: np.ndarray) -> np.ndarray:
-    """Codes 0..C-1 of ``values`` in sorted order of the distinct values."""
-    _, codes = np.unique(values, return_inverse=True)
-    return codes.astype(np.int64)
-
-
-def _record_line(text: str, record: int) -> int:
-    """The file line on which non-blank CSV record ``record`` (0-based) of
-    ``text`` starts. Only error messages need it, so it parses the text
-    again rather than tracking lines while :func:`_csv_table` parses."""
-    reader = csv.reader(_lines(text))
-    starts, start = [], 1
-    for row in reader:
-        if row:
-            starts.append(start)
-        start = reader.line_num + 1
-    return starts[record]
-
-
-def _feature_matrix(path, text, body, feature_cols, first_record: int) -> np.ndarray:
-    """The feature cells of ``body`` as an n x d float64 matrix, converted in
-    one ``np.fromiter`` pass. When a cell is not a finite number, a loop over
-    the cells finds the first one in row-major order and raises the error
-    that names it (``first_record`` is the record of ``body[0]`` in
-    ``text``, the file's contents)."""
-    n, d = len(body), len(feature_cols)
-    if d == 0:
-        return np.empty((n, 0))
-    if d == 1:  # itemgetter of one index returns the cell, not a tuple
-        cells = map(itemgetter(feature_cols[0]), body)
-    else:
-        cells = chain.from_iterable(map(itemgetter(*feature_cols), body))
-    try:
-        X = np.fromiter(map(float, map(str.strip, cells)), np.float64, count=n * d)
-        # min and max are NaN or infinite when any cell is, and unlike
-        # np.isfinite(X) they need no n*d temporary while the rows are held.
-        if math.isfinite(X.min()) and math.isfinite(X.max()):
-            return X.reshape(n, d)
-    except ValueError:
-        pass
-    for i, row in enumerate(body):
-        for j in feature_cols:
-            cell = row[j].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                value = None
-            if value is None or not math.isfinite(value):
-                kind = "non-numeric" if value is None else "non-finite"
-                line = _record_line(text, i + first_record)
-                raise ValueError(f"{path}: {kind} cell {cell!r} at line {line}, column {j}")
 
 
 def save_dataset(dataset: LabeledDataset, path) -> None:
@@ -340,9 +301,7 @@ def binarize(X, bins: int = 2):
     _require_integer("bins", bins)
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    bad = _first_positions(~np.isfinite(X), limit=1)
-    if bad:
-        raise ValueError("non-finite entry at ({}, {})".format(*bad[0]))
+    _finite_data(X)
     blocks: list[np.ndarray] = []
     meta: list[ColumnBinning] = []
     for j in range(X.shape[1]):
@@ -401,6 +360,8 @@ class BiasSpec:
     def __post_init__(self):
         for name in ("n", "d", "n_clusters", "core_per_cluster", "bias_features", "seed"):
             _require_integer(name, getattr(self, name))
+        for name in ("bias_strength", "noise_flip"):
+            _store_float(self, name)
         if self.n < 2 or self.n_clusters < 1 or self.core_per_cluster < 1:
             raise ValueError("n, n_clusters and core_per_cluster must be positive (n >= 2)")
         if self.bias_features < 0:

@@ -46,7 +46,22 @@ def two_groups():
     )
 
 
+def non_finite_data():
+    # 30x6 binary data; its first non-finite entry in row-major order is (4, 2)
+    X = random_binary(np.random.default_rng(21), 30, 6)
+    X[4, 2] = np.nan
+    X[7, 1] = np.inf
+    return X
+
+
+NON_FINITE = r"^non-finite entry at \(4, 2\)$"
+
+
 class TestKMeans:
+    def test_non_finite_data_rejected(self):
+        with pytest.raises(ValueError, match=NON_FINITE):
+            kmeans(non_finite_data(), 3)
+
     def test_recovers_separated_groups_with_global_optimum_loss(self):
         X = two_groups()
         best_loss = min(
@@ -98,6 +113,10 @@ class TestKMeans:
 
 
 class TestWeightedKMeans:
+    def test_non_finite_data_rejected(self):
+        with pytest.raises(ValueError, match=NON_FINITE):
+            weighted_kmeans(non_finite_data(), np.ones(30), 3)
+
     def test_uniform_weights_match_kmeans_exactly(self, monkeypatch):
         rng = np.random.default_rng(3)
         X = random_binary(rng, 25, 6)
@@ -209,6 +228,10 @@ class TestDecKM:
 
 
 class TestPcaKM:
+    def test_non_finite_data_rejected(self):
+        with pytest.raises(ValueError, match=NON_FINITE):
+            pca_project(non_finite_data(), 2)
+
     def test_lossless_when_data_lies_in_low_dimension(self):
         # two distinct rows duplicated: centered data spans one dimension
         X = np.array([[1, 1, 0, 0], [0, 0, 1, 1]] * 6, dtype=float)
@@ -255,6 +278,10 @@ class TestPcaKM:
 
 
 class TestDropKM:
+    def test_non_finite_data_rejected(self):
+        with pytest.raises(ValueError, match=NON_FINITE):
+            select_uncorrelated_features(non_finite_data(), 0.7)
+
     def test_duplicate_column_dropped(self):
         rng = np.random.default_rng(4)
         col = random_binary(rng, 30, 1)[:, 0]

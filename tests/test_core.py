@@ -10,6 +10,7 @@ from dckm.core import (
     one_hot_rows,
     validate_data,
 )
+from dckm.solver import fit
 
 from util import random_binary, validate_data_oracle
 
@@ -197,8 +198,34 @@ class TestHyperParams:
             {"n_clusters": 2.0},
             {"restarts": 1.5},
             {"seed": True},
+            {"lambda1": True},
+            {"outer_tol": True},
+            {"lambda1": "1"},
+            {"lambda2": None},
+            {"lambda3": 1 + 0j},
+            {"outer_tol": np.bool_(True)},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             HyperParams(n_clusters=kwargs.pop("n_clusters", 3), **kwargs)
+
+    @pytest.mark.parametrize("value", [np.float32(0.25), np.float64(0.25), np.int64(2), 2])
+    def test_real_fields_stored_as_python_floats(self, value):
+        hp = HyperParams(n_clusters=3, lambda1=value, lambda2=value, lambda3=value,
+                         outer_tol=value)
+        for name in ("lambda1", "lambda2", "lambda3", "outer_tol"):
+            assert type(getattr(hp, name)) is float
+            assert getattr(hp, name) == float(value)
+
+    def test_float32_lambda_fits_as_its_float64_value(self):
+        # A float32 lambda1 must not make the objective float32, or the line
+        # search would compare float32-rounded values.
+        X = random_binary(np.random.default_rng(4), 60, 8)
+        got = fit(X, HyperParams(n_clusters=2, lambda1=np.float32(0.1), max_outer_iters=5))
+        want = fit(X, HyperParams(n_clusters=2, lambda1=float(np.float32(0.1)),
+                                  max_outer_iters=5))
+        assert all(type(value) is float for value in got.objective_history)
+        assert got.objective_history == want.objective_history
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.weights.omega, want.weights.omega)

@@ -415,11 +415,20 @@ class TestBiasSpec:
             {"n": 40.5},
             {"seed": 1.5},
             {"d": 24.0},
+            {"bias_strength": "0.9"},
+            {"bias_strength": True},
+            {"noise_flip": None},
+            {"noise_flip": 0.1 + 0j},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             BiasSpec(**kwargs)
+
+    def test_real_fields_stored_as_python_floats(self):
+        spec = BiasSpec(bias_strength=np.float32(0.75), noise_flip=0)
+        assert type(spec.bias_strength) is float and spec.bias_strength == 0.75
+        assert type(spec.noise_flip) is float and spec.noise_flip == 0.0
 
 
 class TestGenerateBiased:

@@ -194,3 +194,26 @@ def test_gen_file_read_peak_memory(c10_file):
     finally:
         tracemalloc.stop()
     assert peak < 4 * ds.X.nbytes
+
+
+def test_spaced_gen_file_reads_as_the_plain_file(c10_file, tmp_path, monkeypatch):
+    # ", " separators keep the C10 file off the gate, so the csv.reader path
+    # reads it: to the plain file's X bytes, labels and names.
+    path = write(tmp_path / "spaced.csv", c10_file.read_text().replace(",", ", "))
+    gated, csv_only, took_gate = read_both_ways(path, "label", monkeypatch)
+    assert not took_gate and gated == csv_only
+    assert gated[:3] == outcome(c10_file, "label")[:3]
+
+
+def test_spaced_gen_file_error_names_the_file_line(c10_file, tmp_path):
+    # A two-line quoted header cell puts each record one line below its
+    # place among the records; the last row starts on file line n + 2.
+    header, *rows = c10_file.read_text().replace(",", ", ").splitlines()
+    header = '"core0\n_0"' + header.removeprefix("core0_0")
+    cells = rows[-1].split(", ")
+    cells[1] = "oops"
+    rows[-1] = ", ".join(cells)
+    path = write(tmp_path / "bad.csv", "\n".join([header, *rows]) + "\n")
+    line = len(rows) + 2
+    with pytest.raises(ValueError, match=f"non-numeric cell 'oops' at line {line}, column 1$"):
+        load_csv(path, label_column="label")
