@@ -135,22 +135,23 @@ def describe(X, truth, uniform, hp, result):
 
 
 def summarise(name, l1, l2, rows):
-    """One cell's summary; ``rows`` is empty for a dropped cell."""
+    """One cell's summary, unrounded (:func:`dump` rounds what it writes);
+    ``rows`` is empty for a dropped cell."""
 
     def median(key):
-        return round(statistics.median(r[key] for r in rows), 4) if rows else None
+        return statistics.median(r[key] for r in rows) if rows else None
 
     def mean(key):
-        return round(float(np.mean([r[key] for r in rows])), 4) if rows else None
+        return float(np.mean([r[key] for r in rows])) if rows else None
 
     def total(key):
         return sum(r[key] for r in rows)
 
     return {
         "data": name, "lambda1": l1, "lambda2": l2, "fits": len(rows),
-        "converged_frac": round(total("converged") / len(RESTART_SEEDS), 4),
+        "converged_frac": total("converged") / len(RESTART_SEEDS),
         "sweeps_median": median("sweeps"),
-        "trials_per_step": round(total("trials") / max(total("steps"), 1), 4),
+        "trials_per_step": total("trials") / max(total("steps"), 1),
         "nmi": mean("nmi"), "ari": mean("ari"), "ess_median": median("ess"),
         "grad_norm_ratio_median": median("ratio"),
         "objective_median": median("objective"), "stalls": total("stalls"),
@@ -159,7 +160,8 @@ def summarise(name, l1, l2, rows):
 
 def protocol(cells):
     """C07's choice per dataset, as ``dckm bench`` makes it: the first cell
-    with the highest mean NMI, among cells where every fit finished."""
+    with the highest unrounded mean NMI, among cells where every fit
+    finished."""
     complete = [c for c in cells if c["fits"] == len(RESTART_SEEDS)]
     return {
         name: max((c for c in complete if c["data"] == name), key=lambda c: c["nmi"])
@@ -236,10 +238,16 @@ def main(argv=None):
     return 0
 
 
+def rounded(cell):
+    """``cell`` with each float rounded to 4 decimals, as the file holds it."""
+    return {key: round(v, 4) if isinstance(v, float) else v for key, v in cell.items()}
+
+
 def dump(bench):
-    """The file's layout: one line per cell."""
+    """The file's layout: one line per cell, its floats :func:`rounded`."""
     runs = ",\n".join(
-        f'  {json.dumps(name)}: [\n' + ",\n".join(f"   {json.dumps(c)}" for c in cells) + "\n  ]"
+        f'  {json.dumps(name)}: [\n'
+        + ",\n".join(f"   {json.dumps(rounded(c))}" for c in cells) + "\n  ]"
         for name, cells in bench["runs"].items()
     )
     return f'{{\n "what": {json.dumps(bench["what"])},\n "runs": {{\n{runs}\n }}\n}}\n'

@@ -21,6 +21,7 @@ from .core import (
     SampleWeights,
     _finite_data,
     _prepare,
+    _require_integer,
     _weight_vector,
     _WeightProblem,
 )
@@ -84,6 +85,7 @@ def pca_project(X, n_components):
     components are used (with a warning).
     """
     X = _finite_data(X)
+    _require_integer("n_components", n_components)
     if n_components < 1:
         raise ValueError("n_components must be >= 1")
     centered = X - X.mean(axis=0)

@@ -194,7 +194,9 @@ def _params(cls, args):
 @dataclass
 class RunRecord:
     """Aggregated outcome of one method on one dataset; ``best`` is the
-    restart that the solver's restart loop chose (FitResult or KMeansResult)."""
+    restart that the solver's restart loop chose (FitResult or KMeansResult).
+    The ``correlation_*`` diagnostics are set by ``dckm fit``, which writes
+    them; a record from :func:`run_method` has neither."""
 
     method: str
     params: dict
@@ -202,7 +204,7 @@ class RunRecord:
     restarts: int
     best: object
     per_restart_objective: list
-    correlation_unweighted: float
+    correlation_unweighted: float | None = None
     correlation_weighted: float | None = None
     per_restart_nmi: list | None = None
     per_restart_ari: list | None = None
@@ -239,7 +241,8 @@ class RunRecord:
             out += self.score_fields()
             out.append(f"restart_nmi={_fmt(self.per_restart_nmi)}")
             out.append(f"restart_ari={_fmt(self.per_restart_ari)}")
-        out.append(f"correlation_unweighted={_fmt(self.correlation_unweighted)}")
+        if self.correlation_unweighted is not None:
+            out.append(f"correlation_unweighted={_fmt(self.correlation_unweighted)}")
         if self.correlation_weighted is not None:
             out.append(f"correlation_weighted={_fmt(self.correlation_weighted)}")
         if self.method == "dckm":
@@ -266,8 +269,8 @@ def _method_params(method: str, hp: HyperParams, drop_threshold, pca_dims) -> di
     return {}
 
 
-def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0.7, pca_dims=None,
-               correlation_unweighted=None) -> RunRecord:
+def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0.7,
+               pca_dims=None) -> RunRecord:
     """Run one method with ``hp.restarts`` seeded restarts and aggregate.
 
     Each method is one pipeline of :mod:`dckm.baselines` blocks (or the
@@ -275,9 +278,9 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
     one clustering per restart seed ``hp.seed + i``, through the solver's
     one restart loop, whose choice (lowest objective, first on ties) is the
     record's ``best``. pcakm's ``pca_dims`` is the number of components used
-    (fewer than asked on rank-deficient data). ``correlation_unweighted`` is
-    ``correlation_amount(X)`` when the caller already has it; it is computed
-    here otherwise.
+    (fewer than asked on rank-deficient data). With ``true_labels`` it
+    scores every restart (NMI, ARI); it computes no result-file diagnostic,
+    so that ``dckm bench``, which prints none, pays for none.
 
     For dckm and deckm, weights whose sum is at most ``GROUP_MASS_EPS`` leave
     no balance group with any weight, so every feature's balance term is
@@ -328,8 +331,6 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
             f"{GROUP_MASS_EPS:g}, so the balance term skipped every feature",
             stacklevel=2,
         )
-    if correlation_unweighted is None:
-        correlation_unweighted = correlation_amount(X)
     record = RunRecord(
         method=method,
         params=params,
@@ -337,8 +338,6 @@ def run_method(X, true_labels, method: str, hp: HyperParams, *, drop_threshold=0
         restarts=hp.restarts,
         best=best,
         per_restart_objective=[r.objective for r in runs],
-        correlation_unweighted=correlation_unweighted,
-        correlation_weighted=None if weights is None else correlation_amount(X, weights),
         kept_features=kept,
         weights=weights,
     )
@@ -374,6 +373,9 @@ def _cmd_fit(args) -> None:
             dataset.X, dataset.labels, args.method, hp,
             drop_threshold=args.threshold, pca_dims=args.pca_dims,
         )
+        record.correlation_unweighted = correlation_amount(dataset.X)
+        if record.weights is not None:
+            record.correlation_weighted = correlation_amount(dataset.X, record.weights)
     except EmptyClusterError as exc:
         raise _Exit(EXIT_SOLVER, f"solver failure: {exc}") from None
     except ValueError as exc:
@@ -422,7 +424,6 @@ def _cmd_bench(args) -> None:
     datasets = [(path, _read_dataset(path, args.labels)) for path in args.data]
     for data_path, dataset in datasets:
         chosen: dict[str, RunRecord] = {}
-        unweighted = None  # correlation_amount(dataset.X), from the first record that has it
         for method in methods:
             uses_lambdas = method in ("dckm", "deckm")
             records = []
@@ -434,13 +435,11 @@ def _cmd_bench(args) -> None:
                 )
                 try:
                     record = run_method(
-                        dataset.X, dataset.labels, method, hp, drop_threshold=args.threshold,
-                        correlation_unweighted=unweighted,
+                        dataset.X, dataset.labels, method, hp, drop_threshold=args.threshold
                     )
                 except (EmptyClusterError, ValueError) as exc:
                     lines.append(f"{cell} error={exc}")
                     continue
-                unweighted = record.correlation_unweighted
                 lines.append(" ".join([cell] + record.score_fields()))
                 records.append(record)
             if records:  # C07's choice: the first cell with the highest mean NMI

@@ -215,14 +215,24 @@ def _one_hot(labels: np.ndarray, n_clusters: int) -> np.ndarray:
     return G
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """``labels`` as an int64 array; raises ValueError unless every entry is
+    an integer value (integral floats such as 2.0 count). A non-finite
+    label raises the same error, without numpy's cast warning."""
+    labels = np.asarray(labels)
+    with np.errstate(invalid="ignore"):
+        codes = labels.astype(np.int64)
+    if labels.size and not np.all(labels == codes):
+        raise ValueError("labels must be integers")
+    return codes
+
+
 def one_hot_rows(labels, n_clusters: int) -> np.ndarray:
     """Encode integer cluster ids as a one-hot (n, n_clusters) float matrix."""
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValueError("labels must be a 1-D vector")
-    if labels.size and not np.all(labels == labels.astype(np.int64)):
-        raise ValueError("labels must be integers")
-    labels = labels.astype(np.int64)
+    labels = _integer_labels(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= n_clusters):
         bad = labels[(labels < 0) | (labels >= n_clusters)][0]
         raise ValueError(f"label {bad} out of range [0, {n_clusters})")

@@ -14,7 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _finite_data, _label_codes, _require_integer, _store_float, as_data_matrix
+from .core import (
+    _finite_data, _integer_labels, _label_codes, _require_integer, _store_float, as_data_matrix
+)
 
 # save_dataset formats and writes this many cells at a time, so the text of
 # one block, not of the whole matrix, is held in memory.
@@ -43,7 +45,7 @@ class LabeledDataset:
     def __post_init__(self):
         self.X = as_data_matrix(self.X)
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            self.labels = _integer_labels(self.labels)
             if self.labels.shape != (self.X.shape[0],):
                 raise ValueError("labels must have one entry per sample")
             if self.labels.size and self.labels.min() < 0:

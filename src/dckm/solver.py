@@ -48,6 +48,7 @@ from .core import (
     SampleWeights,
     _one_hot,
     _prepare,
+    _require_integer,
     _weight_vector,
     _WeightProblem,
     _work_area,
@@ -241,8 +242,7 @@ def _centroids_with_recovery(X, w, G, m):
             if failures >= _RESEED_MAX_FAILURES:
                 raise EmptyClusterError(empty)
         prev_empty = len(empty)
-        labels = G.argmax(axis=1)
-        residuals = w / m * _row_sq_norms(X - F[:, labels].T)
+        residuals = w / m * _resid_sq(X, F, G)
         order = np.argsort(-residuals, kind="stable")
         for cluster, i in zip(empty, order):
             F[:, cluster] = X[i]
@@ -493,7 +493,10 @@ class KMeansResult:
 def _lloyd(X, w, n_clusters, seed, max_iter, weighted_loss) -> KMeansResult:
     """Lloyd iterations with fixed weights ``w``, from :func:`fit`'s start,
     until the labels repeat or for ``max_iter`` iterations; the objective is
-    weighted or plain per ``weighted_loss``."""
+    weighted or plain per ``weighted_loss``. Raises ValueError unless
+    ``n_clusters``, ``seed`` and ``max_iter`` are integers (bools are not)."""
+    for name, value in (("n_clusters", n_clusters), ("seed", seed), ("max_iter", max_iter)):
+        _require_integer(name, value)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     G = _initial_assignments(X.shape[0], n_clusters, seed)

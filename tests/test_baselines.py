@@ -57,6 +57,14 @@ def non_finite_data():
 NON_FINITE = r"^non-finite entry at \(4, 2\)$"
 
 
+# Non-integer values for the Lloyd baselines' integer arguments, each with
+# the argument that the ValueError names; bools are not integers here.
+NON_INTEGER_ARGUMENTS = [
+    ("n_clusters", 2.0), ("n_clusters", True), ("seed", 1.5), ("seed", 1.0),
+    ("max_iter", 3.0), ("max_iter", True),
+]
+
+
 class TestKMeans:
     def test_non_finite_data_rejected(self):
         with pytest.raises(ValueError, match=NON_FINITE):
@@ -111,6 +119,12 @@ class TestKMeans:
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             weighted_kmeans(X, np.ones(20), 3, max_iter=max_iter)
 
+    @pytest.mark.parametrize("name, value", NON_INTEGER_ARGUMENTS)
+    def test_non_integer_arguments_rejected(self, name, value):
+        args = {"n_clusters": 2, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            kmeans(np.eye(4), **args)
+
 
 class TestWeightedKMeans:
     def test_non_finite_data_rejected(self):
@@ -146,6 +160,12 @@ class TestWeightedKMeans:
         w = rng.uniform(0.1, 2.0, 30)
         losses = [weighted_kmeans(X, w, 3, seed=4, max_iter=t).objective for t in (1, 2, 3, 5, 20)]
         assert all(b <= a + 1e-10 for a, b in zip(losses, losses[1:]))
+
+    @pytest.mark.parametrize("name, value", NON_INTEGER_ARGUMENTS)
+    def test_non_integer_arguments_rejected(self, name, value):
+        args = {"n_clusters": 2, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            weighted_kmeans(np.eye(4), np.ones(4), **args)
 
     def test_negative_weights_rejected(self):
         for bad in (-1.0, np.nan, np.inf):
@@ -231,6 +251,12 @@ class TestPcaKM:
     def test_non_finite_data_rejected(self):
         with pytest.raises(ValueError, match=NON_FINITE):
             pca_project(non_finite_data(), 2)
+
+    @pytest.mark.parametrize("n_components", [1.5, 2.0, True])
+    def test_non_integer_component_count_rejected(self, n_components):
+        match = f"n_components must be an integer, got {n_components!r}"
+        with pytest.raises(ValueError, match=match):
+            pca_project(np.eye(4), n_components)
 
     def test_lossless_when_data_lies_in_low_dimension(self):
         # two distinct rows duplicated: centered data spans one dimension

@@ -85,6 +85,21 @@ def test_protocol_takes_the_first_best_complete_cell(c07_grid):
     assert chosen["a"]["id"] == 3 and chosen["b"]["id"] == 4
 
 
+def test_protocol_chooses_on_unrounded_means(c07_grid):
+    """Two cells whose mean NMI differ only after the fourth decimal: the
+    second is the better one, as ``dckm bench`` would choose, while the file
+    holds both rounded to 0.994."""
+
+    def fit(nmi):
+        return dict(converged=True, sweeps=3, trials=6, steps=3, stalls=0, nmi=nmi, ari=0.9,
+                    ess=100.0, ratio=0.5, objective=1.0)
+
+    cells = [c07_grid.summarise("biased", l1, 1.0, [fit(nmi), fit(nmi)])
+             for l1, nmi in ((1.0, 0.99401), (10.0, 0.99404))]
+    assert c07_grid.protocol(cells)["biased"]["lambda1"] == 10.0
+    assert [c07_grid.rounded(c)["nmi"] for c in cells] == [0.994, 0.994]
+
+
 def test_run_grid_runs_the_library_restart_loop(c07_grid, monkeypatch):
     """One ``fit_restarts`` call per (dataset, cell) with C07's seeds, and no
     solver function replaced while it runs."""

@@ -265,6 +265,18 @@ class TestCorr:
         ratio = float(out.split("reduction_ratio=")[1].split()[0])
         assert ratio < 1.0
 
+    def test_fit_writes_the_correlations_that_corr_prints(self, small_data, tmp_path, capsys):
+        wpath, out = tmp_path / "w.txt", tmp_path / "fit.txt"
+        assert main(fit_args(small_data, "dckm", out=out, weights_out=wpath)) == 0
+        capsys.readouterr()
+        assert main(["corr", "--data", str(small_data), "--labels", "label",
+                     "--weights", str(wpath)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        written = out.read_text(encoding="utf-8").splitlines()
+        for key in ("correlation_unweighted=", "correlation_weighted="):
+            line = next(line for line in printed if line.startswith(key))
+            assert line in written
+
     @pytest.mark.parametrize("value", ["-1.0", "0.0", "nan", "inf"])
     def test_invalid_weights_are_data_error(self, small_data, tmp_path, value, capsys):
         wpath = tmp_path / "w.txt"
@@ -591,27 +603,47 @@ class TestWarnings:
         assert "pca_dims=2\n" in captured.out
 
 
-def test_bench_computes_the_unweighted_correlation_once_per_dataset(small_data, tmp_path,
-                                                                      monkeypatch):
-    """Every record of a dataset carries the same ``correlation_amount(X)``;
-    it is computed for the first record and reused."""
-    unweighted = []
+def spy_correlations(monkeypatch):
+    """The list that ``cli.correlation_amount`` appends "unweighted" or
+    "weighted" to on each call, in order."""
+    calls = []
     original = cli.correlation_amount
 
-    def counting(X, w=None):
-        if w is None:
-            unweighted.append(X)
+    def spy(X, w=None):
+        calls.append("unweighted" if w is None else "weighted")
         return original(X, w)
 
-    monkeypatch.setattr(cli, "correlation_amount", counting)
+    monkeypatch.setattr(cli, "correlation_amount", spy)
+    return calls
+
+
+def test_bench_computes_no_correlation(small_data, tmp_path, monkeypatch):
+    """No ``[cell]`` or ``[row]`` line carries a correlation diagnostic, so
+    ``dckm bench`` computes none, weighted or unweighted."""
+    calls = spy_correlations(monkeypatch)
     second = tmp_path / "second.csv"
     second.write_bytes(small_data.read_bytes())
     out = tmp_path / "bench.txt"
     assert main(["bench", "--data", str(small_data), "--data", str(second),
                  "--methods", "kmeans,dropkm,dckm", "--k", "3", "--grid", "1,100",
                  "--restarts", "1", "--seed", "4", "--max-outer", "3", "--out", str(out)]) == 0
-    assert len(unweighted) == 2
+    assert calls == []
     assert len(out.read_text(encoding="utf-8").splitlines()) == 6 + 2 * 6 + 2
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_fit_computes_the_correlations_it_writes(small_data, tmp_path, monkeypatch, method):
+    """``dckm fit`` computes ``correlation_unweighted`` once, and
+    ``correlation_weighted`` once after it for the methods that learn
+    weights; each value lands in the result file."""
+    calls = spy_correlations(monkeypatch)
+    out = tmp_path / "fit.txt"
+    assert main(fit_args(small_data, method, out=out)) == 0
+    weighted = method in ("dckm", "deckm")
+    assert calls == ["unweighted"] + ["weighted"] * weighted
+    text = out.read_text(encoding="utf-8")
+    assert text.count("correlation_unweighted=") == 1
+    assert text.count("correlation_weighted=") == weighted
 
 
 # `dckm fit --method dckm --k 1 --restarts 1 --l3 0.1 --data eye.csv --labels

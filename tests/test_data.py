@@ -182,6 +182,17 @@ class TestLoadCsvCells:
             self.read(tmp_path, "a,label,label\n1,0,0\n0,1,1\n", label_column="label")
 
 
+class TestLabeledDataset:
+    @pytest.mark.parametrize("labels", [[0.5, 1.7, 2.2], [0.0, 1.0, np.nan]])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            LabeledDataset(np.eye(3), labels=labels)
+
+    def test_integral_float_labels_accepted(self):
+        labels = LabeledDataset(np.eye(3), labels=[0.0, 1.0, 2.0]).labels
+        assert labels.dtype == np.int64 and labels.tolist() == [0, 1, 2]
+
+
 class TestSaveRoundTrip:
     def test_round_trip_with_labels(self, tmp_path):
         ds = generate_biased(BiasSpec(n=40, d=12, n_clusters=3, core_per_cluster=2,
