@@ -35,8 +35,8 @@ uncommitted scratch version of it made ``fixed_start_cap40``, ``bb_cap40``
 and ``bb_cap1000``, and this one reproduces ``bb_cap40`` cell for cell from
 the code of that run.
 
-BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise. A run
-at the cap of 40 takes about 80 s on a 2-vCPU host.
+BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise. At
+the cap of 40, a run on a 2-vCPU host prints a fit wall time of 35-45 s.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def describe(X, truth, uniform, hp, result):
     summary."""
     w = result.weights.w
     G, F = result.assignments, result.centroids
-    problem = _WeightProblem(X, 1.0, solver._row_sq_norms(X - G @ F.T), hp, _work_area(X))
+    problem = _WeightProblem(X, 1.0, solver._resid_sq(X, F, G), hp, _work_area(X))
     grad = solver._weight_gradient(problem, result.weights.omega)
     grad0 = solver._weight_gradient(problem, uniform)
     return dict(

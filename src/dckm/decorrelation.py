@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _binary_data, _weight_vector, _work_area, _WorkArea, as_data_matrix
+from .core import _binary_data, _weight_vector, as_data_matrix
 
 __all__ = [
     "GROUP_MASS_EPS",
@@ -40,13 +40,15 @@ class BalanceLoss(NamedTuple):
     skipped_features: int
 
 
-def _weighted_gram(work: _WorkArea, root: np.ndarray) -> np.ndarray:
-    """``X^T diag(root**2) X`` for the data X of ``work``: ``Yt @ Yt.T``, with
-    ``Yt = X.T * root`` written into ``work.buf_t``. numpy hands a product of
-    a matrix with its own transpose to SYRK: half the multiply-adds of ``X.T
-    @ (X * w)``, an exactly symmetric result with the bits of ``Y.T @ Y`` for
-    ``Y = X * root`` row-wise, and no dependence on root's signs."""
-    Yt = np.multiply(work.XT, root, out=work.buf_t)
+def _weighted_gram(XT: np.ndarray, root: np.ndarray, out=None) -> np.ndarray:
+    """``X^T diag(root**2) X`` from the transposed rows ``XT = X.T`` (d by
+    n, any layout): ``Yt @ Yt.T``, with ``Yt = XT * root`` written into
+    ``out`` (XT's shape, which may be XT itself) when given, else into a new
+    array. numpy hands a product of a matrix with its own transpose to SYRK:
+    half the multiply-adds of ``X.T @ (X * w)``, an exactly symmetric result
+    with the bits of ``Y.T @ Y`` for ``Y = X * root`` row-wise, and no
+    dependence on root's signs."""
+    Yt = np.multiply(XT, root, out=out)
     return Yt @ Yt.T
 
 
@@ -92,10 +94,10 @@ def balance_loss(X, w) -> BalanceLoss:
     """
     X = _binary_data(X)
     w = _weight_vector(w, X.shape[0])
-    return _residuals(_weighted_gram(_work_area(X), np.sqrt(w)), X.T @ w, float(w.sum()))[0]
+    return _residuals(_weighted_gram(X.T, np.sqrt(w)), X.T @ w, float(w.sum()))[0]
 
 
-def balance_gradient(X, omega, parts=None, work=None) -> np.ndarray:
+def balance_gradient(X, omega, parts=None, out=None) -> np.ndarray:
     """Gradient of ``balance_loss(X, omega**2)`` with respect to ``omega``.
 
     By the quotient rule per target feature j, with s/c the treated and
@@ -117,20 +119,20 @@ def balance_gradient(X, omega, parts=None, work=None) -> np.ndarray:
     for a caller that has already scored it; it is used as is, its ``s =
     inv_a + inv_b`` included, and X and omega are not checked. Without it, X
     and ``omega**2`` are checked as :func:`balance_loss` checks X and w, and
-    raise ``ValueError`` likewise. ``work``, the :class:`dckm.core._WorkArea`
-    of X, holds ``X @ (R diag(s))`` and the Gram; one is built when not given.
+    raise ``ValueError`` likewise; their Gram is built in a new array.
+    ``out``, an n-by-d array, takes ``X @ (R diag(s))`` when given; nothing
+    returned refers to it.
     """
     X = as_data_matrix(X) if parts is not None else _binary_data(X)
     omega = np.asarray(omega, dtype=np.float64)
-    work = work or _work_area(X)
     if parts is None:
         w = _weight_vector(omega * omega, X.shape[0])
-        parts = _residuals(_weighted_gram(work, omega), X.T @ w, float(w.sum()))[1]
+        parts = _residuals(_weighted_gram(X.T, omega), X.T @ w, float(w.sum()))[1]
     gram, col_mass, R, inv_a, inv_b, s, _ = parts
     rg = np.einsum("fj,fj->j", R, gram)
     ta = rg * inv_a
     tb = (col_mass @ R - rg) * inv_b
-    XRs = np.matmul(X, R * s, out=work.buf)
+    XRs = np.matmul(X, R * s, out=out)
     quad = np.einsum("ij,ij->i", X, XRs)
     grad_w = 2.0 * (quad - X @ (ta * inv_a + tb * inv_b + R @ inv_b) + float(tb @ inv_b))
     return 2.0 * omega * grad_w

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _label_codes, _weight_vector, _work_area, as_data_matrix
+from .core import _finite_data, _label_codes, _weight_vector
 from .decorrelation import _weighted_gram
 
 __all__ = ["ari", "contingency_table", "correlation_amount", "nmi"]
@@ -95,8 +95,8 @@ def _covariance(X: np.ndarray, w=None) -> np.ndarray:
     if total <= 0:
         raise ValueError("weights must have a positive sum")
     w = w / total
-    # Centered in C order transposed: the work area then copies nothing.
-    return _weighted_gram(_work_area(np.subtract(X.T, (w @ X)[:, None], order="C").T), np.sqrt(w))
+    XcT = np.subtract(X.T, (w @ X)[:, None], order="C")
+    return _weighted_gram(XcT, np.sqrt(w), out=XcT)
 
 
 def correlation_amount(X, w=None) -> float:
@@ -104,9 +104,10 @@ def correlation_amount(X, w=None) -> float:
 
     Weights are normalized to sum 1 (uniform when absent), so the value is
     invariant to rescaling them. The diagonal is zeroed so per-feature
-    variance does not count as correlation.
+    variance does not count as correlation. A non-finite entry of X raises
+    ``ValueError`` naming its position.
     """
-    X = as_data_matrix(X)
+    X = _finite_data(X)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 samples")
     cov = _covariance(X, w)

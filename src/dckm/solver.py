@@ -20,8 +20,11 @@ Each descent is one :class:`dckm.core._WeightProblem`: the rows, their
 counts, their squared residuals, the hyperparameters and one work area
 (:func:`dckm.core._work_area`) that every Gram, gradient product and set of
 squared residuals is written into, so no trial or step allocates an n-by-d
-array. The restarts of one :func:`fit_restarts` call share one validated X,
-one set of distinct rows and one work area.
+array. This module is the only reader of the work area's layout: it hands
+the Gram kernel the transposed rows ``XT`` and the d-by-n view ``buf_t`` to
+scale them into, and :func:`balance_gradient` the n-by-d view ``buf``. The
+restarts of one :func:`fit_restarts` call share one validated X, one set of
+distinct rows and one work area.
 Every block is non-increasing in the objective, so the recorded per-sweep
 objective values form a monotone sequence. :mod:`dckm.baselines` composes the
 one weight descent (:func:`_descend`) and the one Lloyd loop (:func:`_lloyd`).
@@ -46,6 +49,7 @@ import numpy as np
 from .core import (
     HyperParams,
     SampleWeights,
+    _binary_data,
     _one_hot,
     _prepare,
     _require_integer,
@@ -111,15 +115,15 @@ def _weight_gradient(problem: _WeightProblem, omega, parts=None) -> np.ndarray:
     4*lambda2*omega_i^3/m_i and 4*lambda3*(sum(omega^2)-1)*omega_i from the
     two penalty terms, for rows that stand for ``m`` copies each (see the
     module docstring). ``parts``, from :func:`_weight_point` at this omega,
-    and the problem's work area are passed on to :func:`balance_gradient`,
-    which builds the parts when None.
+    is passed on to :func:`balance_gradient`, which builds the parts when
+    None and writes its n-by-d product into the work area's ``buf``.
     """
     params = problem.params
     grad = 2.0 * omega * problem.resid_sq
     grad += 4.0 * params.lambda2 * omega**3 / problem.m
     grad += 4.0 * params.lambda3 * (float(omega @ omega) - 1.0) * omega
     if params.lambda1 != 0.0:
-        grad += params.lambda1 * balance_gradient(problem.X, omega, parts, problem.work)
+        grad += params.lambda1 * balance_gradient(problem.X, omega, parts, problem.work.buf)
     return grad
 
 
@@ -145,7 +149,7 @@ def _weight_point(problem: _WeightProblem, omega, parts=None, ceiling=np.inf):
     balance`` rounds to at least ``v``. A line search that passes its start
     value as ``ceiling`` rejects such a point either way.
     """
-    params = problem.params
+    params, work = problem.params, problem.work
     w = omega * omega
     total = float(w.sum())
     if total <= 0.0:
@@ -156,7 +160,7 @@ def _weight_point(problem: _WeightProblem, omega, parts=None, ceiling=np.inf):
     if params.lambda1 == 0.0 or value > ceiling:
         return value, 0, None
     if parts is None:
-        bal, parts = _residuals(_weighted_gram(problem.work, omega), problem.X.T @ w, total)
+        bal, parts = _residuals(_weighted_gram(work.XT, omega, work.buf_t), problem.X.T @ w, total)
     else:
         bal = parts[-1]
     return value + params.lambda1 * bal.value, bal.skipped_features, parts
@@ -368,11 +372,15 @@ def update_weights(X, F, G, omega, params: HyperParams, descent=None, counts=1.0
 
     ``work``, from ``core._work_area(X)`` and built here when not given,
     takes the rows' squared residuals and every Gram and gradient product of
-    the descent; nothing returned refers to it."""
-    X = as_data_matrix(X)
+    the descent; nothing returned refers to it. Without it, X is checked as
+    :func:`fit` checks it and raises ``ValueError`` likewise. An omega whose
+    shape is not ``(n,)`` raises ``ValueError``."""
+    X = as_data_matrix(X) if work is not None else _binary_data(X)
     F = np.asarray(F, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64).copy()
+    if omega.shape != (X.shape[0],):
+        raise ValueError(f"omega must have shape ({X.shape[0]},), got {omega.shape}")
     work = work or _work_area(X)
     m = np.asarray(counts, dtype=np.float64)
     problem = _WeightProblem(X, m, _resid_sq(X, F, G, work.buf), params, work)

@@ -159,3 +159,12 @@ def test_solver_scores_through_one_residual_path():
         and value.__name__.startswith("_")
     )
     assert private == ["_residuals", "_weighted_gram"]
+
+
+@pytest.mark.parametrize("module_name", ["dckm.decorrelation", "dckm.metrics"])
+def test_only_core_and_the_solver_know_the_work_area(module_name):
+    core = importlib.import_module("dckm.core")
+    module = importlib.import_module(module_name)
+    leaked = [name for name, value in vars(module).items()
+              if value is core._work_area or value is core._WorkArea]
+    assert leaked == []

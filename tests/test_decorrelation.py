@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from dckm.decorrelation import (
     balance_gradient,
     balance_loss,
 )
+from dckm.metrics import correlation_amount
 
 from util import (
     DegenerateGroupError,
@@ -35,7 +37,8 @@ X3 = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
 # Prints, for the distinct rows of two C10-shape datasets under two weight
 # vectors each, whether the Gram built in a work area from the transposed
-# rows has the bits of ``Y.T @ Y``.
+# rows, and the one built in a new array from the ``U.T`` view, have the bits
+# of ``Y.T @ Y``.
 GRAM_PROBE = """
 import numpy as np
 from dckm.core import _distinct_rows, _work_area
@@ -51,7 +54,8 @@ for seed in (6, 7):
     rng = np.random.default_rng(seed)
     for root in (np.sqrt(m / X.shape[0]), rng.uniform(0.1, 2.0, U.shape[0])):
         Y = U * root[:, None]
-        equal.append(bool(np.array_equal(_weighted_gram(work, root), Y.T @ Y)))
+        equal.append(bool(np.array_equal(_weighted_gram(work.XT, root, work.buf_t), Y.T @ Y)))
+        equal.append(bool(np.array_equal(_weighted_gram(U.T, root), Y.T @ Y)))
 print(equal)
 """
 
@@ -216,17 +220,17 @@ class TestBalanceLoss:
 
 
 class TestWeightedGram:
-    """``_weighted_gram(_work_area(X), omega)`` is ``X^T diag(omega**2) X``,
+    """``_weighted_gram(X.T, omega)`` is ``X^T diag(omega**2) X``,
     built as one product of ``X * omega`` with its own transpose."""
 
     @staticmethod
     def check(X, omega):
-        gram = _weighted_gram(_work_area(X), omega)
+        gram = _weighted_gram(X.T, omega)
         np.testing.assert_allclose(
             gram, X.T @ (X * (omega * omega)[:, None]), rtol=1e-13, atol=0
         )
         assert np.array_equal(gram, gram.T)
-        assert np.array_equal(_weighted_gram(_work_area(X), -omega), gram)
+        assert np.array_equal(_weighted_gram(X.T, -omega), gram)
 
     def test_wide_shape(self):
         rng = np.random.default_rng(3)
@@ -240,8 +244,9 @@ class TestWeightedGram:
             self.check(X, scale * rng.uniform(0.7, 1.3, X.shape[0]))
 
     def test_work_area_gives_the_bits_of_y_t_y_at_one_and_two_blas_threads(self):
-        """The Gram from the transposed rows is the same SYRK product as
-        ``Y.T @ Y``, with the same bits, at either thread count. Each count
+        """The Gram from the transposed rows, in the work area or from the
+        ``U.T`` view, is the same SYRK product as ``Y.T @ Y``, with the same
+        bits, at either thread count. Each count
         runs in its own interpreter, since OpenBLAS reads it at import."""
         src = str(Path(dckm.__file__).resolve().parents[1])
         for threads in ("1", "2"):
@@ -249,7 +254,7 @@ class TestWeightedGram:
                        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
             run = subprocess.run([sys.executable, "-c", GRAM_PROBE], env=env,
                                  capture_output=True, text=True, check=True)
-            assert run.stdout.strip() == "[True, True, True, True]", threads
+            assert run.stdout.strip() == str([True] * 8), threads
 
 
 class TestWorkArea:
@@ -277,13 +282,13 @@ class TestWorkArea:
         omega = np.sqrt(m) * rng.uniform(0.2, 1.5, U.shape[0]) / np.sqrt(X.shape[0])
         Y = U * omega[:, None]
         gram = Y.T @ Y
-        assert np.array_equal(_weighted_gram(work, omega), gram)
+        assert np.array_equal(_weighted_gram(work.XT, omega, work.buf_t), gram)
         w = omega * omega
         parts = _residuals(gram, U.T @ w, float(w.sum()))[1]
         expected = balance_gradient(U, omega, parts)
-        assert np.array_equal(balance_gradient(U, omega, parts, work), expected)
+        assert np.array_equal(balance_gradient(U, omega, parts, work.buf), expected)
         work.buf[:] = np.nan
-        assert np.array_equal(balance_gradient(U, omega, None, work), expected)
+        assert np.array_equal(balance_gradient(U, omega, None, work.buf), expected)
 
     def test_handed_parts_skip_the_data_check(self, monkeypatch):
         """The solver hands its parts to every gradient, and those calls do
@@ -301,11 +306,31 @@ class TestWorkArea:
         X = random_binary(rng, 30, 6)
         omega = rng.uniform(0.2, 1.5, 30)
         w = omega * omega
-        parts = _residuals(_weighted_gram(_work_area(X), omega), X.T @ w, float(w.sum()))[1]
+        parts = _residuals(_weighted_gram(X.T, omega), X.T @ w, float(w.sum()))[1]
         balance_gradient(X, omega, parts)
         assert checks == 0
         balance_gradient(X, omega)
         assert checks == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda X, w: balance_loss(X, w),
+    lambda X, w: balance_gradient(X, np.sqrt(w)),
+    lambda X, w: correlation_amount(X, w),
+], ids=["balance_loss", "balance_gradient", "correlation_amount"])
+def test_one_call_holds_one_n_by_d_array_beyond_the_data(call):
+    """At the C10 shape, a one-call balance loss, balance gradient or
+    weighted covariance copies X at most once: its traced peak stays below
+    1.25 times X's size."""
+    X = wide_matrix(3)
+    w = np.random.default_rng(3).uniform(0.2, 1.5, X.shape[0])
+    tracemalloc.start()
+    try:
+        call(X, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * X.nbytes
 
 
 class TestBalanceGradient:
@@ -387,7 +412,7 @@ class TestBalanceGradient:
             cases.append((U, np.sqrt(m) * rng.uniform(0.5, 1.5, U.shape[0]) / np.sqrt(40)))
         for X, omega in cases:
             w = omega * omega
-            loss, parts = _residuals(_weighted_gram(_work_area(X), omega), X.T @ w,
+            loss, parts = _residuals(_weighted_gram(X.T, omega), X.T @ w,
                                      float(w.sum()))
             assert loss == balance_loss(X, w)
             assert np.array_equal(balance_gradient(X, omega, parts), balance_gradient(X, omega))

@@ -183,6 +183,12 @@ class TestCorrelationAmount:
         with pytest.raises(ValueError, match="finite"):
             correlation_amount(np.eye(3), np.array([1.0, bad, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        X = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, bad]])
+        with pytest.raises(ValueError, match=r"non-finite entry at \(2, 1\)"):
+            correlation_amount(X)
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_columns_far_from_zero(self, weighted):
         """The covariance is taken of the centered data: shifting every entry

@@ -182,6 +182,16 @@ class TestUpdateAssignments:
 
 
 class TestUpdateWeights:
+    def test_non_binary_data_rejected_without_a_work_area(self):
+        G = one_hot_rows([0, 0, 0], 1)
+        with pytest.raises(ValueError, match="invalid data matrix"):
+            update_weights(2 * np.eye(3), np.zeros((3, 1)), G, np.ones(3), HyperParams(2))
+
+    def test_omega_of_another_length_rejected(self):
+        G = one_hot_rows([0, 0, 0], 1)
+        with pytest.raises(ValueError, match=r"omega must have shape \(3,\), got \(4,\)"):
+            update_weights(np.eye(3), np.zeros((3, 1)), G, np.ones(4), HyperParams(1))
+
     def test_zero_gradient_returns_input(self):
         X = np.array([[1.0, 0.0], [1.0, 0.0]])
         G = np.array([[1.0], [1.0]])
