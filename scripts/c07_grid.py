@@ -55,15 +55,10 @@ import numpy as np  # noqa: E402
 
 import dckm.solver as solver  # noqa: E402
 from dckm.cli import DEFAULT_GRID  # noqa: E402
-from dckm.core import (  # noqa: E402
-    HyperParams,
-    SampleWeights,
-    _distinct_rows,
-    _WeightProblem,
-    _work_area,
-)
+from dckm.core import HyperParams, SampleWeights, _distinct_rows  # noqa: E402
 from dckm.data import BiasSpec, generate_biased  # noqa: E402
 from dckm.metrics import ari, nmi  # noqa: E402
+from dckm.solver import _WeightProblem, _work_area  # noqa: E402
 
 GRID = DEFAULT_GRID
 RESTART_SEEDS = range(100, 120)

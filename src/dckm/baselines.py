@@ -2,9 +2,12 @@
 iterations, balancing weights learned without the k-means term, a PCA
 projection and a correlated-feature filter.
 
-The first three run the solver's Lloyd loop and weight descent. The
-baselines themselves (k-means, two-step DecKM, PCA-then-k-means and
-drop-correlated-features-then-k-means) are compositions of these blocks;
+The Lloyd iterations run the solver's Lloyd loop. ``balance_only_weights``
+is the solver's weight descent without the k-means term; it is defined in
+:mod:`dckm.solver`, beside :func:`dckm.fit`, which sets up the same descent,
+and exported here. The baselines themselves (k-means, two-step DecKM,
+PCA-then-k-means and drop-correlated-features-then-k-means) are
+compositions of these blocks;
 ``dckm.cli.run_method`` runs each of them. Every block raises ValueError
 that names the first non-finite entry of X, in row-major order.
 """
@@ -15,18 +18,9 @@ import warnings
 
 import numpy as np
 
-from . import solver
-from .core import (
-    HyperParams,
-    SampleWeights,
-    _finite_data,
-    _prepare,
-    _require_integer,
-    _weight_vector,
-    _WeightProblem,
-)
+from .core import SampleWeights, _finite_data, _require_integer, _weight_vector
 from .metrics import _covariance
-from .solver import KMeansResult, _descend, _lloyd
+from .solver import KMeansResult, _lloyd, balance_only_weights
 
 __all__ = [
     "KMeansResult",
@@ -56,25 +50,6 @@ def weighted_kmeans(X, w, n_clusters, seed=0, max_iter=100):
     X = _finite_data(X)
     w = _weight_vector(w, X.shape[0])
     return _lloyd(X, w, n_clusters, seed, max_iter, weighted_loss=True)
-
-
-def balance_only_weights(X, params: HyperParams):
-    """Learn weights from the balancing loss and penalties alone.
-
-    Minimizes lambda1*balance_loss + lambda2*||w||^2 + lambda3*(sum w - 1)^2
-    over the square-root parameterization by backtracking gradient descent
-    from uniform weights (deterministic: the start point is fixed), for at
-    most ``max_outer_iters * WEIGHT_STEPS`` steps (see :mod:`dckm.solver`) or
-    until the relative change is at most ``outer_tol``. Runs on the distinct
-    rows with their counts, as :func:`dckm.fit` does. Returns ``(weights, objective_history)``.
-    Raises ValueError on non-binary or non-finite data, as :func:`dckm.fit` does.
-    """
-    X, U, inverse, m, work = _prepare(X)
-    steps = params.max_outer_iters * solver.WEIGHT_STEPS
-    # No k-means term: the joint objective with zero residuals.
-    problem = _WeightProblem(U, m, np.zeros(m.size), params, work)
-    update = _descend(problem, np.sqrt(m / X.shape[0]), steps, params.outer_tol)
-    return SampleWeights((update.weights.omega / np.sqrt(m))[inverse]), update.history
 
 
 def pca_project(X, n_components):

@@ -8,20 +8,25 @@ checked before any data is read; a failure prints one line,
 "dckm <command>: warning: <message>", without changing the exit code.
 Result files are line-oriented ``key=value`` text with a versioned header
 (see README for the schema); they contain no timing, so identical flags
-produce byte-identical files on one numpy build and BLAS thread count. With
-OpenBLAS, one C10-shape ``fit`` writes a different ``best_objective`` at one
-and at two threads (README; ROADMAP item 7).
+produce byte-identical files on one numpy build and BLAS thread count. The
+weighted Gram's SYRK rounds differently at other OpenBLAS thread counts, so
+the console entry point :func:`run` (also ``python -m dckm.cli``) first sets
+numpy's bundled OpenBLAS to one thread; then identical flags give identical
+files whatever ``OPENBLAS_NUM_THREADS`` says. :func:`main`, which also runs
+in process, leaves the caller's threads alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -511,7 +516,25 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def _one_blas_thread() -> None:
+    """Set the OpenBLAS that numpy bundles to one thread, through the first
+    setter it exports; do nothing when none is found. Setting
+    ``OPENBLAS_NUM_THREADS`` here would not work: numpy is already loaded."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            setter = getattr(handle, symbol, None)
+            if setter is not None:
+                setter(1)
+                return
+
+
 def run() -> None:  # console-script entry point
+    _one_blas_thread()
     raise SystemExit(main())
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,11 +34,12 @@ def _store_float(obj, name: str) -> None:
     """Store field ``name`` of the frozen dataclass ``obj`` as a Python
     float; raise ValueError unless it is a real number (numpy scalars count,
     bools do not), so that a numpy float32 cannot carry its precision into
-    the arithmetic that uses it."""
+    the arithmetic that uses it. ``-0.0`` is stored as ``0.0`` (adding 0.0
+    changes no other value), so that it prints as ``0``."""
     value = getattr(obj, name)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    object.__setattr__(obj, name, float(value))
+    object.__setattr__(obj, name, float(value) + 0.0)
 
 
 def as_data_matrix(X) -> np.ndarray:
@@ -148,44 +148,6 @@ def _distinct_rows(X: np.ndarray):
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return X[first[order]], rank[inverse.ravel()], counts[order].astype(np.float64)
-
-
-class _WorkArea(NamedTuple):
-    """Scratch space for the weight descents on data X (n by d), so that no
-    trial or step allocates an n-by-d temporary: ``XT``, X transposed into C
-    order, and one array of n*d float64 entries, seen as ``buf`` (n by d) and
-    ``buf_t`` (d by n), that each weighted Gram, gradient product and
-    residual computation overwrites; no kernel returns a view of it."""
-
-    XT: np.ndarray
-    buf: np.ndarray
-    buf_t: np.ndarray
-
-
-def _work_area(X: np.ndarray) -> _WorkArea:
-    """A :class:`_WorkArea` for X."""
-    flat = np.empty(X.size)
-    return _WorkArea(np.ascontiguousarray(X.T), flat.reshape(X.shape), flat.reshape(X.T.shape))
-
-
-class _WeightProblem(NamedTuple):
-    """One weight descent's problem, centroids and labels fixed: rows ``X``
-    that stand for ``m`` copies each, their squared residuals ``resid_sq``,
-    the ``params`` and the :class:`_WorkArea` of X."""
-
-    X: np.ndarray
-    m: np.ndarray | float
-    resid_sq: np.ndarray
-    params: HyperParams
-    work: _WorkArea
-
-
-def _prepare(X):
-    """``(X, U, inverse, m, work)``, what the fits on one X share: X checked
-    by :func:`_binary_data`, its :func:`_distinct_rows` and U's work area."""
-    X = _binary_data(X)
-    U, inverse, m = _distinct_rows(X)
-    return X, U, inverse, m, _work_area(U)
 
 
 def _first_positions(mask: np.ndarray, limit: int = _MAX_REPORTED_ENTRIES):

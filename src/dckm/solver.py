@@ -16,18 +16,21 @@ residuals, and the accepted trial hands both to the next step's gradient. A
 trial whose balance-free terms alone already exceed the search's start value
 is rejected before its Gram is built: the balance term is non-negative, so
 the full value is at least as large, and the search would reject it anyway.
-Each descent is one :class:`dckm.core._WeightProblem`: the rows, their
-counts, their squared residuals, the hyperparameters and one work area
-(:func:`dckm.core._work_area`) that every Gram, gradient product and set of
-squared residuals is written into, so no trial or step allocates an n-by-d
-array. This module is the only reader of the work area's layout: it hands
-the Gram kernel the transposed rows ``XT`` and the d-by-n view ``buf_t`` to
-scale them into, and :func:`balance_gradient` the n-by-d view ``buf``. The
+Each descent is one :class:`_WeightProblem`: the rows, their counts, their
+squared residuals, the hyperparameters and one work area (:func:`_work_area`)
+that every Gram, gradient product and set of squared residuals is written
+into, so no trial or step allocates an n-by-d array. This module is the only
+one that sets up a descent: it defines the work area, the descent record and
+the preparation the fits on one X share (:func:`_prepare`), and it hands the
+Gram kernel the transposed rows ``XT`` and the d-by-n view ``buf_t`` to scale
+them into, and :func:`balance_gradient` the n-by-d view ``buf``. The
 restarts of one :func:`fit_restarts` call share one validated X, one set of
 distinct rows and one work area.
 Every block is non-increasing in the objective, so the recorded per-sweep
-objective values form a monotone sequence. :mod:`dckm.baselines` composes the
-one weight descent (:func:`_descend`) and the one Lloyd loop (:func:`_lloyd`).
+objective values form a monotone sequence. The weight descent without the
+k-means term, :func:`balance_only_weights`, is defined here beside
+:func:`fit`; :mod:`dckm.baselines` exports it and composes the one Lloyd loop
+(:func:`_lloyd`).
 
 The objective sees the data only through each row's value, and identical
 rows share their label and, from uniform weights, their weight. So
@@ -50,12 +53,10 @@ from .core import (
     HyperParams,
     SampleWeights,
     _binary_data,
+    _distinct_rows,
     _one_hot,
-    _prepare,
     _require_integer,
     _weight_vector,
-    _WeightProblem,
-    _work_area,
     as_data_matrix,
 )
 from .decorrelation import (
@@ -91,6 +92,44 @@ class EmptyClusterError(RuntimeError):
     def __init__(self, clusters):
         self.clusters = list(clusters)
         super().__init__(f"empty cluster(s) {self.clusters} could not be re-seeded")
+
+
+class _WorkArea(NamedTuple):
+    """Scratch space for the weight descents on data X (n by d), so that no
+    trial or step allocates an n-by-d temporary: ``XT``, X transposed into C
+    order, and one array of n*d float64 entries, seen as ``buf`` (n by d) and
+    ``buf_t`` (d by n), that each weighted Gram, gradient product and
+    residual computation overwrites; no kernel returns a view of it."""
+
+    XT: np.ndarray
+    buf: np.ndarray
+    buf_t: np.ndarray
+
+
+def _work_area(X: np.ndarray) -> _WorkArea:
+    """A :class:`_WorkArea` for X."""
+    flat = np.empty(X.size)
+    return _WorkArea(np.ascontiguousarray(X.T), flat.reshape(X.shape), flat.reshape(X.T.shape))
+
+
+class _WeightProblem(NamedTuple):
+    """One weight descent's problem, centroids and labels fixed: rows ``X``
+    that stand for ``m`` copies each, their squared residuals ``resid_sq``,
+    the ``params`` and the :class:`_WorkArea` of X."""
+
+    X: np.ndarray
+    m: np.ndarray | float
+    resid_sq: np.ndarray
+    params: HyperParams
+    work: _WorkArea
+
+
+def _prepare(X):
+    """``(X, U, inverse, m, work)``, what the fits on one X share: X checked
+    by :func:`_binary_data`, its :func:`_distinct_rows` and U's work area."""
+    X = _binary_data(X)
+    U, inverse, m = _distinct_rows(X)
+    return X, U, inverse, m, _work_area(U)
 
 
 def _row_sq_norms(A: np.ndarray, out=None) -> np.ndarray:
@@ -370,7 +409,7 @@ def update_weights(X, F, G, omega, params: HyperParams, descent=None, counts=1.0
     When row i of X stands for ``counts[i]`` identical rows, omega_i is
     sqrt(counts[i]) times their common omega.
 
-    ``work``, from ``core._work_area(X)`` and built here when not given,
+    ``work``, from ``_work_area(X)`` and built here when not given,
     takes the rows' squared residuals and every Gram and gradient product of
     the descent; nothing returned refers to it. Without it, X is checked as
     :func:`fit` checks it and raises ``ValueError`` likewise. An omega whose
@@ -440,7 +479,7 @@ def fit(X, params: HyperParams, *, _prepared=None) -> FitResult:
     The random start labels every row, so the first centroid update runs on
     all of X; every later update runs on the distinct rows with their counts
     (see the module docstring), and the labels and weights are expanded back
-    to all rows at the end. ``_prepared`` is ``core._prepare(X)``, which
+    to all rows at the end. ``_prepared`` is ``_prepare(X)``, which
     :func:`fit_restarts` hands to each of its restarts.
     """
     X, U, inverse, m, work = _prepared or _prepare(X)
@@ -483,6 +522,26 @@ def fit(X, params: HyperParams, *, _prepared=None) -> FitResult:
         line_searches=line_searches,
         stalled_sweeps=stalled_sweeps,
     )
+
+
+def balance_only_weights(X, params: HyperParams):
+    """Learn weights from the balancing loss and penalties alone.
+
+    Minimizes lambda1*balance_loss + lambda2*||w||^2 + lambda3*(sum w - 1)^2
+    over the square-root parameterization by backtracking gradient descent
+    from uniform weights (deterministic: the start point is fixed), for at
+    most ``max_outer_iters * WEIGHT_STEPS`` steps or until the relative
+    change is at most ``outer_tol``. Runs on the distinct rows with their
+    counts, as :func:`fit` does. Returns ``(weights, objective_history)``.
+    Raises ValueError on non-binary or non-finite data, as :func:`fit` does.
+    :mod:`dckm.baselines` exports it as DecKM's weight step.
+    """
+    X, U, inverse, m, work = _prepare(X)
+    steps = params.max_outer_iters * WEIGHT_STEPS
+    # No k-means term: the joint objective with zero residuals.
+    problem = _WeightProblem(U, m, np.zeros(m.size), params, work)
+    update = _descend(problem, np.sqrt(m / X.shape[0]), steps, params.outer_tol)
+    return SampleWeights((update.weights.omega / np.sqrt(m))[inverse]), update.history
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """The public names of every module resolve, the package's, the baselines'
 and the solver's public names are pinned, the settable values (HyperParams
 fields and each subcommand's flags) are pinned, the baselines reach into the
-solver only through its two loops, and every function the benchmark's tracer
-wraps by name exists."""
+solver's private names only through its Lloyd loop, only the solver sets up a
+weight descent, and every function the benchmark's tracer wraps by name
+exists."""
 
 import argparse
 import importlib
@@ -14,7 +15,9 @@ from pathlib import Path
 import pytest
 
 import dckm
+import dckm.baselines
 import dckm.solver
+from dckm import cli
 from dckm.cli import _build_parser  # the tracer's Probe needs dckm.cli imported
 from dckm.core import HyperParams
 from dckm.data import BiasSpec, generate_biased
@@ -64,6 +67,28 @@ def test_a_traced_fit_restarts_call_is_seen_by_the_tracer():
     assert traced["solver.update_weights.s"] > 0
     assert probe.problems == []
     assert traced["core.validate_data.calls"] == 1
+
+
+def test_a_traced_deckm_run_is_seen_by_the_tracer():
+    """One traced ``run_method`` call of deckm: the tracer wraps the weight
+    descent under ``baselines.balance_only_weights``, although the solver
+    defines it, counts its steps and checks its output, and the descent
+    validates X once."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    ds = generate_biased(BiasSpec(n=120, d=10, n_clusters=3, core_per_cluster=1,
+                                  bias_features=3, seed=2))
+    hp = HyperParams(n_clusters=3, lambda1=1.0, lambda2=10.0, seed=100, restarts=2,
+                     max_outer_iters=4)
+    with tracer.Probe(spans=True) as probe:
+        record = cli.run_method(ds.X, ds.labels, "deckm", hp)
+    traced = probe.layer_metrics()
+    assert traced["baselines.balance_only_weights.steps"] == record.params["stage1_steps"] > 0
+    assert traced["baselines.balance_only_weights.s"] > 0
+    assert probe.problems == []
+    assert traced["core.validate_data.calls"] == 1
+    assert dckm.baselines.balance_only_weights is dckm.solver.balance_only_weights
 
 
 PINNED = {
@@ -147,7 +172,7 @@ def test_baselines_reach_only_the_solver_loops():
         for value in vars(baselines).values()
         if getattr(value, "__module__", None) == "dckm.solver" and value.__name__.startswith("_")
     )
-    assert private == ["_descend", "_lloyd"]
+    assert private == ["_lloyd"]
 
 
 def test_solver_scores_through_one_residual_path():
@@ -161,10 +186,11 @@ def test_solver_scores_through_one_residual_path():
     assert private == ["_residuals", "_weighted_gram"]
 
 
-@pytest.mark.parametrize("module_name", ["dckm.decorrelation", "dckm.metrics"])
-def test_only_core_and_the_solver_know_the_work_area(module_name):
-    core = importlib.import_module("dckm.core")
+@pytest.mark.parametrize("module_name", [m for m in MODULES if m != "dckm.solver"])
+def test_only_the_solver_sets_up_a_weight_descent(module_name):
+    solver = importlib.import_module("dckm.solver")
+    private = (solver._work_area, solver._WorkArea, solver._WeightProblem, solver._prepare)
     module = importlib.import_module(module_name)
     leaked = [name for name, value in vars(module).items()
-              if value is core._work_area or value is core._WorkArea]
+              if any(value is p for p in private)]
     assert leaked == []

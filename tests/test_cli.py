@@ -123,6 +123,13 @@ class TestFit:
         assert main(fit_args(small_data, "dckm", out=b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_zero_lambda_writes_the_file_of_zero(self, small_data, tmp_path):
+        minus, plus = tmp_path / "minus.txt", tmp_path / "plus.txt"
+        assert main(fit_args(small_data, "dckm", out=minus, l1="-0")) == 0
+        assert main(fit_args(small_data, "dckm", out=plus, l1="0")) == 0
+        assert "lambda1=0" in minus.read_text(encoding="utf-8").splitlines()
+        assert minus.read_bytes() == plus.read_bytes()
+
     def test_dropkm_reports_kept_features(self, small_data, tmp_path):
         out = tmp_path / "drop.txt"
         assert main(fit_args(small_data, "dropkm", out=out, threshold="0.7")) == 0
@@ -711,3 +718,32 @@ def test_python_m_dckm_cli_runs_main(tmp_path, capsys):
                     "--bias-features", "1", "--seed", "1", "--out", str(out))
     assert good.returncode == cli.EXIT_OK, good.stderr
     assert f"out={out}" in good.stdout.splitlines() and out.exists()
+
+
+def test_console_entry_point_writes_the_same_bytes_at_any_blas_thread_count(tmp_path):
+    """Through ``python -m dckm.cli``, a C10-shape fit writes the same result
+    and weights files at one and at two OpenBLAS threads: the entry point
+    sets numpy's OpenBLAS to one thread. Without that, the weighted Gram's
+    SYRK rounds differently at two threads and ``best_objective`` moves in
+    its last digits."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    data = tmp_path / "c10.csv"
+
+    def python_m(threads, *argv):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "dckm.cli", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+
+    python_m(1, "gen", "--n", "2000", "--d", "100", "--k", "5", "--core-per-cluster", "4",
+             "--bias-features", "60", "--bias", "0.8", "--noise", "0.05", "--seed", "6",
+             "--out", str(data))
+    files = {}
+    for threads in (1, 2):
+        out, weights = tmp_path / f"fit{threads}.txt", tmp_path / f"w{threads}.txt"
+        python_m(threads, "fit", "--data", str(data), "--labels", "label", "--method", "dckm",
+                 "--k", "5", "--restarts", "2", "--seed", "100", "--max-outer", "5",
+                 "--l1", "1000", "--l2", "1000", "--out", str(out), "--weights-out", str(weights))
+        files[threads] = (out.read_bytes(), weights.read_bytes())
+    assert files[1] == files[2]

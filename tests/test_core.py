@@ -218,6 +218,13 @@ class TestHyperParams:
             assert type(getattr(hp, name)) is float
             assert getattr(hp, name) == float(value)
 
+    @pytest.mark.parametrize("zero", [-0.0, np.float32(-0.0), np.float64(-0.0)],
+                             ids=["float", "float32", "float64"])
+    def test_negative_zero_stored_as_zero(self, zero):
+        hp = HyperParams(n_clusters=3, lambda1=zero, lambda2=zero, lambda3=zero)
+        for name in ("lambda1", "lambda2", "lambda3"):
+            assert repr(getattr(hp, name)) == "0.0"
+
     def test_float32_lambda_fits_as_its_float64_value(self):
         # A float32 lambda1 must not make the objective float32, or the line
         # search would compare float32-rounded values.

@@ -441,6 +441,9 @@ class TestBiasSpec:
         assert type(spec.bias_strength) is float and spec.bias_strength == 0.75
         assert type(spec.noise_flip) is float and spec.noise_flip == 0.0
 
+    def test_negative_zero_stored_as_zero(self):
+        assert repr(BiasSpec(noise_flip=-0.0).noise_flip) == "0.0"
+
 
 class TestGenerateBiased:
     def test_deterministic(self):

@@ -10,7 +10,7 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 
 import dckm
 import dckm.decorrelation
-from dckm.core import SampleWeights, _distinct_rows, _work_area
+from dckm.core import SampleWeights, _distinct_rows
 from dckm.decorrelation import (
     _residuals,
     _weighted_gram,
@@ -18,6 +18,7 @@ from dckm.decorrelation import (
     balance_loss,
 )
 from dckm.metrics import correlation_amount
+from dckm.solver import _work_area
 
 from util import (
     DegenerateGroupError,
@@ -41,9 +42,10 @@ X3 = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 # of ``Y.T @ Y``.
 GRAM_PROBE = """
 import numpy as np
-from dckm.core import _distinct_rows, _work_area
+from dckm.core import _distinct_rows
 from dckm.data import BiasSpec, generate_biased
 from dckm.decorrelation import _weighted_gram
+from dckm.solver import _work_area
 equal = []
 for seed in (6, 7):
     X = generate_biased(BiasSpec(n=2000, d=100, n_clusters=5, core_per_cluster=4,

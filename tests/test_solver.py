@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import dckm.decorrelation
 import dckm.solver
 from dckm.baselines import kmeans
-from dckm.core import HyperParams, SampleWeights, _distinct_rows, _work_area, one_hot_rows
+from dckm.core import HyperParams, SampleWeights, _distinct_rows, one_hot_rows
 from dckm.data import BiasSpec, generate_biased
 from dckm.decorrelation import balance_loss
 from dckm.solver import (
@@ -25,6 +25,7 @@ from dckm.solver import (
     _row_sq_norms,
     _weight_gradient,
     _weight_point,
+    _work_area,
     fit,
     fit_restarts,
     update_assignments,

@@ -12,14 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 import dckm.solver
-from dckm.core import (
-    SampleWeights,
-    ValidationReport,
-    _weight_vector,
-    _WeightProblem,
-    _work_area,
-    as_data_matrix,
-)
+from dckm.core import SampleWeights, ValidationReport, _weight_vector, as_data_matrix
 from dckm.data import BiasSpec, generate_biased
 from dckm.decorrelation import GROUP_MASS_EPS, balance_loss
 from dckm.solver import (
@@ -31,6 +24,8 @@ from dckm.solver import (
     _initial_assignments,
     _row_sq_norms,
     _weight_gradient,
+    _WeightProblem,
+    _work_area,
     update_assignments,
     update_weights,
 )
